@@ -1,0 +1,69 @@
+"""Micro-benchmarks of the kernels a solve spends its time in, on a fixed
+set of 31 trials (30 intervals) of t05.
+
+Run from the root of the checkout:
+
+    python -m pytest microbench
+
+This directory is outside the test paths of the tier-1 suite, which therefore
+does not collect it.  Each benchmark times one pass over the 30 intervals
+(for leftmost_zero, over those whose minorant reaches zero), with the bounds of
+the adaptive table, so the reported times are per pass, not per call.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from firstroot import (
+    EstimationParams,
+    IntervalData,
+    Trial,
+    build_curvature_table,
+    build_support,
+    characteristic,
+    get_problem,
+    leftmost_zero,
+)
+
+PARAMS = EstimationParams()
+
+
+@pytest.fixture(scope="module")
+def trials() -> list[Trial]:
+    problem = get_problem("t05")
+    xs = np.linspace(problem.a, problem.b, 31).tolist()
+    return [Trial(x=x, z=float(problem.f(x)), dz=float(problem.df(x)), birth=i)
+            for i, x in enumerate(xs)]
+
+
+@pytest.fixture(scope="module")
+def intervals(trials) -> list[IntervalData]:
+    m = build_curvature_table(trials, PARAMS).m
+    return [IntervalData(x_left=lo.x, x_right=hi.x, z_left=lo.z, z_right=hi.z,
+                         dz_left=lo.dz, dz_right=hi.dz, m=m[p])
+            for p, (lo, hi) in enumerate(zip(trials, trials[1:]))]
+
+
+@pytest.fixture(scope="module")
+def supports(intervals):
+    return [build_support(d) for d in intervals]
+
+
+def test_build_support(benchmark, intervals):
+    benchmark(lambda: [build_support(d) for d in intervals])
+
+
+def test_characteristic(benchmark, supports):
+    benchmark(lambda: [characteristic(s) for s in supports])
+
+
+def test_leftmost_zero(benchmark, supports):
+    flagged = [s for s in supports if s.data.z_left > 0.0 and characteristic(s).R <= 0.0]
+    assert flagged
+    benchmark(lambda: [leftmost_zero(s) for s in flagged])
+
+
+def test_build_curvature_table(benchmark, trials):
+    benchmark(build_curvature_table, trials, PARAMS)

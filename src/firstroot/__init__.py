@@ -20,6 +20,7 @@ from .problems import (
     Problem,
     all_ids,
     chebyshev_transfer,
+    curvature_bound,
     cutoff_objective,
     exact_lipschitz_oracle,
     find_fmax,

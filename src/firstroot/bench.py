@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import UnknownProblem
-from .problems import Problem, exact_lipschitz_oracle, get_problem
+from .problems import Problem, curvature_bound, get_problem
 from .solver import (
     EstimationParams,
     FirstRootFound,
@@ -57,34 +57,17 @@ class BenchRow:
     abs_error: float | None
 
 
-def _result_point(outcome) -> float:
-    if hasattr(outcome, "x_sigma"):
-        return outcome.x_sigma
-    if hasattr(outcome, "x_best"):
-        return outcome.x_best
-    if hasattr(outcome, "interval"):
-        return outcome.interval[0]
-    return outcome.best_so_far
-
-
-def _run_one(problem: Problem, method: str, config: BenchConfig,
-             k_cache: dict[str, float]) -> BenchRow:
+def _run_one(problem: Problem, method: str, config: BenchConfig) -> BenchRow:
     sigma = config.sigma_fraction * (problem.b - problem.a)
     if method == "grid":
         outcome = grid_search(problem, sigma).outcome
     else:
-        lipschitz = None
-        if method == "a1":
-            if problem.id not in k_cache:
-                k_cache[problem.id] = (problem.lipschitz_K
-                                       if problem.lipschitz_K is not None
-                                       else exact_lipschitz_oracle(problem))
-            lipschitz = k_cache[problem.id]
+        lipschitz = curvature_bound(problem) if method == "a1" else None
         cfg = SolverConfig(method=method, lipschitz=lipschitz,
                            params=EstimationParams(r=config.r, xi=config.xi),
                            sigma_fraction=config.sigma_fraction)
         outcome = solve(problem, cfg).outcome
-    x = _result_point(outcome)
+    x = outcome.point
     abs_error = None
     if isinstance(outcome, FirstRootFound) and problem.reference_frl is not None:
         abs_error = abs(x - problem.reference_frl)
@@ -97,11 +80,10 @@ def _run_one(problem: Problem, method: str, config: BenchConfig,
 def run_matrix(config: BenchConfig) -> list[BenchRow]:
     """One row per (problem, method), ordered by (problem_id, method)."""
     problems = [get_problem(pid) for pid in config.problem_ids]
-    k_cache: dict[str, float] = {}
     rows = []
     for problem in problems:
         for method in config.methods:
-            rows.append(_run_one(problem, method, config, k_cache))
+            rows.append(_run_one(problem, method, config))
     rows.sort(key=lambda r: (r.problem_id, r.method))
     return rows
 

@@ -24,7 +24,7 @@ from .problems import (
     CHEBYSHEV_DOMAIN,
     PASSBAND_DOMAIN,
     all_ids,
-    exact_lipschitz_oracle,
+    curvature_bound,
     get_problem,
     registry,
 )
@@ -110,8 +110,7 @@ def _run_solve(args) -> int:
         if args.method == "a1":
             lipschitz = args.lipschitz
             if lipschitz is None:
-                lipschitz = (problem.lipschitz_K if problem.lipschitz_K is not None
-                             else exact_lipschitz_oracle(problem))
+                lipschitz = curvature_bound(problem)
                 note = f"lipschitz K (oracle): {lipschitz:.10g}"
         cfg = SolverConfig(method=args.method, lipschitz=lipschitz,
                            params=EstimationParams(r=args.r, xi=args.xi),

@@ -31,6 +31,7 @@ __all__ = [
     "cutoff_objective",
     "numeric_derivative",
     "exact_lipschitz_oracle",
+    "curvature_bound",
 ]
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -320,6 +321,14 @@ def exact_lipschitz_oracle(problem: Problem, grid_points: int = 200_000) -> floa
     x = np.linspace(problem.a, problem.b, grid_points)
     d = np.asarray(problem.df(x), dtype=float)
     return 1.01 * float(np.max(np.abs(np.diff(d)) / np.diff(x)))
+
+
+def curvature_bound(problem: Problem) -> float:
+    """The a1 bound K of a problem: its supplied lipschitz_K, else the
+    dense-grid oracle."""
+    if problem.lipschitz_K is not None:
+        return problem.lipschitz_K
+    return exact_lipschitz_oracle(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Two variants share one iteration engine:
   a2  re-estimates a local bound per interval from the trials seen so far.
 
 Each iteration orders the trials, restricts attention to the effective set
-(everything up to the first negative function value), builds the quadratic
+(everything up to the first negative function value), takes the quadratic
 minorant on each interval left to right, and either subdivides the interval
 whose minorant dips lowest (all characteristics positive) or places the next
 trial at the leftmost zero of the first minorant that reaches zero.  The
@@ -14,16 +14,22 @@ iteration stops when the selected interval is no wider than sigma; a minorant
 that still reaches zero there marks its left end as the sigma-root, unless the
 minorant rests on the curvature floor alone.
 
+A minorant depends only on its interval's endpoint data and bound, and a step
+adds one trial, so most minorants carry over from one iteration to the next:
+the search state keeps those of the last scan, keyed by their exact inputs, and
+builds only the new ones (the two halves of the split interval; for a2 also
+the intervals whose bound moved).  The cache never holds more than k - 1
+entries.
+
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -122,7 +128,15 @@ class _ScanEntry:
 
 @dataclass
 class SearchState:
-    """Mutable search state: sorted trials plus the per-iteration scan cache."""
+    """Mutable search state: the trials sorted by x, their effective count k
+    and right margin b_n, and the minorants of the last scan.
+
+    `scan` holds the last scan's entries left to right.  `minorants` maps
+    each of them by its exact inputs, (x, z, dz) at both ends of the interval
+    and the bound m, so the next scan rebuilds only the minorants whose
+    inputs are new; as it keeps no other entry, it never holds more than
+    k - 1 of them.
+    """
 
     trials: list[Trial]
     a: float
@@ -131,6 +145,7 @@ class SearchState:
     k: int = 0
     b_n: float = 0.0
     scan: list[_ScanEntry] = field(default_factory=list)
+    minorants: dict[tuple[float, ...], _ScanEntry] = field(default_factory=dict)
     first_nonpositive: int | None = None
 
     def interval_bounds(self, p: int) -> tuple[float, float]:
@@ -146,6 +161,11 @@ class Outcome:
     trials_used: int
 
     tag = "outcome"
+
+    @property
+    def point(self) -> float:
+        """The abscissa the outcome reports."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -167,6 +187,10 @@ class FirstRootFound(Outcome):
 
     tag = "first_root"
 
+    @property
+    def point(self) -> float:
+        return self.x_sigma
+
 
 @dataclass(frozen=True)
 class NoRootGlobalMin(Outcome):
@@ -177,6 +201,10 @@ class NoRootGlobalMin(Outcome):
     f_best: float = 0.0
 
     tag = "no_root_global_min"
+
+    @property
+    def point(self) -> float:
+        return self.x_best
 
 
 @dataclass(frozen=True)
@@ -193,12 +221,20 @@ class PrecisionExhausted(Outcome):
 
     tag = "precision_exhausted"
 
+    @property
+    def point(self) -> float:
+        return self.interval[0]
+
 
 @dataclass(frozen=True)
 class BudgetExhausted(Outcome):
     best_so_far: float = 0.0
 
     tag = "budget_exhausted"
+
+    @property
+    def point(self) -> float:
+        return self.best_so_far
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,35 +300,51 @@ def effective_points(state: SearchState) -> tuple[int, float]:
     return k, trials[k - 1].x
 
 
-def _interval_bounds_m(state: SearchState, config: SolverConfig) -> list[float]:
+def _interval_bounds_m(state: SearchState, config: SolverConfig) -> Sequence[float]:
     if config.method == "a1":
         if config.lipschitz is None:
             raise ValueError("a1 requires a lipschitz bound (config.lipschitz)")
         m = config.lipschitz if config.lipschitz > 0.0 else _MIN_CURVATURE
         return [m] * (state.k - 1)
-    table = build_curvature_table(state.trials[:state.k], config.params)
-    return list(table.m)
+    return build_curvature_table(state.trials[:state.k], config.params).m
 
 
-def scan_characteristics(state: SearchState, bounds: list[float]) -> SearchState:
-    """Build minorants left to right over the effective intervals, classify
-    each, and stop at the first one whose characteristic is <= 0."""
-    state.scan = []
+def _scan_entry(lo: Trial, hi: Trial, m: float) -> _ScanEntry:
+    sf = build_support(IntervalData(
+        x_left=lo.x, x_right=hi.x, z_left=lo.z, z_right=hi.z,
+        dz_left=lo.dz, dz_right=hi.dz, m=m))
+    char = characteristic(sf)
+    if interior_stationary_point(sf) is not None:
+        klass = _AT_INTERIOR
+    elif char.kind == RIGHT_END:
+        klass = _AT_RIGHT_KNOT
+    else:
+        klass = _AT_LEFT_KNOT
+    return _ScanEntry(support=sf, char=char, klass=klass)
+
+
+def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchState:
+    """Minorants left to right over the effective intervals, each classified,
+    up to the first one whose characteristic is <= 0.
+
+    A minorant is a pure function of its interval's endpoint data and bound,
+    so an entry of the previous scan with the same inputs is reused as it is;
+    only entries of this scan are kept for the next one.
+    """
+    previous = state.minorants
+    state.minorants = kept = {}
+    state.scan = scan = []
     state.first_nonpositive = None
+    trials = state.trials
     for p in range(state.k - 1):
-        lo, hi = state.trials[p], state.trials[p + 1]
-        sf = build_support(IntervalData(
-            x_left=lo.x, x_right=hi.x, z_left=lo.z, z_right=hi.z,
-            dz_left=lo.dz, dz_right=hi.dz, m=bounds[p]))
-        char = characteristic(sf)
-        if interior_stationary_point(sf) is not None:
-            klass = _AT_INTERIOR
-        elif char.kind == RIGHT_END:
-            klass = _AT_RIGHT_KNOT
-        else:
-            klass = _AT_LEFT_KNOT
-        state.scan.append(_ScanEntry(support=sf, char=char, klass=klass))
-        if char.R <= 0.0:
+        lo, hi = trials[p], trials[p + 1]
+        key = (lo.x, lo.z, lo.dz, hi.x, hi.z, hi.dz, bounds[p])
+        entry = previous.get(key)
+        if entry is None:
+            entry = _scan_entry(lo, hi, bounds[p])
+        kept[key] = entry
+        scan.append(entry)
+        if entry.char.R <= 0.0:
             state.first_nonpositive = p
             break
     return state
@@ -301,11 +353,8 @@ def scan_characteristics(state: SearchState, bounds: list[float]) -> SearchState
 def _select_interval(state: SearchState) -> int:
     if state.first_nonpositive is not None:
         return state.first_nonpositive
-    best = 0
-    for p in range(1, len(state.scan)):
-        if state.scan[p].char.R < state.scan[best].char.R:
-            best = p
-    return best
+    values = [entry.char.R for entry in state.scan]
+    return values.index(min(values))  # the leftmost of equal minima
 
 
 def next_trial_point(state: SearchState) -> float:
@@ -315,7 +364,10 @@ def next_trial_point(state: SearchState) -> float:
     that interval's minorant; otherwise the knot or stationary point of the
     interval with minimal characteristic (ties to the leftmost interval).
     """
-    p = _select_interval(state)
+    return _candidate(state, _select_interval(state))
+
+
+def _candidate(state: SearchState, p: int) -> float:
     entry = state.scan[p]
     if state.first_nonpositive is not None:
         return leftmost_zero(entry.support)
@@ -374,14 +426,12 @@ def _finish(state: SearchState, floored: bool) -> Outcome:
     return FirstRootFound(trials_used=n_used, x_sigma=lo)
 
 
-def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | None:
-    """One full iteration; returns an Outcome when the search terminates and
-    None when a trial was added and the search continues."""
-    state.k, state.b_n = effective_points(state)
+def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | Trial:
+    """One iteration: the Outcome when the search terminates, else the trial
+    it added."""
     bounds = _interval_bounds_m(state, config)
     scan_characteristics(state, bounds)
     chosen = _select_interval(state)
-    candidate = next_trial_point(state)
     if stop_check(state, chosen, state.sigma):
         return _finish(state, _at_floor(bounds[chosen], config))
     if len(state.trials) >= config.max_trials:
@@ -390,12 +440,23 @@ def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome 
         else:
             best = _best_observed(state)[0]
         return BudgetExhausted(trials_used=len(state.trials), best_so_far=best)
-    candidate = _clamp_candidate(state, chosen, candidate)
+    candidate = _clamp_candidate(state, chosen, _candidate(state, chosen))
     trial = _evaluate(problem, candidate, birth=len(state.trials))
-    pos = bisect.bisect_left([t.x for t in state.trials], trial.x)
-    state.trials.insert(pos, trial)
+    # The clamp keeps the candidate strictly inside interval `chosen`.
+    state.trials.insert(chosen + 1, trial)
     state.k, state.b_n = effective_points(state)
-    return None
+    return trial
+
+
+def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | None:
+    """One full iteration; returns an Outcome when the search terminates and
+    None when a trial was added and the search continues.
+
+    state.k and state.b_n must describe state.trials, as `initialize` and
+    `step` leave them.
+    """
+    result = _advance(state, problem, config)
+    return result if isinstance(result, Outcome) else None
 
 
 def _trace_record(trial: Trial, k: int, b_n: float) -> TraceRecord:
@@ -409,12 +470,10 @@ def solve(problem: Problem, config: SolverConfig) -> SolveResult:
     state = initialize(problem, config)
     trace = [_trace_record(t, state.k, state.b_n) for t in state.trials]
     while True:
-        outcome = step(state, problem, config)
-        if outcome is None:
-            newest = max(state.trials, key=lambda t: t.birth)
-            trace.append(_trace_record(newest, state.k, state.b_n))
-            continue
-        return SolveResult(outcome=outcome, trace=trace)
+        result = _advance(state, problem, config)
+        if isinstance(result, Outcome):
+            return SolveResult(outcome=result, trace=trace)
+        trace.append(_trace_record(result, state.k, state.b_n))
 
 
 # ---------------------------------------------------------------------------

@@ -169,17 +169,47 @@ def eval_support_derivative(s: SupportFunction, x):
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
+def _middle_value(s: SupportFunction, x: float) -> float:
+    return 0.5 * s.data.m * x * x + s.b * x + s.c
+
+
+# Plain-float kernels for phi and phi' at one point of the interval, used by
+# the scalar search path to skip the 0-d array round trip.  Each branch is the
+# expression of the matching np.where arm of eval_support /
+# eval_support_derivative, term for term, so both give the same bits for a
+# scalar x.  (numpy squares a scalar with pow, as Python's ** does, but an
+# array of several elements by multiplication, which differs in the last bit
+# about once in a thousand squares.)
+
+def _phi(s: SupportFunction, x: float) -> float:
+    d = s.data
+    if x <= s.y_prime:
+        return d.z_left + d.dz_left * (x - d.x_left) - 0.5 * d.m * (x - d.x_left) ** 2
+    if x <= s.y:
+        return _middle_value(s, x)
+    return d.z_right - d.dz_right * (d.x_right - x) - 0.5 * d.m * (d.x_right - x) ** 2
+
+
+def _phi_derivative(s: SupportFunction, x: float) -> float:
+    d = s.data
+    if x <= s.y_prime:
+        return d.dz_left - d.m * (x - d.x_left)
+    if x <= s.y:
+        return d.m * x + s.b
+    return d.dz_right + d.m * (d.x_right - x)
+
+
+def _clamp(s: SupportFunction, x: float) -> float:
+    return min(max(x, s.data.x_left), s.data.x_right)
+
+
 def interior_stationary_point(s: SupportFunction) -> float | None:
     """Zero of phi' in [y', y] if the slope changes sign there, else None."""
-    slope_lo = eval_support_derivative(s, min(max(s.y_prime, s.data.x_left), s.data.x_right))
-    slope_hi = eval_support_derivative(s, min(max(s.y, s.data.x_left), s.data.x_right))
+    slope_lo = _phi_derivative(s, _clamp(s, s.y_prime))
+    slope_hi = _phi_derivative(s, _clamp(s, s.y))
     if slope_lo * slope_hi < 0.0:
         return -s.b / s.data.m
     return None
-
-
-def _middle_value(s: SupportFunction, x: float) -> float:
-    return 0.5 * s.data.m * x * x + s.b * x + s.c
 
 
 def characteristic(s: SupportFunction) -> Characteristic:
@@ -263,13 +293,13 @@ def leftmost_zero(s: SupportFunction) -> float:
     """
     if characteristic(s).R > 0.0:
         raise NoZero("support function is strictly positive on the interval")
-    if eval_support(s, min(max(s.y_prime, s.data.x_left), s.data.x_right)) <= 0.0:
+    if _phi(s, _clamp(s, s.y_prime)) <= 0.0:
         return _right_root_left_cap(s)
     x_hat = interior_stationary_point(s)
     if x_hat is not None:
         if _middle_value(s, x_hat) > 0.0:
             return _right_root_right_cap(s)
         return _left_root_middle(s)
-    if eval_support(s, min(max(s.y, s.data.x_left), s.data.x_right)) > 0.0:
+    if _phi(s, _clamp(s, s.y)) > 0.0:
         return _right_root_right_cap(s)
     return _left_root_middle(s)

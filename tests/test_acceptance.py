@@ -96,16 +96,6 @@ def filter_results():
     return out
 
 
-def _located_point(outcome) -> float:
-    if hasattr(outcome, "x_sigma"):
-        return outcome.x_sigma
-    if hasattr(outcome, "x_best"):
-        return outcome.x_best
-    if hasattr(outcome, "interval"):
-        return outcome.interval[0]
-    return outcome.best_so_far
-
-
 # ---------------------------------------------------------------------------
 # Root accuracy
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def test_efficiency_bounds(solved, grid_outcomes):
 @pytest.mark.parametrize("method", ["grid", "a1", "a2"])
 def test_chebyshev_cutoff_location(filter_results, method):
     outcome = filter_results[("chebyshev", method)]
-    x = _located_point(outcome)
+    x = outcome.point
     name = f"chebyshev cutoff {method}"
     ok = isinstance(outcome, FirstRootFound) and abs(x - CHEBYSHEV_CUTOFF) <= 1e-3
     report(name, ok,
@@ -215,7 +205,7 @@ def test_chebyshev_trial_budget(filter_results):
 @pytest.mark.parametrize("method", ["grid", "a1", "a2"])
 def test_passband_cutoff_location(filter_results, method):
     outcome = filter_results[("passband", method)]
-    x = _located_point(outcome)
+    x = outcome.point
     name = f"passband cutoff {method}"
     ok = isinstance(outcome, FirstRootFound) and abs(x - PASSBAND_CUTOFF) <= 1.0
     report(name, ok,

@@ -1,0 +1,67 @@
+"""Golden traces: a1 and a2 on the 22-problem matrix must reproduce, bit for
+bit, the outcomes and traces stored in tests/data/golden_traces.json.
+
+Each entry holds the outcome tag, trials_used, the reported point as
+float.hex and the SHA-256 of the trace as the CLI writes it (one JSON object
+per line).  The settings are those of `firstroot.bench.run_matrix`: sigma =
+1e-4 * (b - a), r = 1.2, xi = 1e-6 and, for a1, `curvature_bound(problem)`.
+
+A change that is meant to move a trace must regenerate the file, with
+`PYTHONPATH=src python tests/test_golden_traces.py`, and say which entries moved and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from firstroot import (EstimationParams, SolverConfig, all_ids, curvature_bound, get_problem,
+                       solve)
+
+GOLDEN = Path(__file__).with_name("data") / "golden_traces.json"
+SETTINGS = {"sigma_fraction": 1e-4, "r": 1.2, "xi": 1e-6,
+            "a1_bound": "problem.lipschitz_K, else exact_lipschitz_oracle(problem)"}
+
+
+def golden_entry(problem_id: str, method: str) -> dict:
+    problem = get_problem(problem_id)
+    config = SolverConfig(
+        method=method,
+        lipschitz=curvature_bound(problem) if method == "a1" else None,
+        params=EstimationParams(r=SETTINGS["r"], xi=SETTINGS["xi"]),
+        sigma_fraction=SETTINGS["sigma_fraction"])
+    result = solve(problem, config)
+    lines = "".join(json.dumps(record.as_dict()) + "\n" for record in result.trace)
+    return {"tag": result.outcome.tag,
+            "trials_used": result.outcome.trials_used,
+            "point": float(result.outcome.point).hex(),
+            "trace_sha256": hashlib.sha256(lines.encode()).hexdigest()}
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def _matrix() -> list[str]:
+    return [f"{pid}/{method}" for pid in all_ids() for method in ("a1", "a2")]
+
+
+def test_golden_file_covers_the_matrix():
+    doc = _golden()
+    assert doc["settings"] == SETTINGS
+    assert sorted(doc["solves"]) == sorted(_matrix())
+
+
+@pytest.mark.parametrize("key", _matrix())
+def test_outcome_and_trace_are_bit_identical(key):
+    assert golden_entry(*key.split("/")) == _golden()["solves"].get(key)
+
+
+if __name__ == "__main__":
+    solves = {key: golden_entry(*key.split("/")) for key in _matrix()}
+    GOLDEN.write_text(json.dumps({"settings": SETTINGS, "solves": solves}, indent=1,
+                                 sort_keys=True) + "\n")
+    print(f"wrote {len(solves)} entries to {GOLDEN}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from firstroot import (
     UnknownProblem,
     all_ids,
     chebyshev_transfer,
+    curvature_bound,
     cutoff_objective,
     exact_lipschitz_oracle,
     find_fmax,
@@ -225,6 +227,11 @@ class TestLipschitzOracle:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             exact_lipschitz_oracle(get_problem("t01"), grid_points=10)
+
+    def test_curvature_bound_prefers_a_supplied_K(self):
+        p = get_problem("t05")
+        assert curvature_bound(p) == exact_lipschitz_oracle(p)
+        assert curvature_bound(dataclasses.replace(p, lipschitz_K=2.5)) == 2.5
 
 
 class TestParamsValidation:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import firstroot.solver as solver_module
 from firstroot import (
     BadInitialCondition,
     BudgetExhausted,
+    EstimationParams,
     FirstRootFound,
     NoRootGlobalMin,
     PrecisionExhausted,
@@ -124,6 +126,38 @@ class TestNextTrialPoint:
         assert next_trial_point(st) == pytest.approx((-3 + math.sqrt(13)) / 2, abs=1e-12)
 
 
+class TestMinorantReuse:
+    def test_cache_holds_only_the_last_scan(self):
+        # a large reliability multiplier r keeps a2's bounds loose, so the
+        # rootless t06 takes hundreds of steps
+        p = get_problem("t06")
+        cfg = SolverConfig(method="a2", max_trials=2000, params=EstimationParams(r=1e4))
+        state = initialize(p, cfg)
+        steps = 0
+        while step(state, p, cfg) is None:
+            steps += 1
+            assert len(state.minorants) <= state.k - 1
+            assert list(state.minorants.values()) == state.scan
+        assert steps > 300
+
+    def test_a1_builds_only_the_split_halves(self, monkeypatch):
+        built = []
+        original = solver_module.build_support
+
+        def counting(data):
+            built.append((data.x_left, data.x_right))
+            return original(data)
+
+        monkeypatch.setattr(solver_module, "build_support", counting)
+        # rootless, so every scan covers every interval: one minorant for the
+        # first scan, then the two halves of the split interval per step
+        p = get_problem("t02")
+        out = solve(p, SolverConfig(method="a1", lipschitz=exact_lipschitz_oracle(p))).outcome
+        assert isinstance(out, NoRootGlobalMin)
+        assert len(built) == 1 + 2 * (out.trials_used - 2)
+        assert len(set(built)) == len(built)
+
+
 class TestStopCheck:
     def test_threshold(self):
         st = state_from([0.0, 6.7e-4], [1, 1], [0, 0])
@@ -215,6 +249,12 @@ class TestSolveOutcomes:
     def test_a1_requires_bound(self):
         with pytest.raises(ValueError):
             solve(get_problem("t01"), SolverConfig(method="a1"))
+
+    def test_point_of_each_outcome(self):
+        assert FirstRootFound(trials_used=5, x_sigma=1.5).point == 1.5
+        assert NoRootGlobalMin(trials_used=5, x_best=2.5, f_best=0.1).point == 2.5
+        assert PrecisionExhausted(trials_used=5, interval=(3.5, 3.6)).point == 3.5
+        assert BudgetExhausted(trials_used=5, best_so_far=4.5).point == 4.5
 
 
 class TestTraceInvariants:

@@ -18,7 +18,17 @@ from firstroot import (
     leftmost_zero,
     registry,
 )
-from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
+from firstroot.support import (
+    INTERIOR,
+    LEFT_END,
+    RIGHT_END,
+    _left_root_middle,
+    _middle_value,
+    _phi,
+    _phi_derivative,
+    _right_root_left_cap,
+    _right_root_right_cap,
+)
 
 from helpers import (
     check_c1_gluing,
@@ -28,6 +38,50 @@ from helpers import (
     random_interval_data,
     interval_from_testbed,
 )
+
+
+def _clamped(sf, x):
+    return min(max(x, sf.data.x_left), sf.data.x_right)
+
+
+# interior_stationary_point and leftmost_zero as they read with phi and phi'
+# taken from the numpy path of eval_support / eval_support_derivative: the
+# reference the float kernels must reproduce bit for bit.
+
+def numpy_stationary_point(sf):
+    slope_lo = eval_support_derivative(sf, _clamped(sf, sf.y_prime))
+    slope_hi = eval_support_derivative(sf, _clamped(sf, sf.y))
+    return -sf.b / sf.data.m if slope_lo * slope_hi < 0.0 else None
+
+
+def numpy_leftmost_zero(sf):
+    if eval_support(sf, _clamped(sf, sf.y_prime)) <= 0.0:
+        return _right_root_left_cap(sf)
+    x_hat = numpy_stationary_point(sf)
+    if x_hat is not None:
+        if _middle_value(sf, x_hat) > 0.0:
+            return _right_root_right_cap(sf)
+        return _left_root_middle(sf)
+    if eval_support(sf, _clamped(sf, sf.y)) > 0.0:
+        return _right_root_right_cap(sf)
+    return _left_root_middle(sf)
+
+
+def assert_kernels_match_numpy(sf):
+    """The float kernels equal the numpy path with ==.  The numpy side gets a
+    scalar x, as the search evaluates it: numpy squares an array of several
+    elements by multiplication but a scalar with pow, and the two can differ
+    in the last bit."""
+    d = sf.data
+    xs = [d.x_left, d.x_right, sf.y_prime, sf.y,
+          d.x_left + 0.3 * d.width, d.x_left + 0.5 * d.width, d.x_left + 0.9 * d.width]
+    for x in (_clamped(sf, x) for x in xs):
+        assert _phi(sf, x) == eval_support(sf, x)
+        assert _phi_derivative(sf, x) == eval_support_derivative(sf, x)
+    assert interior_stationary_point(sf) == numpy_stationary_point(sf)
+    # the search asks for a zero only where f > 0 at the left end
+    if d.z_left > 0.0 and characteristic(sf).R <= 0.0:
+        assert leftmost_zero(sf) == numpy_leftmost_zero(sf)
 
 
 def symmetric_case():
@@ -101,6 +155,15 @@ class TestEval:
         assert vals.shape == xs.shape
         for x, v in zip(xs, vals):
             assert v == eval_support(sf, float(x))
+
+    def test_float_kernels_match_numpy_path(self):
+        rng = np.random.default_rng(53)
+        zeros = 0
+        for _ in range(2000):
+            sf = build_support(random_interval_data(rng))
+            assert_kernels_match_numpy(sf)
+            zeros += sf.data.z_left > 0.0 and characteristic(sf).R <= 0.0
+        assert zeros > 50
 
 
 class TestStationaryPoint:
@@ -280,3 +343,4 @@ def test_invariants_hypothesis(x_left, width, coeffs, wave, headroom):
     assert ok, err
     ch = characteristic(sf)
     assert ch.R <= min(sf.data.z_left, sf.data.z_right) + 1e-9 * sf.data.scale()
+    assert_kernels_match_numpy(sf)
