@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import UnknownProblem
-from .problems import Problem, curvature_bound, get_problem
+from .problems import FILTERS, Problem, curvature_bound, get_problem
 from .solver import (
     EstimationParams,
     FirstRootFound,
@@ -17,7 +17,6 @@ from .solver import (
 
 __all__ = ["BenchConfig", "BenchRow", "run_matrix", "summarize", "emit_report", "parse_config"]
 
-_FILTER_IDS = ("chebyshev", "passband")
 CSV_HEADER = "problem,method,trials,outcome,x,f,ref_frl,abs_err"
 
 
@@ -98,7 +97,7 @@ def summarize(rows: list[BenchRow]) -> dict[str, float]:
         raise ValueError("no rows to summarize")
     out: dict[str, float] = {}
     for method in sorted({r.method for r in rows}):
-        picked = [r for r in rows if r.method == method and r.problem_id not in _FILTER_IDS]
+        picked = [r for r in rows if r.method == method and r.problem_id not in FILTERS]
         if not picked:
             picked = [r for r in rows if r.method == method]
         out[method] = sum(r.trials_used for r in picked) / len(picked)
@@ -123,25 +122,18 @@ def emit_report(rows: list[BenchRow], summary: dict[str, float],
                 format: str, path: str | Path) -> Path:
     """Write the rows plus trailing average lines (one per method) as CSV or a
     markdown table with the same columns."""
-    path = Path(path)
-    lines = []
+    header = CSV_HEADER.split(",")
+    table = [header] + [_row_cells(row) for row in rows]
+    table += [["average", method, repr(avg), "", "", "", "", ""]
+              for method, avg in summary.items()]
     if format == "csv":
-        lines.append(CSV_HEADER)
-        for row in rows:
-            lines.append(",".join(_row_cells(row)))
-        for method, avg in summary.items():
-            lines.append(",".join(["average", method, repr(avg), "", "", "", "", ""]))
+        lines = [",".join(cells) for cells in table]
     elif format == "markdown":
-        header = CSV_HEADER.split(",")
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for row in rows:
-            lines.append("| " + " | ".join(_row_cells(row)) + " |")
-        for method, avg in summary.items():
-            cells = ["average", method, repr(avg), "", "", "", "", ""]
-            lines.append("| " + " | ".join(cells) + " |")
+        lines = ["| " + " | ".join(cells) + " |" for cells in table]
+        lines.insert(1, "|" + "---|" * len(header))
     else:
         raise ValueError(f"unknown format {format!r}")
+    path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path
 

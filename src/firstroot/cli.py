@@ -20,14 +20,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .errors import FirstRootError, UnknownProblem
-from .problems import (
-    CHEBYSHEV_DOMAIN,
-    PASSBAND_DOMAIN,
-    all_ids,
-    curvature_bound,
-    get_problem,
-    registry,
-)
+from .problems import FILTERS, all_ids, curvature_bound, get_problem, registry
 from .solver import (
     BudgetExhausted,
     EstimationParams,
@@ -181,8 +174,7 @@ def _run_sample(args) -> int:
 
 def _run_list() -> int:
     rows = [(p.id, p.name, p.domain, p.root_count, p.reference_frl) for p in registry()]
-    rows.append(("chebyshev", "lowpass ladder cutoff", CHEBYSHEV_DOMAIN, None, None))
-    rows.append(("passband", "bandpass lower cutoff", PASSBAND_DOMAIN, None, None))
+    rows += [(pid, name, domain, None, None) for pid, (name, _, domain, _) in FILTERS.items()]
     for pid, name, (a, b), roots, frl in rows:
         roots_s = str(roots) if roots is not None else "-"
         frl_s = f"{frl:.6g}" if frl is not None else "-"

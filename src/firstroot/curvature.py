@@ -52,26 +52,20 @@ class CurvatureTable:
 
     v: tuple[float, ...]
     m_global: float
-    x_max_gap: float
     lam: tuple[float, ...]
     gamma: tuple[float, ...]
     m: tuple[float, ...]
 
 
-def _curvature(x_left: float, x_right: float, z_left: float, z_right: float,
-               dz_left: float, dz_right: float) -> float:
-    h = x_right - x_left
-    if h < 1e3 * _EPS * max(1.0, abs(x_left), abs(x_right)):
-        raise DegenerateInterval(f"gap {h} at x={x_left} too small for curvature estimation")
-    bracket = 2.0 * (z_left - z_right) + (dz_right + dz_left) * h
-    d = math.hypot(bracket, (dz_right - dz_left) * h)
-    return (abs(bracket) + d) / (h * h)
-
-
 def interval_curvature(trial_left: "Trial", trial_right: "Trial") -> float:
     """Curvature estimate v >= 0 for the interval between two trials."""
-    return _curvature(trial_left.x, trial_right.x, trial_left.z, trial_right.z,
-                      trial_left.dz, trial_right.dz)
+    left, right = trial_left, trial_right
+    h = right.x - left.x
+    if h < 1e3 * _EPS * max(1.0, abs(left.x), abs(right.x)):
+        raise DegenerateInterval(f"gap {h} at x={left.x} too small for curvature estimation")
+    bracket = 2.0 * (left.z - right.z) + (right.dz + left.dz) * h
+    d = math.hypot(bracket, (right.dz - left.dz) * h)
+    return (abs(bracket) + d) / (h * h)
 
 
 def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -> CurvatureTable:
@@ -90,5 +84,5 @@ def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -
     lam = [max(v[max(0, p - 1):p + 2]) for p in range(n - 1)]
     gamma = [m_global * gaps[p] / x_max for p in range(n - 1)]
     m = [params.r * max(lam[p], gamma[p], params.xi) for p in range(n - 1)]
-    return CurvatureTable(v=tuple(v), m_global=m_global, x_max_gap=x_max,
-                          lam=tuple(lam), gamma=tuple(gamma), m=tuple(m))
+    return CurvatureTable(v=tuple(v), m_global=m_global, lam=tuple(lam),
+                          gamma=tuple(gamma), m=tuple(m))

@@ -22,6 +22,7 @@ __all__ = [
     "PassbandParams",
     "CHEBYSHEV_PARAMS",
     "PASSBAND_PARAMS",
+    "FILTERS",
     "registry",
     "get_problem",
     "all_ids",
@@ -335,23 +336,13 @@ def curvature_bound(problem: Problem) -> float:
 # Lookup
 # ---------------------------------------------------------------------------
 
+# id -> (name, transfer function, search window, negate the objective)
+FILTERS = {
+    "chebyshev": ("lowpass ladder cutoff", chebyshev_transfer, CHEBYSHEV_DOMAIN, False),
+    "passband": ("bandpass lower cutoff", passband_transfer, PASSBAND_DOMAIN, True),
+}
+
 _FILTER_CACHE: dict[str, Problem] = {}
-
-
-def _chebyshev_problem() -> Problem:
-    f_max, _ = find_fmax(chebyshev_transfer, CHEBYSHEV_DOMAIN)
-    prob = cutoff_objective(chebyshev_transfer, f_max, negate=False,
-                            pid="chebyshev", name="lowpass ladder cutoff",
-                            domain=CHEBYSHEV_DOMAIN)
-    return prob
-
-
-def _passband_problem() -> Problem:
-    f_max, _ = find_fmax(passband_transfer, PASSBAND_DOMAIN)
-    prob = cutoff_objective(passband_transfer, f_max, negate=True,
-                            pid="passband", name="bandpass lower cutoff",
-                            domain=PASSBAND_DOMAIN)
-    return prob
 
 
 def get_problem(pid: str) -> Problem:
@@ -363,12 +354,15 @@ def get_problem(pid: str) -> Problem:
     for prob in registry():
         if prob.id == pid:
             return prob
-    if pid in ("chebyshev", "passband"):
-        if pid not in _FILTER_CACHE:
-            _FILTER_CACHE[pid] = _chebyshev_problem() if pid == "chebyshev" else _passband_problem()
-        return _FILTER_CACHE[pid]
-    raise UnknownProblem(f"no problem named {pid!r}")
+    if pid not in FILTERS:
+        raise UnknownProblem(f"no problem named {pid!r}")
+    if pid not in _FILTER_CACHE:
+        name, transfer, domain, negate = FILTERS[pid]
+        f_max, _ = find_fmax(transfer, domain)
+        _FILTER_CACHE[pid] = cutoff_objective(transfer, f_max, negate=negate,
+                                              pid=pid, name=name, domain=domain)
+    return _FILTER_CACHE[pid]
 
 
 def all_ids() -> list[str]:
-    return [pid for pid, *_ in _TESTBED] + ["chebyshev", "passband"]
+    return [pid for pid, *_ in _TESTBED] + list(FILTERS)

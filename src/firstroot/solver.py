@@ -15,11 +15,12 @@ that still reaches zero there marks its left end as the sigma-root, unless the
 minorant rests on the curvature floor alone.
 
 A minorant depends only on its interval's endpoint data and bound, and a step
-adds one trial, so most minorants carry over from one iteration to the next:
-the search state keeps those of the last scan, keyed by their exact inputs, and
-builds only the new ones (the two halves of the split interval; for a2 also
-the intervals whose bound moved).  The cache never holds more than k - 1
-entries.
+adds one trial, so most minorants carry over from one iteration to the next.
+Each entry of the last scan records its exact inputs, its minorant, the
+minorant's characteristic and the point where the next trial would go; the
+next scan reuses every entry whose inputs recur and builds only the new ones
+(the two halves of the split interval; for a2 also the intervals whose bound
+moved).  The state never holds more than k - 1 entries.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.
@@ -72,11 +73,6 @@ __all__ = [
 # objective) cannot degenerate the minorant construction.
 _MIN_CURVATURE = 1e-6
 
-# Classification of a scanned interval: where the next trial would be placed.
-_AT_LEFT_KNOT = "left_knot"      # next point y'
-_AT_INTERIOR = "interior"        # next point x_hat
-_AT_RIGHT_KNOT = "right_knot"    # next point y
-
 
 @dataclass(frozen=True, slots=True)
 class Trial:
@@ -121,31 +117,33 @@ class SolverConfig:
 
 @dataclass(frozen=True, slots=True)
 class _ScanEntry:
+    """One scanned interval: its exact inputs `key`, the IntervalData fields
+    in order; its minorant and characteristic; and `x_next`, where the next
+    trial goes when the interval is chosen without being flagged (the
+    interior stationary point if there is one, else the knot y at a
+    right-end minimum, else the knot y')."""
+
+    key: tuple[float, ...]
     support: SupportFunction
     char: Characteristic
-    klass: str
+    x_next: float
 
 
 @dataclass
 class SearchState:
     """Mutable search state: the trials sorted by x, their effective count k
-    and right margin b_n, and the minorants of the last scan.
+    and right margin b_n, and the entries of the last scan.
 
-    `scan` holds the last scan's entries left to right.  `minorants` maps
-    each of them by its exact inputs, (x, z, dz) at both ends of the interval
-    and the bound m, so the next scan rebuilds only the minorants whose
-    inputs are new; as it keeps no other entry, it never holds more than
-    k - 1 of them.
+    `scan` holds the last scan's entries left to right.  The next scan looks
+    them up by their keys, so it rebuilds only the minorants whose inputs are
+    new; as no other entry is kept, there are never more than k - 1.
     """
 
     trials: list[Trial]
-    a: float
-    b: float
     sigma: float
     k: int = 0
     b_n: float = 0.0
     scan: list[_ScanEntry] = field(default_factory=list)
-    minorants: dict[tuple[float, ...], _ScanEntry] = field(default_factory=dict)
     first_nonpositive: int | None = None
 
     def interval_bounds(self, p: int) -> tuple[float, float]:
@@ -282,8 +280,7 @@ def initialize(problem: Problem, config: SolverConfig) -> SearchState:
     if left.z <= 0.0:
         raise BadInitialCondition(f"f({a}) = {left.z} must be > 0")
     right = _evaluate(problem, b, 1)
-    state = SearchState(trials=[left, right], a=a, b=b,
-                        sigma=config.resolve_sigma(a, b))
+    state = SearchState(trials=[left, right], sigma=config.resolve_sigma(a, b))
     state.k, state.b_n = effective_points(state)
     return state
 
@@ -309,40 +306,33 @@ def _interval_bounds_m(state: SearchState, config: SolverConfig) -> Sequence[flo
     return build_curvature_table(state.trials[:state.k], config.params).m
 
 
-def _scan_entry(lo: Trial, hi: Trial, m: float) -> _ScanEntry:
-    sf = build_support(IntervalData(
-        x_left=lo.x, x_right=hi.x, z_left=lo.z, z_right=hi.z,
-        dz_left=lo.dz, dz_right=hi.dz, m=m))
+def _scan_entry(key: tuple[float, ...]) -> _ScanEntry:
+    sf = build_support(IntervalData(*key))
     char = characteristic(sf)
-    if interior_stationary_point(sf) is not None:
-        klass = _AT_INTERIOR
-    elif char.kind == RIGHT_END:
-        klass = _AT_RIGHT_KNOT
-    else:
-        klass = _AT_LEFT_KNOT
-    return _ScanEntry(support=sf, char=char, klass=klass)
+    x_next = interior_stationary_point(sf)
+    if x_next is None:
+        x_next = sf.y if char.kind == RIGHT_END else sf.y_prime
+    return _ScanEntry(key=key, support=sf, char=char, x_next=x_next)
 
 
 def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchState:
-    """Minorants left to right over the effective intervals, each classified,
-    up to the first one whose characteristic is <= 0.
+    """Minorants left to right over the effective intervals, up to the first
+    one whose characteristic is <= 0.
 
     A minorant is a pure function of its interval's endpoint data and bound,
     so an entry of the previous scan with the same inputs is reused as it is;
     only entries of this scan are kept for the next one.
     """
-    previous = state.minorants
-    state.minorants = kept = {}
+    previous = {entry.key: entry for entry in state.scan}
     state.scan = scan = []
     state.first_nonpositive = None
     trials = state.trials
     for p in range(state.k - 1):
         lo, hi = trials[p], trials[p + 1]
-        key = (lo.x, lo.z, lo.dz, hi.x, hi.z, hi.dz, bounds[p])
+        key = (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bounds[p])
         entry = previous.get(key)
         if entry is None:
-            entry = _scan_entry(lo, hi, bounds[p])
-        kept[key] = entry
+            entry = _scan_entry(key)
         scan.append(entry)
         if entry.char.R <= 0.0:
             state.first_nonpositive = p
@@ -371,11 +361,7 @@ def _candidate(state: SearchState, p: int) -> float:
     entry = state.scan[p]
     if state.first_nonpositive is not None:
         return leftmost_zero(entry.support)
-    if entry.klass == _AT_INTERIOR:
-        return -entry.support.b / entry.support.data.m
-    if entry.klass == _AT_RIGHT_KNOT:
-        return entry.support.y
-    return entry.support.y_prime
+    return entry.x_next
 
 
 def stop_check(state: SearchState, chosen_interval: int, sigma: float) -> bool:
@@ -480,13 +466,15 @@ def solve(problem: Problem, config: SolverConfig) -> SolveResult:
 # Grid baseline
 # ---------------------------------------------------------------------------
 
+_GRID_CHUNK = 4096
+
+
 def _grid_cap(a: float, b: float, sigma: float) -> int:
     q = (b - a) / sigma
     return int(math.ceil(q - 1e-9 * max(1.0, q)))
 
 
-def grid_search(problem: Problem, sigma: float, cap: int | None = None,
-                chunk: int = 4096) -> SolveResult:
+def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> SolveResult:
     """Mesh scan from the left margin in sigma steps until the first root is
     within half a step.
 
@@ -510,7 +498,7 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None,
 
     Without a stop the scan ends after `cap` evaluations (default: enough to
     cover the whole interval) and reports the best observed point.
-    Evaluations are performed in vectorized chunks.
+    Evaluations are performed in vectorized chunks of _GRID_CHUNK points.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
@@ -521,7 +509,7 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None,
     best_x, best_f = a, math.inf
     j = 1
     while j <= cap:
-        hi = min(j + chunk - 1, cap)
+        hi = min(j + _GRID_CHUNK - 1, cap)
         idx = np.arange(j, hi + 1, dtype=float)
         xs = a + idx * sigma
         fs = np.asarray(problem.f(xs), dtype=float)

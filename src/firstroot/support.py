@@ -286,11 +286,15 @@ def _left_root_middle(s: SupportFunction) -> float:
 def leftmost_zero(s: SupportFunction) -> float:
     """Smallest x in the interval with phi(x) = 0.
 
-    Requires characteristic(s).R <= 0 (raises NoZero otherwise).  The zero is
-    located in whichever piece crosses first: the left cap if phi(y') <= 0,
-    otherwise the middle piece or the right cap depending on where the middle
-    piece bottoms out.
+    Requires z_left >= 0 (raises ValueError otherwise; the search asks only
+    about intervals whose left end precedes the first negative trial) and
+    characteristic(s).R <= 0 (raises NoZero otherwise).  The zero is located
+    in whichever piece crosses first: the left cap if phi(y') <= 0, otherwise
+    the middle piece or the right cap depending on where the middle piece
+    bottoms out.
     """
+    if s.data.z_left < 0.0:
+        raise ValueError(f"leftmost_zero requires z_left >= 0, got {s.data.z_left}")
     if characteristic(s).R > 0.0:
         raise NoZero("support function is strictly positive on the interval")
     if _phi(s, _clamp(s, s.y_prime)) <= 0.0:

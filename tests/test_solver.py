@@ -21,8 +21,6 @@ from firstroot import (
     solve,
 )
 from firstroot.solver import (
-    _AT_INTERIOR,
-    _AT_RIGHT_KNOT,
     effective_points,
     initialize,
     next_trial_point,
@@ -30,13 +28,13 @@ from firstroot.solver import (
     step,
     stop_check,
 )
+from firstroot.support import LEFT_END
 
 
-def state_from(xs, zs, dzs, a=None, b=None, sigma=1e-4):
+def state_from(xs, zs, dzs, sigma=1e-4):
     trials = [Trial(x=float(x), z=float(z), dz=float(d), birth=i)
               for i, (x, z, d) in enumerate(zip(xs, zs, dzs))]
-    st = SearchState(trials=trials, a=a if a is not None else xs[0],
-                     b=b if b is not None else xs[-1], sigma=sigma)
+    st = SearchState(trials=trials, sigma=sigma)
     st.k, st.b_n = effective_points(st)
     return st
 
@@ -99,8 +97,9 @@ class TestScan:
     def test_symmetric_interval_classified_interior(self):
         st = state_from([0, 1], [1, 1], [0, 0])
         scan_characteristics(st, [4.0])
-        assert st.scan[0].klass == _AT_INTERIOR
-        assert st.scan[0].char.R == pytest.approx(0.75)
+        entry = st.scan[0]
+        assert entry.x_next == -entry.support.b / entry.support.data.m == 0.5
+        assert entry.char.R == pytest.approx(0.75)
 
 
 class TestNextTrialPoint:
@@ -116,8 +115,18 @@ class TestNextTrialPoint:
         scan_characteristics(st, [4.0, 2.0])
         assert st.first_nonpositive is None
         assert st.scan[1].char.R == pytest.approx(0.2)
-        assert st.scan[1].klass == _AT_RIGHT_KNOT
-        assert next_trial_point(st) == pytest.approx(st.scan[1].support.y)
+        assert st.scan[1].x_next == st.scan[1].support.y
+        assert next_trial_point(st) == st.scan[1].support.y
+
+    def test_left_knot_of_increasing_interval(self):
+        # data of f(x) = 1 + x: phi rises over the whole interval, so it has
+        # no interior stationary point and its minimum is the left end
+        st = state_from([0, 1], [1, 2], [1, 1])
+        scan_characteristics(st, [1.0])
+        entry = st.scan[0]
+        assert entry.char.kind == LEFT_END
+        assert entry.x_next == entry.support.y_prime
+        assert next_trial_point(st) == entry.support.y_prime
 
     def test_leftmost_zero_of_flagged_interval(self):
         st = state_from([0, 3], [1, -8], [-3, -3])
@@ -136,8 +145,7 @@ class TestMinorantReuse:
         steps = 0
         while step(state, p, cfg) is None:
             steps += 1
-            assert len(state.minorants) <= state.k - 1
-            assert list(state.minorants.values()) == state.scan
+            assert len(state.scan) <= state.k - 1
         assert steps > 300
 
     def test_a1_builds_only_the_split_halves(self, monkeypatch):
@@ -156,6 +164,28 @@ class TestMinorantReuse:
         assert isinstance(out, NoRootGlobalMin)
         assert len(built) == 1 + 2 * (out.trials_used - 2)
         assert len(set(built)) == len(built)
+
+
+class TestLayerNames:
+    # perfbench/layers.py times a solve by replacing these names on
+    # firstroot.solver, and its --trace 1 metrics divide by their call counts
+    NAMES = ("build_support", "characteristic", "interior_stationary_point",
+             "leftmost_zero", "build_curvature_table")
+
+    def test_solver_calls_each_name_through_its_module(self, monkeypatch):
+        p = get_problem("t05")
+        configs = [SolverConfig(method="a1", lipschitz=exact_lipschitz_oracle(p)),
+                   SolverConfig(method="a2")]
+        expected = [solve(p, cfg) for cfg in configs]
+        calls = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            def counted(*args, _name=name, _fn=getattr(solver_module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(solver_module, name, counted)
+        assert [solve(p, cfg) for cfg in configs] == expected
+        assert isinstance(expected[0].outcome, FirstRootFound)
+        assert all(count > 0 for count in calls.values()), calls
 
 
 class TestStopCheck:

@@ -244,6 +244,18 @@ class TestLeftmostZero:
         with pytest.raises(NoZero):
             leftmost_zero(symmetric_case())
 
+    def test_requires_nonnegative_left_value(self):
+        # about half of these draws start below zero
+        rng = np.random.default_rng(53)
+        rejected = 0
+        for _ in range(20000):
+            data = random_interval_data(rng)
+            if data.z_left < 0.0:
+                with pytest.raises(ValueError, match="z_left >= 0"):
+                    leftmost_zero(build_support(data))
+                rejected += 1
+        assert rejected > 5000
+
     def test_zero_correctness_on_random_data(self):
         rng = np.random.default_rng(13)
         checked = 0
