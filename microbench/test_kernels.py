@@ -6,9 +6,12 @@ Run from the root of the checkout:
     python -m pytest microbench
 
 This directory is outside the test paths of the tier-1 suite, which therefore
-does not collect it.  Each benchmark times one pass over the 30 intervals
-(for leftmost_zero, over those whose minorant reaches zero), with the bounds of
-the adaptive table, so the reported times are per pass, not per call.
+does not collect it.  Each kernel benchmark times one pass over the 30
+intervals (for leftmost_zero, over those whose minorant reaches zero), with the
+bounds of the adaptive table, so the reported times are per pass, not per call.
+`build_curvature_table` is the full build that seeds an adaptive solve;
+`test_spliced_curvature_update` times the update every later step makes
+instead, which a traced benchmark run counts as solver time.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import firstroot.solver as solver
 from firstroot import (
     EstimationParams,
     IntervalData,
+    SearchState,
+    SolverConfig,
     Trial,
     build_curvature_table,
     build_support,
@@ -67,3 +73,26 @@ def test_leftmost_zero(benchmark, supports):
 
 def test_build_curvature_table(benchmark, trials):
     benchmark(build_curvature_table, trials, PARAMS)
+
+
+def test_spliced_curvature_update(benchmark, trials):
+    """One adaptive step's curvature work after the seed: insert a trial in
+    the middle of the 30 intervals, splice the estimates and widths, and
+    recompute the 31 bounds."""
+    problem = get_problem("t05")
+    config = SolverConfig(method="a2", params=PARAMS)
+    p = 20  # right of the single negative trial, so k stays 31 + 1
+    x = 0.5 * (trials[p].x + trials[p + 1].x)
+    new = Trial(x=x, z=float(problem.f(x)), dz=float(problem.df(x)), birth=len(trials))
+    assert new.z >= 0.0
+
+    def seeded():
+        state = SearchState(trials=list(trials), sigma=1e-4, k=len(trials), b_n=trials[-1].x)
+        solver._interval_bounds_m(state, config)
+        return (state,), {}
+
+    def update(state):
+        solver._insert(state, p, new)
+        return solver._interval_bounds_m(state, config)
+
+    benchmark.pedantic(update, setup=seeded, rounds=2000)

@@ -97,7 +97,7 @@ def _run_solve(args) -> int:
         raise _UsageError("--lipschitz only applies to --method a1")
     if args.method == "grid":
         sigma = args.sigma_frac * (problem.b - problem.a)
-        result = grid_search(problem, sigma)
+        result = grid_search(problem, sigma, cap=args.max_trials)
     else:
         lipschitz = None
         if args.method == "a1":

@@ -9,12 +9,18 @@ window), a width-scaled share of the global estimate, and a small floor:
 
 with r > 1 a reliability multiplier and xi > 0 covering the case of f'
 locally constant (v = 0 there).
+
+`table_from` turns the estimates v and the interval widths into the bounds;
+a search that keeps v and the widths up to date as it adds trials calls it
+directly, and `build_curvature_table` computes v and the widths from scratch
+first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -24,7 +30,8 @@ from .errors import DegenerateInterval
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trial
 
-__all__ = ["EstimationParams", "CurvatureTable", "interval_curvature", "build_curvature_table"]
+__all__ = ["EstimationParams", "CurvatureTable", "interval_curvature", "table_from",
+           "build_curvature_table"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -51,6 +58,7 @@ class CurvatureTable:
     """
 
     v: tuple[float, ...]
+    gaps: tuple[float, ...]
     m_global: float
     lam: tuple[float, ...]
     gamma: tuple[float, ...]
@@ -68,21 +76,36 @@ def interval_curvature(trial_left: "Trial", trial_right: "Trial") -> float:
     return (abs(bracket) + d) / (h * h)
 
 
+def table_from(v: Sequence[float], gaps: Sequence[float],
+               params: EstimationParams) -> CurvatureTable:
+    """Bounds m from the estimates v and the widths `gaps` of the intervals,
+    entry p of each describing the interval between trials p and p+1.
+
+    lambda_p is the largest v over intervals p-1 .. p+1, gamma_p the global
+    estimate max(v) scaled by the width relative to the widest interval.
+    """
+    m_global = max(v)
+    x_max = max(gaps)
+    # Each v with its left and right neighbours; at the two ends the missing
+    # neighbour is the end value itself, which leaves the maximum unchanged.
+    lam = list(map(max, v[:1] + v[:-1], v, v[1:] + v[-1:]))
+    gamma = [m_global * gap / x_max for gap in gaps]
+    m = [params.r * bound for bound in map(max, lam, gamma, repeat(params.xi))]
+    return CurvatureTable(v=tuple(v), gaps=tuple(gaps), m_global=m_global, lam=tuple(lam),
+                          gamma=tuple(gamma), m=tuple(m))
+
+
 def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -> CurvatureTable:
     """Compute v, lambda, gamma and the final bounds m for every interval.
 
-    trials must be at least two, strictly increasing in x.  All quantities are
-    recomputed from scratch for the full set each call.
+    trials must be at least two, strictly increasing in x.  Everything is
+    computed from scratch: the adaptive search calls this once, on its first
+    step, and from then on updates v and the widths next to each new trial and
+    calls `table_from`; the tests use it as the reference for those updates.
     """
     n = len(trials)
     if n < 2:
         raise ValueError("need at least two trials")
     v = [interval_curvature(trials[p], trials[p + 1]) for p in range(n - 1)]
     gaps = [trials[p + 1].x - trials[p].x for p in range(n - 1)]
-    m_global = max(v)
-    x_max = max(gaps)
-    lam = [max(v[max(0, p - 1):p + 2]) for p in range(n - 1)]
-    gamma = [m_global * gaps[p] / x_max for p in range(n - 1)]
-    m = [params.r * max(lam[p], gamma[p], params.xi) for p in range(n - 1)]
-    return CurvatureTable(v=tuple(v), m_global=m_global, lam=tuple(lam),
-                          gamma=tuple(gamma), m=tuple(m))
+    return table_from(v, gaps, params)

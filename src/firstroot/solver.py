@@ -14,13 +14,16 @@ iteration stops when the selected interval is no wider than sigma; a minorant
 that still reaches zero there marks its left end as the sigma-root, unless the
 minorant rests on the curvature floor alone.
 
-A minorant depends only on its interval's endpoint data and bound, and a step
-adds one trial, so most minorants carry over from one iteration to the next.
-Each entry of the last scan records its exact inputs, its minorant, the
-minorant's characteristic and the point where the next trial would go; the
-next scan reuses every entry whose inputs recur and builds only the new ones
-(the two halves of the split interval; for a2 also the intervals whose bound
-moved).  The state never holds more than k - 1 entries.
+A step adds one trial inside the chosen interval, so the state is spliced
+rather than rebuilt: the scan entry of that interval (its minorant, the
+minorant's characteristic and the point where the next trial would go) gives
+way to two empty slots for its halves, and for a2 the curvature estimate v and
+the width of that interval give way to the halves' values; every list is then
+cut to the effective intervals.  The next scan builds a minorant only in an
+empty slot or, for a2, where the bound m moved.  The a2 bounds come from the
+spliced v and widths through `curvature.table_from`, the formula that
+`build_curvature_table` applies once to seed them.  No list ever holds more
+than k - 1 entries.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.
@@ -34,7 +37,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .curvature import EstimationParams, build_curvature_table
+from .curvature import EstimationParams, build_curvature_table, interval_curvature, table_from
 from .errors import BadInitialCondition, NonFinite
 from .problems import Problem
 from .support import (
@@ -117,13 +120,12 @@ class SolverConfig:
 
 @dataclass(frozen=True, slots=True)
 class _ScanEntry:
-    """One scanned interval: its exact inputs `key`, the IntervalData fields
-    in order; its minorant and characteristic; and `x_next`, where the next
-    trial goes when the interval is chosen without being flagged (the
-    interior stationary point if there is one, else the knot y at a
-    right-end minimum, else the knot y')."""
+    """One scanned interval: its minorant, whose `data` holds the interval's
+    endpoint values and bound m; the minorant's characteristic; and `x_next`,
+    where the next trial goes when the interval is chosen without being
+    flagged (the interior stationary point if there is one, else the knot y
+    at a right-end minimum, else the knot y')."""
 
-    key: tuple[float, ...]
     support: SupportFunction
     char: Characteristic
     x_next: float
@@ -132,19 +134,25 @@ class _ScanEntry:
 @dataclass
 class SearchState:
     """Mutable search state: the trials sorted by x, their effective count k
-    and right margin b_n, and the entries of the last scan.
+    and right margin b_n, and per-interval lists spliced at every insertion.
 
-    `scan` holds the last scan's entries left to right.  The next scan looks
-    them up by their keys, so it rebuilds only the minorants whose inputs are
-    new; as no other entry is kept, there are never more than k - 1.
+    Entry p of each list describes the interval between trials p and p + 1.
+    `scan` holds the last scan's entries, with None in the slots of the two
+    halves of the interval split since; the next scan fills those and, for
+    a2, rebuilds the entries whose bound moved.  `v` and `gaps` hold a2's
+    curvature estimates and interval widths for all k - 1 effective
+    intervals; they stay empty under a1 and until a2's first step seeds them.
+    No list holds more than k - 1 entries.
     """
 
     trials: list[Trial]
     sigma: float
     k: int = 0
     b_n: float = 0.0
-    scan: list[_ScanEntry] = field(default_factory=list)
+    scan: list[_ScanEntry | None] = field(default_factory=list)
     first_nonpositive: int | None = None
+    v: list[float] = field(default_factory=list)
+    gaps: list[float] = field(default_factory=list)
 
     def interval_bounds(self, p: int) -> tuple[float, float]:
         return self.trials[p].x, self.trials[p + 1].x
@@ -303,16 +311,20 @@ def _interval_bounds_m(state: SearchState, config: SolverConfig) -> Sequence[flo
             raise ValueError("a1 requires a lipschitz bound (config.lipschitz)")
         m = config.lipschitz if config.lipschitz > 0.0 else _MIN_CURVATURE
         return [m] * (state.k - 1)
-    return build_curvature_table(state.trials[:state.k], config.params).m
+    if not state.v:  # the first a2 step seeds v and the widths; `_insert` splices them
+        table = build_curvature_table(state.trials[:state.k], config.params)
+        state.v, state.gaps = list(table.v), list(table.gaps)
+        return table.m
+    return table_from(state.v, state.gaps, config.params).m
 
 
-def _scan_entry(key: tuple[float, ...]) -> _ScanEntry:
-    sf = build_support(IntervalData(*key))
+def _scan_entry(data: IntervalData) -> _ScanEntry:
+    sf = build_support(data)
     char = characteristic(sf)
     x_next = interior_stationary_point(sf)
     if x_next is None:
         x_next = sf.y if char.kind == RIGHT_END else sf.y_prime
-    return _ScanEntry(key=key, support=sf, char=char, x_next=x_next)
+    return _ScanEntry(support=sf, char=char, x_next=x_next)
 
 
 def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchState:
@@ -320,22 +332,23 @@ def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchS
     one whose characteristic is <= 0.
 
     A minorant is a pure function of its interval's endpoint data and bound,
-    so an entry of the previous scan with the same inputs is reused as it is;
-    only entries of this scan are kept for the next one.
+    so the entry in slot p is kept as it is unless the slot is empty or its
+    bound differs from bounds[p]; entries right of the first non-positive one
+    are dropped.
     """
-    previous = {entry.key: entry for entry in state.scan}
-    state.scan = scan = []
+    scan = state.scan
+    scan.extend([None] * (state.k - 1 - len(scan)))
     state.first_nonpositive = None
     trials = state.trials
     for p in range(state.k - 1):
-        lo, hi = trials[p], trials[p + 1]
-        key = (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bounds[p])
-        entry = previous.get(key)
-        if entry is None:
-            entry = _scan_entry(key)
-        scan.append(entry)
+        entry = scan[p]
+        if entry is None or entry.support.data.m != bounds[p]:
+            lo, hi = trials[p], trials[p + 1]
+            entry = scan[p] = _scan_entry(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz,
+                                                       bounds[p]))
         if entry.char.R <= 0.0:
             state.first_nonpositive = p
+            del scan[p + 1:]
             break
     return state
 
@@ -428,18 +441,44 @@ def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outc
         return BudgetExhausted(trials_used=len(state.trials), best_so_far=best)
     candidate = _clamp_candidate(state, chosen, _candidate(state, chosen))
     trial = _evaluate(problem, candidate, birth=len(state.trials))
-    # The clamp keeps the candidate strictly inside interval `chosen`.
-    state.trials.insert(chosen + 1, trial)
-    state.k, state.b_n = effective_points(state)
+    _insert(state, chosen, trial)
     return trial
+
+
+def _insert(state: SearchState, p: int, trial: Trial) -> None:
+    """Insert `trial`, which lies strictly inside interval p (the clamp keeps
+    it there), and splice the per-interval lists.
+
+    Trials 1 .. p are non-negative, since p < k - 1, so a negative trial
+    becomes the first negative one and k drops to p + 2, cutting every
+    interval right of it; otherwise k grows by one.
+    """
+    trials = state.trials
+    trials.insert(p + 1, trial)
+    if trial.z < 0.0:
+        state.k = p + 2
+        halves = [(trials[p], trial)]
+        cut = slice(p, None)
+    else:
+        state.k += 1
+        halves = [(trials[p], trial), (trial, trials[p + 2])]
+        cut = slice(p, p + 1)
+    state.b_n = trials[state.k - 1].x
+    state.scan[cut] = [None] * len(halves)
+    if state.v:
+        state.v[cut] = [interval_curvature(lo, hi) for lo, hi in halves]
+        state.gaps[cut] = [hi.x - lo.x for lo, hi in halves]
 
 
 def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | None:
     """One full iteration; returns an Outcome when the search terminates and
     None when a trial was added and the search continues.
 
-    state.k and state.b_n must describe state.trials, as `initialize` and
-    `step` leave them.
+    state.k and state.b_n must describe state.trials, and state.scan,
+    state.v and state.gaps must be empty or spliced by `step`, as
+    `initialize` and `step` leave them.  Under a2 the curvature estimates of
+    the two halves are computed as the trial is added, so a DegenerateInterval
+    for a too narrow half is raised by the step that adds the trial.
     """
     result = _advance(state, problem, config)
     return result if isinstance(result, Outcome) else None
@@ -496,15 +535,20 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     five rootless ones among them), which the sign test alone misses on t04,
     t12, t15 and t17.
 
-    Without a stop the scan ends after `cap` evaluations (default: enough to
-    cover the whole interval) and reports the best observed point.
-    Evaluations are performed in vectorized chunks of _GRID_CHUNK points.
+    Without a stop the scan ends after `cap` evaluations and reports the best
+    observed point: as the global minimizer (NoRootGlobalMin) when the scan
+    covered the whole interval, else as BudgetExhausted, since f was never
+    looked at beyond the last mesh point.  `cap` defaults to, and is clamped
+    to, the number of steps that covers the interval.  Evaluations are
+    performed in vectorized chunks of _GRID_CHUNK points.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be at least 1")
     a, b = problem.a, problem.b
-    if cap is None:
-        cap = _grid_cap(a, b, sigma)
+    full = _grid_cap(a, b, sigma)
+    cap = full if cap is None else min(cap, full)
     trace: list[TraceRecord] = []
     best_x, best_f = a, math.inf
     j = 1
@@ -532,6 +576,8 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
                 outcome=FirstRootFound(trials_used=j_stop, x_sigma=x_sigma),
                 trace=trace)
         j = hi + 1
-    return SolveResult(
-        outcome=NoRootGlobalMin(trials_used=cap, x_best=best_x, f_best=best_f),
-        trace=trace)
+    if cap < full:
+        outcome = BudgetExhausted(trials_used=cap, best_so_far=best_x)
+    else:
+        outcome = NoRootGlobalMin(trials_used=cap, x_best=best_x, f_best=best_f)
+    return SolveResult(outcome=outcome, trace=trace)

@@ -72,6 +72,14 @@ class TestSolve:
         assert code == 0
         assert re.search(r"trials:\s+4135", out)
 
+    def test_grid_obeys_max_trials(self, capsys):
+        # t01's first root, at 3.01, lies far beyond 100 sigma steps from 0.2
+        code, out, _ = run(capsys, "solve", "--problem", "t01", "--method", "grid",
+                           "--max-trials", "100")
+        assert code == 3
+        assert "budget_exhausted" in out
+        assert re.search(r"trials:\s+100$", out, re.MULTILINE)
+
 
 class TestSample:
     def test_two_points_are_the_endpoints(self, capsys, tmp_path):

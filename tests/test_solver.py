@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import firstroot.solver as solver_module
 from firstroot import (
@@ -15,6 +17,7 @@ from firstroot import (
     SearchState,
     SolverConfig,
     Trial,
+    build_curvature_table,
     exact_lipschitz_oracle,
     get_problem,
     grid_search,
@@ -37,6 +40,29 @@ def state_from(xs, zs, dzs, sigma=1e-4):
     st = SearchState(trials=trials, sigma=sigma)
     st.k, st.b_n = effective_points(st)
     return st
+
+
+def cosines_problem(f0, amps, freqs, phases, drift, length):
+    """f(x) = f0 + sum_j a_j (cos(w_j x + phi_j) - cos(phi_j)) on [0, length],
+    minus drift * max(0, x - 0.8 * length)**2: f(0) = f0 > 0; rootless when
+    f0 exceeds twice the sum of the amplitudes and drift is 0, with several
+    negative dips when f0 is small, and with a late root when only the drift
+    reaches below zero."""
+    a, w, phi = (np.asarray(v, dtype=float) for v in (amps, freqs, phases))
+    x0 = 0.8 * length
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        u = np.maximum(x - x0, 0.0)
+        waves = a * (np.cos(w * x[..., None] + phi) - np.cos(phi))
+        return f0 + waves.sum(axis=-1) - drift * u * u
+
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        u = np.maximum(x - x0, 0.0)
+        return -(a * w * np.sin(w * x[..., None] + phi)).sum(axis=-1) - 2.0 * drift * u
+
+    return Problem(id="cos", name="sum of cosines", a=0.0, b=length, f=f, df=df)
 
 
 def linear_problem(slope=-1.0, offset=0.5, a=0.0, b=1.0, pid="lin"):
@@ -164,6 +190,104 @@ class TestMinorantReuse:
         assert isinstance(out, NoRootGlobalMin)
         assert len(built) == 1 + 2 * (out.trials_used - 2)
         assert len(set(built)) == len(built)
+
+    def test_a2_rebuilds_only_new_slots_and_moved_bounds(self, monkeypatch):
+        built = []
+        original = solver_module.build_support
+
+        def counting(data):
+            built.append((data.x_left, data.x_right, data.m))
+            return original(data)
+
+        monkeypatch.setattr(solver_module, "build_support", counting)
+        complete_steps = moved_total = 0
+        for pid in ("t02", "t06"):  # rootless; t02 flags most scans, t06 none
+            p = get_problem(pid)
+            cfg = SolverConfig(method="a2")
+            state = initialize(p, cfg)
+            kept = {}  # (x_left, x_right) -> m of every entry the last scan left
+            outcome = None
+            while outcome is None:
+                k = state.k
+                xs = [t.x for t in state.trials[:k]]
+                m = build_curvature_table(state.trials[:k], cfg.params).m
+                built.clear()
+                outcome = step(state, p, cfg)
+                last = state.first_nonpositive
+                scanned = list(zip(zip(xs, xs[1:]), m))[:k - 1 if last is None else last + 1]
+                rebuilt = [(*key, mp) for key, mp in scanned if kept.get(key) != mp]
+                assert built == rebuilt
+                moved = sum(key in kept for key, mp in scanned if kept.get(key) != mp)
+                if kept and len(kept) == len(scanned) - 1 == k - 2:
+                    # both this scan and the last covered every interval: the
+                    # two halves of the split plus the survivors whose m moved
+                    assert len(built) == 2 + moved
+                    complete_steps += 1
+                moved_total += moved
+                kept = dict(scanned)
+        assert complete_steps > 0 and moved_total > 0
+
+
+class TestSplicedState:
+    """After every step the spliced a2 table equals a full rebuild over the
+    effective trials, and v is computed for effective intervals only."""
+
+    @staticmethod
+    def drive(problem, cfg, monkeypatch) -> int:
+        """Step to the end, checking the spliced state after every step;
+        returns how many steps made k smaller."""
+        measured = []
+        original = solver_module.interval_curvature
+
+        def recording(lo, hi):
+            measured.append(hi.x)
+            return original(lo, hi)
+
+        monkeypatch.setattr(solver_module, "interval_curvature", recording)
+        state = initialize(problem, cfg)
+        shrinks = 0
+        while True:
+            k = state.k
+            measured.clear()
+            outcome = step(state, problem, cfg)
+            if outcome is not None:
+                return shrinks
+            shrinks += state.k < k
+            assert len(measured) <= 2
+            assert all(x <= state.b_n for x in measured)
+            full = build_curvature_table(state.trials[:state.k], cfg.params)
+            assert state.v == list(full.v)
+            assert state.gaps == list(full.gaps)
+            assert solver_module._interval_bounds_m(state, cfg) == full.m
+            assert all(lam == max(full.v[max(0, p - 1):p + 2])
+                       for p, lam in enumerate(full.lam))
+            assert len(state.scan) <= state.k - 1
+            for p, entry in enumerate(state.scan):
+                if entry is not None:
+                    lo, hi = state.trials[p], state.trials[p + 1]
+                    d = entry.support.data
+                    assert (d.x_left, d.x_right, d.z_left, d.z_right, d.dz_left, d.dz_right) \
+                        == (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz)
+
+    @given(f0=hst.floats(0.05, 4.0),
+           waves=hst.lists(hst.tuples(hst.floats(0.1, 1.0), hst.floats(0.3, 3.0),
+                                      hst.floats(0.0, 2 * math.pi)), min_size=1, max_size=3),
+           drift=hst.sampled_from([0.0, 1.0]),
+           length=hst.floats(5.0, 30.0))
+    @example(f0=3.0, waves=[(0.5, 1.0, 0.0), (0.3, 2.1, 1.0)], drift=1.0, length=20.0)
+    @example(f0=4.0, waves=[(0.5, 1.0, 0.0), (0.3, 2.1, 1.0)], drift=0.0, length=20.0)
+    @settings(max_examples=40, deadline=None)
+    def test_spliced_table_equals_full_build(self, f0, waves, drift, length):
+        amps, freqs, phases = zip(*waves)
+        problem = cosines_problem(f0, amps, freqs, phases, drift, length)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.drive(problem, SolverConfig(method="a2"), monkeypatch)
+
+    def test_a_negative_trial_shrinks_k(self, monkeypatch):
+        # several negative dips: a trial in one left of the last found cuts k
+        problem = cosines_problem(0.2, (0.8, 0.5, 0.3), (1.0, 1.7, 2.9), (0.5, 2.0, 4.0),
+                                  0.0, 20.0)
+        assert self.drive(problem, SolverConfig(method="a2"), monkeypatch) > 0
 
 
 class TestLayerNames:
@@ -333,6 +457,27 @@ class TestGridSearch:
         assert isinstance(res.outcome, NoRootGlobalMin)
         assert res.outcome.trials_used == 10_000
         assert res.outcome.f_best > 0.0
+
+    def test_cap_short_of_the_root_is_not_rootless(self):
+        p = get_problem("t01")
+        sigma = 1e-4 * (p.b - p.a)
+        res = grid_search(p, sigma, cap=100)
+        assert isinstance(res.outcome, BudgetExhausted)
+        assert res.outcome.trials_used == len(res.trace) == 100
+        best = min(res.trace, key=lambda rec: rec.f)
+        assert res.outcome.best_so_far == best.x
+
+    def test_cap_beyond_coverage_is_clamped(self):
+        p = get_problem("t02")
+        sigma = 1e-4 * (p.b - p.a)
+        res = grid_search(p, sigma, cap=10**9)
+        assert res == grid_search(p, sigma)
+        assert isinstance(res.outcome, NoRootGlobalMin)
+        assert res.outcome.trials_used == 10_000
+
+    def test_cap_validation(self):
+        with pytest.raises(ValueError):
+            grid_search(get_problem("t01"), sigma=0.1, cap=0)
 
     def test_immediate_sign_change(self):
         res = grid_search(linear_problem(), sigma=0.6)
