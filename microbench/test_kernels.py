@@ -9,9 +9,16 @@ This directory is outside the test paths of the tier-1 suite, which therefore
 does not collect it.  Each kernel benchmark times one pass over the 30
 intervals (for leftmost_zero, over those whose minorant reaches zero), with the
 bounds of the adaptive table, so the reported times are per pass, not per call.
-`build_curvature_table` is the full build that seeds an adaptive solve;
-`test_spliced_curvature_update` times the update every later step makes
-instead, which a traced benchmark run counts as solver time.
+A SupportFunction derives its characteristic when it is built, so
+`test_characteristic` times an accessor and `test_build_support` includes that
+derivation; `test_scan_entry` times the whole per-interval path of a scan, from
+the IntervalData to the scan entry.  `build_curvature_table` is the full build
+that seeds an adaptive solve; `test_spliced_curvature_update` times the update
+every later step makes instead, which a traced benchmark run counts as solver
+time.
+
+The benchmarks need the pytest-benchmark plugin (the `bench` extra of the
+package).
 """
 
 from __future__ import annotations
@@ -59,6 +66,16 @@ def supports(intervals):
 
 def test_build_support(benchmark, intervals):
     benchmark(lambda: [build_support(d) for d in intervals])
+
+
+def test_scan_entry(benchmark, trials):
+    m = build_curvature_table(trials, PARAMS).m
+
+    def scan_pass():
+        return [solver._scan_entry(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, m[p]))
+                for p, (lo, hi) in enumerate(zip(trials, trials[1:]))]
+
+    benchmark(scan_pass)
 
 
 def test_characteristic(benchmark, supports):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,9 +50,8 @@ class EstimationParams:
             raise ValueError(f"xi={self.xi} must be > 0")
 
 
-@dataclass(frozen=True, slots=True)
-class CurvatureTable:
-    """Per-interval estimates for the current trial set.
+class CurvatureTable(NamedTuple):
+    """Per-interval estimates for the current trial set, as a named tuple.
 
     Entry p of each list describes the interval between trials p and p+1.
     """

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,9 +77,14 @@ __all__ = [
 _MIN_CURVATURE = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class Trial:
-    """One evaluation of f and f': abscissa, values, and birth iteration."""
+class Trial(NamedTuple):
+    """One evaluation of f and f': abscissa, values, and birth iteration.
+
+    Like the other records the search builds once per interval, trial or step
+    (_ScanEntry, TraceRecord, and IntervalData, SupportFunction,
+    Characteristic and CurvatureTable in their modules), a named tuple: cheap
+    to build, immutable and hashable, and equal to any tuple of the same
+    values."""
 
     x: float
     z: float
@@ -118,13 +123,13 @@ class SolverConfig:
         return self.sigma_abs if self.sigma_abs is not None else self.sigma_fraction * (b - a)
 
 
-@dataclass(frozen=True, slots=True)
-class _ScanEntry:
+class _ScanEntry(NamedTuple):
     """One scanned interval: its minorant, whose `data` holds the interval's
-    endpoint values and bound m; the minorant's characteristic; and `x_next`,
-    where the next trial goes when the interval is chosen without being
-    flagged (the interior stationary point if there is one, else the knot y
-    at a right-end minimum, else the knot y')."""
+    endpoint values and bound m; the minorant's characteristic, as the
+    minorant derived it when it was built; and `x_next`, where the next trial
+    goes when the interval is chosen without being flagged (the interior
+    stationary point if there is one, else the knot y at a right-end minimum,
+    else the knot y')."""
 
     support: SupportFunction
     char: Characteristic
@@ -243,8 +248,7 @@ class BudgetExhausted(Outcome):
         return self.best_so_far
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One line of the solve trace (consumed by the CLI and the bench)."""
 
     iter: int
@@ -324,7 +328,7 @@ def _scan_entry(data: IntervalData) -> _ScanEntry:
     x_next = interior_stationary_point(sf)
     if x_next is None:
         x_next = sf.y if char.kind == RIGHT_END else sf.y_prime
-    return _ScanEntry(support=sf, char=char, x_next=x_next)
+    return _ScanEntry(sf, char, x_next)
 
 
 def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchState:
@@ -518,9 +522,9 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     within half a step.
 
     The margin itself is presumed positive and not spent as a trial: the j-th
-    evaluation happens at a + j*sigma, so trials_used equals the number of
-    sigma steps taken.  The scan stops at the first mesh point x where either
-    f(x) < 0, so that the root lies in the step before x, or f(x) >= 0 and the
+    evaluation happens at a + j*sigma, or at b for a last step that reaches
+    past b, so trials_used equals the number of sigma steps taken.  The scan
+    stops at the first mesh point x where either f(x) < 0, so that the root lies in the step before x, or f(x) >= 0 and the
     tangent line there, f(x) + f'(x)*t, reaches zero within t <= sigma/2,
     so that x is the mesh point nearest the root it heads for.  The sigma-root
     is the last mesh point where f >= 0: the point before x in the first case,
@@ -554,24 +558,24 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     j = 1
     while j <= cap:
         hi = min(j + _GRID_CHUNK - 1, cap)
-        idx = np.arange(j, hi + 1, dtype=float)
-        xs = a + idx * sigma
+        # the last step of the mesh may reach past b; its point is b itself
+        xs = np.minimum(a + np.arange(j, hi + 1, dtype=float) * sigma, b)
         fs = np.asarray(problem.f(xs), dtype=float)
         dfs = np.asarray(problem.df(xs), dtype=float)
         stops = np.nonzero((fs < 0.0) | (fs <= -0.5 * sigma * dfs))[0]
-        last = int(stops[0]) if len(stops) else len(xs) - 1
-        trace.extend(TraceRecord(iter=i, x=x, f=fx, fprime=dx, k=i, b_n=x)
-                     for i, x, fx, dx in zip(range(j, j + last + 1),
-                                             xs[:last + 1].tolist(),
-                                             fs[:last + 1].tolist(),
-                                             dfs[:last + 1].tolist()))
-        block_min = int(np.argmin(fs[:last + 1]))
+        n = int(stops[0]) + 1 if len(stops) else len(xs)
+        iters = range(j, j + n)
+        points = xs[:n].tolist()
+        # TraceRecord fields: iter, x, f, fprime, k, b_n; k = iter, b_n = x
+        trace.extend(map(TraceRecord, iters, points, fs[:n].tolist(), dfs[:n].tolist(),
+                         iters, points))
+        block_min = int(np.argmin(fs[:n]))
         if fs[block_min] < best_f:
             best_f = float(fs[block_min])
-            best_x = float(xs[block_min])
+            best_x = points[block_min]
         if len(stops):
-            j_stop = int(idx[last])
-            x_sigma = a + (j_stop - 1 if fs[last] < 0.0 else j_stop) * sigma
+            j_stop = j + n - 1
+            x_sigma = a + (j_stop - 1) * sigma if fs[n - 1] < 0.0 else points[-1]
             return SolveResult(
                 outcome=FirstRootFound(trials_used=j_stop, x_sigma=x_sigma),
                 trace=trace)

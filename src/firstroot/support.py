@@ -13,12 +13,19 @@ piece is the upward parabola that glues them with matching value and slope.
 Whenever m is a valid bound, phi(x) <= f(x) on the whole interval, so the
 minimum of phi (its "characteristic") certifies the absence of a zero when
 positive and locates a candidate zero when non-positive.
+
+A SupportFunction derives its interior stationary point and its
+characteristic once, when it is constructed; `interior_stationary_point`,
+`characteristic` and `leftmost_zero` read them from it.  The records
+IntervalData, SupportFunction and Characteristic are named tuples, cheap to
+build on the search's per-interval path: immutable, hashable, iterable, and
+equal to any tuple of the same values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +56,7 @@ RIGHT_END = "right_end"
 _DISC_SLACK = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalData:
-    """Endpoint samples of f over one interval plus a curvature bound m."""
-
+class _IntervalFields(NamedTuple):
     x_left: float
     x_right: float
     z_left: float
@@ -61,11 +65,20 @@ class IntervalData:
     dz_right: float
     m: float
 
-    def __post_init__(self) -> None:
-        if not self.x_left < self.x_right:
-            raise ValueError(f"x_left={self.x_left} must be < x_right={self.x_right}")
-        if not self.m > 0.0:
-            raise ValueError(f"curvature bound m={self.m} must be positive")
+
+class IntervalData(_IntervalFields):
+    """Endpoint samples of f over one interval plus a curvature bound m;
+    construction raises ValueError unless x_left < x_right and m > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, x_left: float, x_right: float, z_left: float, z_right: float,
+                dz_left: float, dz_right: float, m: float) -> "IntervalData":
+        if not x_left < x_right:
+            raise ValueError(f"x_left={x_left} must be < x_right={x_right}")
+        if not m > 0.0:
+            raise ValueError(f"curvature bound m={m} must be positive")
+        return tuple.__new__(cls, (x_left, x_right, z_left, z_right, dz_left, dz_right, m))
 
     @property
     def width(self) -> float:
@@ -78,20 +91,7 @@ class IntervalData:
                    abs(self.dz_left) * w, abs(self.dz_right) * w)
 
 
-@dataclass(frozen=True, slots=True)
-class SupportFunction:
-    """A built minorant: interval data plus knots y' <= y and middle-piece
-    coefficients b, c."""
-
-    data: IntervalData
-    y_prime: float
-    y: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True, slots=True)
-class Characteristic:
+class Characteristic(NamedTuple):
     """Minimum of the support function over its interval.
 
     h is the minimizer, R the minimal value, kind identifies which of
@@ -103,35 +103,78 @@ class Characteristic:
     kind: str
 
 
+class _SupportFields(NamedTuple):
+    data: IntervalData
+    y_prime: float
+    y: float
+    b: float
+    c: float
+    x_hat: float | None
+    char: Characteristic
+
+
+class SupportFunction(_SupportFields):
+    """A built minorant: interval data plus knots y' <= y and middle-piece
+    coefficients b, c.
+
+    The constructor takes those five and derives the rest once: x_hat, the
+    zero of phi' in [y', y] when the slope changes sign there (else None), and
+    char, the minimum of phi over the interval.  `interior_stationary_point`
+    and `characteristic` return these two.  The named-tuple methods `_make`
+    and `_replace` skip the constructor and so the derivation: build a new
+    SupportFunction instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, data: IntervalData, y_prime: float, y: float, b: float,
+                c: float) -> "SupportFunction":
+        x_left, x_right, z_left, z_right, _, _, m = data
+        slope_lo = _slope(data, y_prime, y, b, min(max(y_prime, x_left), x_right))
+        slope_hi = _slope(data, y_prime, y, b, min(max(y, x_left), x_right))
+        # candidates left end, x_hat, right end; the leftmost wins a tie
+        h, R, kind = x_left, z_left, LEFT_END
+        x_hat = None
+        if slope_lo * slope_hi < 0.0:
+            x_hat = -b / m
+            value = 0.5 * m * x_hat * x_hat + b * x_hat + c
+            if value < R:
+                h, R, kind = x_hat, value, INTERIOR
+        if z_right < R:
+            h, R, kind = x_right, z_right, RIGHT_END
+        return tuple.__new__(cls, (data, y_prime, y, b, c, x_hat, Characteristic(h, R, kind)))
+
+
 def build_support(data: IntervalData) -> SupportFunction:
     """Construct the three-piece minorant for one interval.
 
     Raises DegenerateSlope when m*(x_right - x_left) + dz_right - dz_left <= 0,
     which signals that m is below the derivative variation on the interval.
     """
-    d = data
-    denom = d.m * d.width + d.dz_right - d.dz_left
+    x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
+    width = x_right - x_left
+    denom = m * width + dz_right - dz_left
     if denom <= 0.0:
         raise DegenerateSlope(
-            f"m={d.m} too small on [{d.x_left}, {d.x_right}]: "
+            f"m={m} too small on [{x_left}, {x_right}]: "
             f"denominator {denom} <= 0; raise the curvature bound"
         )
     ratio = (
-        d.z_left - d.z_right + d.dz_right * d.x_right - d.dz_left * d.x_left
-        + 0.5 * d.m * (d.x_right ** 2 - d.x_left ** 2)
+        z_left - z_right + dz_right * x_right - dz_left * x_left
+        + 0.5 * m * (x_right ** 2 - x_left ** 2)
     ) / denom
-    half_span = d.width / 4.0 + (d.dz_right - d.dz_left) / (4.0 * d.m)
+    half_span = width / 4.0 + (dz_right - dz_left) / (4.0 * m)
     y = half_span + ratio
     y_prime = -half_span + ratio
-    tol = 1e-9 * max(1.0, d.width, abs(d.x_left), abs(d.x_right))
-    if y_prime < d.x_left - tol or y > d.x_right + tol:
+    tol = 1e-9 * max(1.0, width, abs(x_left), abs(x_right))
+    if y_prime < x_left - tol or y > x_right + tol:
         raise DegenerateSlope(
-            f"m={d.m} too small on [{d.x_left}, {d.x_right}]: knots "
+            f"m={m} too small on [{x_left}, {x_right}]: knots "
             f"y'={y_prime}, y={y} leave the interval; raise the curvature bound"
         )
-    b = d.dz_right - 2.0 * d.m * y + d.m * d.x_right
-    c = d.z_right - d.dz_right * d.x_right - 0.5 * d.m * d.x_right ** 2 + d.m * y * y
-    return SupportFunction(data=d, y_prime=y_prime, y=y, b=b, c=c)
+    b = dz_right - 2.0 * m * y + m * x_right
+    c = z_right - dz_right * x_right - 0.5 * m * x_right ** 2 + m * y * y
+    return SupportFunction(data, y_prime, y, b, c)
 
 
 def _check_inside(s: SupportFunction, x) -> None:
@@ -179,7 +222,9 @@ def _middle_value(s: SupportFunction, x: float) -> float:
 # eval_support_derivative, term for term, so both give the same bits for a
 # scalar x.  (numpy squares a scalar with pow, as Python's ** does, but an
 # array of several elements by multiplication, which differs in the last bit
-# about once in a thousand squares.)
+# about once in a thousand squares.)  `_slope` takes the knots and b apart
+# from a SupportFunction, because the constructor calls it before the
+# function exists.
 
 def _phi(s: SupportFunction, x: float) -> float:
     d = s.data
@@ -190,12 +235,11 @@ def _phi(s: SupportFunction, x: float) -> float:
     return d.z_right - d.dz_right * (d.x_right - x) - 0.5 * d.m * (d.x_right - x) ** 2
 
 
-def _phi_derivative(s: SupportFunction, x: float) -> float:
-    d = s.data
-    if x <= s.y_prime:
+def _slope(d: IntervalData, y_prime: float, y: float, b: float, x: float) -> float:
+    if x <= y_prime:
         return d.dz_left - d.m * (x - d.x_left)
-    if x <= s.y:
-        return d.m * x + s.b
+    if x <= y:
+        return d.m * x + b
     return d.dz_right + d.m * (d.x_right - x)
 
 
@@ -204,35 +248,15 @@ def _clamp(s: SupportFunction, x: float) -> float:
 
 
 def interior_stationary_point(s: SupportFunction) -> float | None:
-    """Zero of phi' in [y', y] if the slope changes sign there, else None."""
-    slope_lo = _phi_derivative(s, _clamp(s, s.y_prime))
-    slope_hi = _phi_derivative(s, _clamp(s, s.y))
-    if slope_lo * slope_hi < 0.0:
-        return -s.b / s.data.m
-    return None
+    """Zero of phi' in [y', y] if the slope changes sign there, else None;
+    derived when s was built."""
+    return s.x_hat
 
 
 def characteristic(s: SupportFunction) -> Characteristic:
     """Minimum of phi over the interval, ties broken toward the leftmost
-    candidate."""
-    d = s.data
-    x_hat = interior_stationary_point(s)
-    if x_hat is not None:
-        candidates = (
-            (d.x_left, d.z_left, LEFT_END),
-            (x_hat, _middle_value(s, x_hat), INTERIOR),
-            (d.x_right, d.z_right, RIGHT_END),
-        )
-    else:
-        candidates = (
-            (d.x_left, d.z_left, LEFT_END),
-            (d.x_right, d.z_right, RIGHT_END),
-        )
-    h, best, kind = candidates[0]
-    for hx, value, which in candidates[1:]:
-        if value < best:
-            h, best, kind = hx, value, which
-    return Characteristic(h=h, R=best, kind=kind)
+    candidate; derived when s was built."""
+    return s.char
 
 
 def _clamped_sqrt(disc: float, scale: float) -> float:
@@ -295,11 +319,11 @@ def leftmost_zero(s: SupportFunction) -> float:
     """
     if s.data.z_left < 0.0:
         raise ValueError(f"leftmost_zero requires z_left >= 0, got {s.data.z_left}")
-    if characteristic(s).R > 0.0:
+    if s.char.R > 0.0:
         raise NoZero("support function is strictly positive on the interval")
     if _phi(s, _clamp(s, s.y_prime)) <= 0.0:
         return _right_root_left_cap(s)
-    x_hat = interior_stationary_point(s)
+    x_hat = s.x_hat
     if x_hat is not None:
         if _middle_value(s, x_hat) > 0.0:
             return _right_root_right_cap(s)

@@ -9,21 +9,28 @@ import firstroot.solver as solver_module
 from firstroot import (
     BadInitialCondition,
     BudgetExhausted,
+    Characteristic,
+    CurvatureTable,
     EstimationParams,
     FirstRootFound,
+    IntervalData,
     NoRootGlobalMin,
     PrecisionExhausted,
     Problem,
     SearchState,
     SolverConfig,
+    SupportFunction,
     Trial,
     build_curvature_table,
+    build_support,
     exact_lipschitz_oracle,
     get_problem,
     grid_search,
     solve,
 )
 from firstroot.solver import (
+    TraceRecord,
+    _ScanEntry,
     effective_points,
     initialize,
     next_trial_point,
@@ -475,6 +482,28 @@ class TestGridSearch:
         assert isinstance(res.outcome, NoRootGlobalMin)
         assert res.outcome.trials_used == 10_000
 
+    @pytest.mark.parametrize("pid, sigma, trials", [("t02", None, 10_000),
+                                                     ("t08", 7e-4, 9715)])
+    def test_mesh_stops_at_b(self, pid, sigma, trials):
+        # a + cap*sigma is 7.000000000000001 on t02 and 7.0005 on t08
+        p = get_problem(pid)
+        res = grid_search(p, sigma or 1e-4 * (p.b - p.a))
+        assert res.trace[-1].x == p.b
+        assert res.trace[-2].x < p.b
+        assert isinstance(res.outcome, NoRootGlobalMin)
+        assert res.outcome.trials_used == len(res.trace) == trials
+
+    def test_stop_on_the_clamped_point_reports_b(self):
+        # the last step of sigma = 0.3 from 0 would land on 1.2, where f < 0;
+        # at b = 1, f = 0.1 and its tangent reaches zero within sigma/2, so the
+        # scan stops on b itself
+        p = Problem(id="clamp", name="root just past b", a=0.0, b=1.0,
+                    f=lambda x: 1.1 - x, df=lambda x: -np.ones_like(x))
+        res = grid_search(p, 0.3)
+        assert isinstance(res.outcome, FirstRootFound)
+        assert res.outcome.trials_used == 4
+        assert res.outcome.x_sigma == p.b == res.trace[-1].x
+
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             grid_search(get_problem("t01"), sigma=0.1, cap=0)
@@ -493,6 +522,50 @@ class TestGridSearch:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             grid_search(get_problem("t01"), sigma=0.0)
+
+
+def _record_kwargs():
+    data = dict(x_left=0.0, x_right=1.0, z_left=1.0, z_right=1.0,
+                dz_left=0.0, dz_right=0.0, m=4.0)
+    sf = build_support(IntervalData(**data))
+    char = Characteristic(h=0.5, R=0.75, kind="interior")
+    return {
+        IntervalData: data,
+        SupportFunction: dict(data=sf.data, y_prime=sf.y_prime, y=sf.y, b=sf.b, c=sf.c),
+        Characteristic: dict(h=0.5, R=0.75, kind="interior"),
+        _ScanEntry: dict(support=sf, char=char, x_next=0.5),
+        Trial: dict(x=0.5, z=1.0, dz=-2.0, birth=3),
+        TraceRecord: dict(iter=3, x=0.5, f=1.0, fprime=-2.0, k=4, b_n=1.0),
+        CurvatureTable: dict(v=(1.0, 2.0), gaps=(0.5, 0.5), m_global=2.0, lam=(2.0, 2.0),
+                             gamma=(2.0, 2.0), m=(2.4, 2.4)),
+    }
+
+
+class TestRecords:
+    """The records built per interval, trial or step: keyword construction,
+    immutability and hashing."""
+
+    @pytest.mark.parametrize("cls", list(_record_kwargs()), ids=lambda cls: cls.__name__)
+    def test_contract(self, cls):
+        kwargs = _record_kwargs()[cls]
+        rec = cls(**kwargs)
+        assert {name: getattr(rec, name) for name in kwargs} == kwargs
+        for name, value in kwargs.items():
+            with pytest.raises(AttributeError):
+                setattr(rec, name, value)
+        twin = cls(**_record_kwargs()[cls])
+        assert twin == rec and hash(twin) == hash(rec)
+
+    def test_support_function_derives_on_construction(self):
+        sf = build_support(IntervalData(**_record_kwargs()[IntervalData]))
+        assert SupportFunction(**_record_kwargs()[SupportFunction]) == sf
+        assert (sf.x_hat, sf.char) == (0.5, Characteristic(h=0.5, R=0.75, kind="interior"))
+
+    def test_trace_record_as_dict(self):
+        kwargs = _record_kwargs()[TraceRecord]
+        d = TraceRecord(**kwargs).as_dict()
+        assert list(d) == ["iter", "x", "f", "fprime", "k", "b_n"]
+        assert d == kwargs
 
 
 class TestConfigValidation:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firstroot import (
+    Characteristic,
     DegenerateSlope,
     IntervalData,
     NoZero,
@@ -25,9 +26,9 @@ from firstroot.support import (
     _left_root_middle,
     _middle_value,
     _phi,
-    _phi_derivative,
     _right_root_left_cap,
     _right_root_right_cap,
+    _slope,
 )
 
 from helpers import (
@@ -54,6 +55,19 @@ def numpy_stationary_point(sf):
     return -sf.b / sf.data.m if slope_lo * slope_hi < 0.0 else None
 
 
+def numpy_characteristic(sf):
+    """Minimum over the left end, the stationary point and the right end, the
+    leftmost candidate winning a tie."""
+    d = sf.data
+    x_hat = numpy_stationary_point(sf)
+    candidates = [(d.x_left, d.z_left, LEFT_END)]
+    if x_hat is not None:
+        candidates.append((x_hat, eval_support(sf, x_hat), INTERIOR))
+    candidates.append((d.x_right, d.z_right, RIGHT_END))
+    h, R, kind = min(candidates, key=lambda c: c[1])  # min keeps the first of equals
+    return Characteristic(h=h, R=R, kind=kind)
+
+
 def numpy_leftmost_zero(sf):
     if eval_support(sf, _clamped(sf, sf.y_prime)) <= 0.0:
         return _right_root_left_cap(sf)
@@ -68,7 +82,8 @@ def numpy_leftmost_zero(sf):
 
 
 def assert_kernels_match_numpy(sf):
-    """The float kernels equal the numpy path with ==.  The numpy side gets a
+    """The float kernels, and the stationary point and characteristic a
+    SupportFunction derives, equal the numpy path with ==.  The numpy side gets a
     scalar x, as the search evaluates it: numpy squares an array of several
     elements by multiplication but a scalar with pow, and the two can differ
     in the last bit."""
@@ -77,8 +92,9 @@ def assert_kernels_match_numpy(sf):
           d.x_left + 0.3 * d.width, d.x_left + 0.5 * d.width, d.x_left + 0.9 * d.width]
     for x in (_clamped(sf, x) for x in xs):
         assert _phi(sf, x) == eval_support(sf, x)
-        assert _phi_derivative(sf, x) == eval_support_derivative(sf, x)
+        assert _slope(d, sf.y_prime, sf.y, sf.b, x) == eval_support_derivative(sf, x)
     assert interior_stationary_point(sf) == numpy_stationary_point(sf)
+    assert characteristic(sf) == numpy_characteristic(sf)
     # the search asks for a zero only where f > 0 at the left end
     if d.z_left > 0.0 and characteristic(sf).R <= 0.0:
         assert leftmost_zero(sf) == numpy_leftmost_zero(sf)
