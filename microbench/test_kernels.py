@@ -12,10 +12,15 @@ bounds of the adaptive table, so the reported times are per pass, not per call.
 A SupportFunction derives its characteristic when it is built, so
 `test_characteristic` times an accessor and `test_build_support` includes that
 derivation; `test_scan_entry` times the whole per-interval path of a scan, from
-the IntervalData to the scan entry.  `build_curvature_table` is the full build
-that seeds an adaptive solve; `test_spliced_curvature_update` times the update
-every later step makes instead, which a traced benchmark run counts as solver
-time.
+the IntervalData to the scan entry.  `test_scan_clean_pass` times a scan in
+which no slot is empty and no bound moved, so that nothing is rebuilt: the
+per-step cost of the scan outside minorant builds.  It runs on 31 trials of the
+rootless t02, whose minorants all stay positive, so the scan covers all 30
+intervals.  `build_curvature_table` is the full build that seeds an adaptive
+solve; `test_bounds_from` times the one-pass bounds that every later step
+computes from the spliced estimates and widths, and
+`test_spliced_curvature_update` that step's whole curvature work, splice
+included.  A traced benchmark run counts both as solver time.
 
 The benchmarks need the pytest-benchmark plugin (the `bench` extra of the
 package).
@@ -39,16 +44,21 @@ from firstroot import (
     get_problem,
     leftmost_zero,
 )
+from firstroot.curvature import bounds_from
 
 PARAMS = EstimationParams()
 
 
-@pytest.fixture(scope="module")
-def trials() -> list[Trial]:
-    problem = get_problem("t05")
-    xs = np.linspace(problem.a, problem.b, 31).tolist()
+def evenly_spaced_trials(pid: str, n: int = 31) -> list[Trial]:
+    problem = get_problem(pid)
+    xs = np.linspace(problem.a, problem.b, n).tolist()
     return [Trial(x=x, z=float(problem.f(x)), dz=float(problem.df(x)), birth=i)
             for i, x in enumerate(xs)]
+
+
+@pytest.fixture(scope="module")
+def trials() -> list[Trial]:
+    return evenly_spaced_trials("t05")
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +88,16 @@ def test_scan_entry(benchmark, trials):
     benchmark(scan_pass)
 
 
+def test_scan_clean_pass(benchmark):
+    rootless = evenly_spaced_trials("t02")
+    state = SearchState(trials=rootless, sigma=1e-4, k=len(rootless), b_n=rootless[-1].x)
+    bounds = build_curvature_table(rootless, PARAMS).m
+    solver.scan_characteristics(state, bounds)
+    assert state.first_nonpositive is None and None not in state.scan
+    assert len(state.scan) == 30
+    benchmark(solver.scan_characteristics, state, bounds)
+
+
 def test_characteristic(benchmark, supports):
     benchmark(lambda: [characteristic(s) for s in supports])
 
@@ -90,6 +110,13 @@ def test_leftmost_zero(benchmark, supports):
 
 def test_build_curvature_table(benchmark, trials):
     benchmark(build_curvature_table, trials, PARAMS)
+
+
+def test_bounds_from(benchmark, trials):
+    table = build_curvature_table(trials, PARAMS)
+    v, gaps = list(table.v), list(table.gaps)
+    assert bounds_from(v, gaps, PARAMS) == table.m
+    benchmark(bounds_from, v, gaps, PARAMS)
 
 
 def test_spliced_curvature_update(benchmark, trials):

@@ -15,15 +15,17 @@ that still reaches zero there marks its left end as the sigma-root, unless the
 minorant rests on the curvature floor alone.
 
 A step adds one trial inside the chosen interval, so the state is spliced
-rather than rebuilt: the scan entry of that interval (its minorant, the
-minorant's characteristic and the point where the next trial would go) gives
-way to two empty slots for its halves, and for a2 the curvature estimate v and
-the width of that interval give way to the halves' values; every list is then
-cut to the effective intervals.  The next scan builds a minorant only in an
-empty slot or, for a2, where the bound m moved.  The a2 bounds come from the
-spliced v and widths through `curvature.table_from`, the formula that
-`build_curvature_table` applies once to seed them.  No list ever holds more
-than k - 1 entries.
+rather than rebuilt: the slot of that interval in the per-slot lists (the scan
+entry with its minorant and the point where the next trial would go, the
+minorant's characteristic value R and the bound m it was built with) gives way
+to two empty slots for its halves, and for a2 the curvature estimate v and the
+width of that interval give way to the halves' values; every list is then cut
+to the effective intervals.  The next scan visits only the empty slots and,
+for a2, the slots whose bound m moved, found by comparing the flat list of m
+with the new bounds: every other slot holds a minorant with R > 0.  The a2
+bounds come from the spliced v and widths through `curvature.bounds_from`, one
+pass that gives the same values as the formula `build_curvature_table` applies
+once to seed them.  No list ever holds more than k - 1 entries.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.
@@ -33,16 +35,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import merge
+from itertools import compress
+from operator import ne
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .curvature import EstimationParams, build_curvature_table, interval_curvature, table_from
+from .curvature import EstimationParams, bounds_from, build_curvature_table, interval_curvature
 from .errors import BadInitialCondition, NonFinite
 from .problems import Problem
 from .support import (
     RIGHT_END,
-    Characteristic,
     IntervalData,
     SupportFunction,
     build_support,
@@ -125,14 +129,13 @@ class SolverConfig:
 
 class _ScanEntry(NamedTuple):
     """One scanned interval: its minorant, whose `data` holds the interval's
-    endpoint values and bound m; the minorant's characteristic, as the
-    minorant derived it when it was built; and `x_next`, where the next trial
-    goes when the interval is chosen without being flagged (the interior
-    stationary point if there is one, else the knot y at a right-end minimum,
-    else the knot y')."""
+    endpoint values and bound m and whose `char` holds the characteristic it
+    derived when it was built; and `x_next`, where the next trial goes when
+    the interval is chosen without being flagged (the interior stationary
+    point if there is one, else the knot y at a right-end minimum, else the
+    knot y')."""
 
     support: SupportFunction
-    char: Characteristic
     x_next: float
 
 
@@ -143,11 +146,15 @@ class SearchState:
 
     Entry p of each list describes the interval between trials p and p + 1.
     `scan` holds the last scan's entries, with None in the slots of the two
-    halves of the interval split since; the next scan fills those and, for
-    a2, rebuilds the entries whose bound moved.  `v` and `gaps` hold a2's
-    curvature estimates and interval widths for all k - 1 effective
-    intervals; they stay empty under a1 and until a2's first step seeds them.
-    No list holds more than k - 1 entries.
+    halves of the interval split since; `R` and `m` hold, slot by slot, the
+    characteristic value of the entry's minorant and the bound it was built
+    with, NaN in an empty slot.  The three lists always have one length.  The
+    next scan fills the empty slots and, for a2, rebuilds the entries whose
+    bound moved; every other entry has R > 0, because a scan cuts the lists
+    after its first non-positive entry and the step empties the slot it
+    chooses.  `v` and `gaps` hold a2's curvature estimates and interval
+    widths for all k - 1 effective intervals; they stay empty under a1 and
+    until a2's first step seeds them.  No list holds more than k - 1 entries.
     """
 
     trials: list[Trial]
@@ -155,6 +162,8 @@ class SearchState:
     k: int = 0
     b_n: float = 0.0
     scan: list[_ScanEntry | None] = field(default_factory=list)
+    R: list[float] = field(default_factory=list)
+    m: list[float] = field(default_factory=list)
     first_nonpositive: int | None = None
     v: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
@@ -319,7 +328,7 @@ def _interval_bounds_m(state: SearchState, config: SolverConfig) -> Sequence[flo
         table = build_curvature_table(state.trials[:state.k], config.params)
         state.v, state.gaps = list(table.v), list(table.gaps)
         return table.m
-    return table_from(state.v, state.gaps, config.params).m
+    return bounds_from(state.v, state.gaps, config.params)
 
 
 def _scan_entry(data: IntervalData) -> _ScanEntry:
@@ -328,7 +337,7 @@ def _scan_entry(data: IntervalData) -> _ScanEntry:
     x_next = interior_stationary_point(sf)
     if x_next is None:
         x_next = sf.y if char.kind == RIGHT_END else sf.y_prime
-    return _ScanEntry(sf, char, x_next)
+    return _ScanEntry(sf, x_next)
 
 
 def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchState:
@@ -338,21 +347,33 @@ def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchS
     A minorant is a pure function of its interval's endpoint data and bound,
     so the entry in slot p is kept as it is unless the slot is empty or its
     bound differs from bounds[p]; entries right of the first non-positive one
-    are dropped.
+    are dropped.  Only those slots are visited, left to right, found by
+    comparing the list m with `bounds` (NaN, in an empty slot, equals
+    nothing): every other kept entry has R > 0 and cannot stop the walk.  The
+    one exception is a flagged entry left by a scan that no step followed,
+    which is visited too.
     """
-    scan = state.scan
-    scan.extend([None] * (state.k - 1 - len(scan)))
+    scan, R, m = state.scan, state.R, state.m
+    grow = state.k - 1 - len(scan)
+    scan.extend([None] * grow)
+    R.extend([math.nan] * grow)
+    m.extend([math.nan] * grow)
+    visit = compress(range(state.k - 1), map(ne, m, bounds))
+    flagged = state.first_nonpositive
+    if flagged is not None and R[flagged] <= 0.0:  # no step emptied it
+        visit = merge(visit, (flagged,))
     state.first_nonpositive = None
     trials = state.trials
-    for p in range(state.k - 1):
-        entry = scan[p]
-        if entry is None or entry.support.data.m != bounds[p]:
+    for p in visit:
+        if m[p] != bounds[p]:
             lo, hi = trials[p], trials[p + 1]
             entry = scan[p] = _scan_entry(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz,
                                                        bounds[p]))
-        if entry.char.R <= 0.0:
+            R[p] = entry.support.char.R
+            m[p] = bounds[p]
+        if R[p] <= 0.0:
             state.first_nonpositive = p
-            del scan[p + 1:]
+            del scan[p + 1:], R[p + 1:], m[p + 1:]
             break
     return state
 
@@ -360,8 +381,8 @@ def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchS
 def _select_interval(state: SearchState) -> int:
     if state.first_nonpositive is not None:
         return state.first_nonpositive
-    values = [entry.char.R for entry in state.scan]
-    return values.index(min(values))  # the leftmost of equal minima
+    R = state.R
+    return R.index(min(R))  # the leftmost of equal minima
 
 
 def next_trial_point(state: SearchState) -> float:
@@ -468,7 +489,10 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
         halves = [(trials[p], trial), (trial, trials[p + 2])]
         cut = slice(p, p + 1)
     state.b_n = trials[state.k - 1].x
+    empty = [math.nan] * len(halves)
     state.scan[cut] = [None] * len(halves)
+    state.R[cut] = empty
+    state.m[cut] = empty
     if state.v:
         state.v[cut] = [interval_curvature(lo, hi) for lo, hi in halves]
         state.gaps[cut] = [hi.x - lo.x for lo, hi in halves]
@@ -479,10 +503,11 @@ def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome 
     None when a trial was added and the search continues.
 
     state.k and state.b_n must describe state.trials, and state.scan,
-    state.v and state.gaps must be empty or spliced by `step`, as
-    `initialize` and `step` leave them.  Under a2 the curvature estimates of
-    the two halves are computed as the trial is added, so a DegenerateInterval
-    for a too narrow half is raised by the step that adds the trial.
+    state.R, state.m, state.v and state.gaps must be empty or spliced by
+    `step`, as `initialize` and `step` leave them.  Under a2 the curvature
+    estimates of the two halves are computed as the trial is added, so a
+    DegenerateInterval for a too narrow half is raised by the step that adds
+    the trial.
     """
     result = _advance(state, problem, config)
     return result if isinstance(result, Outcome) else None

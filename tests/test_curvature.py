@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from firstroot import (
     DegenerateInterval,
@@ -11,6 +13,7 @@ from firstroot import (
     interval_curvature,
     registry,
 )
+from firstroot.curvature import bounds_from, table_from
 
 
 def trial(x, z, dz, birth=0):
@@ -135,3 +138,59 @@ class TestCurvatureTable:
             EstimationParams(r=1.0)
         with pytest.raises(ValueError):
             EstimationParams(xi=0.0)
+
+
+@hst.composite
+def curvature_columns(draw):
+    """Estimates v and widths of 1 to 10 intervals, with zeros and ties
+    among the v drawn often."""
+    n = draw(hst.integers(1, 10))
+    ties = draw(hst.lists(hst.floats(0.0, 10.0), min_size=1, max_size=2))
+    v = draw(hst.lists(hst.one_of(hst.just(0.0), hst.sampled_from(ties), hst.floats(0.0, 1e6)),
+                       min_size=n, max_size=n))
+    gaps = draw(hst.lists(hst.one_of(hst.just(1.0), hst.floats(1e-9, 1e3)),
+                          min_size=n, max_size=n))
+    return v, gaps
+
+
+class TestBoundsFrom:
+    """`bounds_from` is `table_from(...).m` computed in one pass: equal with
+    `==`, for lists and for tuples."""
+
+    # name -> (v, gaps, xi, the term of max(lambda, gamma, xi) that must exceed
+    # the other two on some interval; None where lambda and gamma tie)
+    CASES = {
+        "one interval": ([2.0], [0.5], 1e-6, None),
+        "two intervals": ([0.5, 3.0], [1.0, 0.25], 1e-6, "lam"),
+        "all zero": ([0.0, 0.0, 0.0], [0.1, 0.2, 0.3], 1e-6, "xi"),
+        "ties": ([1.5, 1.5, 0.0, 1.5, 1.5], [1.0, 1.0, 2.0, 1.0, 1.0], 1e-6, "lam"),
+        "one dominant v": ([0.1, 0.2, 1e6, 0.3, 0.1, 0.2], [1.0] * 6, 1e-6, "gamma"),
+        "gamma wins on the widest gap": ([100.0, 0.0, 0.0, 0.0], [0.1, 0.1, 0.1, 10.0],
+                                         1e-6, "gamma"),
+        "xi wins over small v": ([1e-3, 2e-3, 0.0], [1.0, 2.0, 3.0], 0.5, "xi"),
+    }
+
+    @staticmethod
+    def check(v, gaps, params):
+        expected = table_from(v, gaps, params).m
+        assert bounds_from(v, gaps, params) == expected
+        assert bounds_from(tuple(v), tuple(gaps), params) == expected
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_named_cases(self, name):
+        v, gaps, xi, winner = self.CASES[name]
+        params = EstimationParams(r=1.2, xi=xi)
+        self.check(v, gaps, params)
+        if winner is None:
+            return
+        table = table_from(v, gaps, params)
+        terms = {"lam": table.lam, "gamma": table.gamma, "xi": [xi] * len(v)}
+        others = [t for t in terms if t != winner]
+        assert any(all(w > terms[o][p] for o in others) for p, w in enumerate(terms[winner]))
+
+    @given(columns=curvature_columns(), r=hst.floats(1.0, 1e4, exclude_min=True),
+           xi=hst.floats(1e-12, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_table_from(self, columns, r, xi):
+        v, gaps = columns
+        self.check(v, gaps, EstimationParams(r=r, xi=xi))

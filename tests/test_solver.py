@@ -11,10 +11,12 @@ from firstroot import (
     BudgetExhausted,
     Characteristic,
     CurvatureTable,
+    DegenerateSlope,
     EstimationParams,
     FirstRootFound,
     IntervalData,
     NoRootGlobalMin,
+    Outcome,
     PrecisionExhausted,
     Problem,
     SearchState,
@@ -132,7 +134,26 @@ class TestScan:
         scan_characteristics(st, [4.0])
         entry = st.scan[0]
         assert entry.x_next == -entry.support.b / entry.support.data.m == 0.5
-        assert entry.char.R == pytest.approx(0.75)
+        assert st.R[0] == entry.support.char.R == pytest.approx(0.75)
+
+    def test_second_scan_without_a_step_keeps_the_flag(self, monkeypatch):
+        # the flagged entry of a scan that no step followed still stops the
+        # next scan with the same bounds, which rebuilds nothing
+        st = state_from([0, 1, 2], [1, 0.5, 2], [-0.6, -0.6, 2.9])
+        scan_characteristics(st, [30.0, 30.0])
+        first = (st.first_nonpositive, list(st.scan), list(st.R), list(st.m))
+        assert first[0] == 0
+        built = []
+        original = solver_module.build_support
+
+        def counting(data):
+            built.append(data)
+            return original(data)
+
+        monkeypatch.setattr(solver_module, "build_support", counting)
+        scan_characteristics(st, [30.0, 30.0])
+        assert (st.first_nonpositive, st.scan, st.R, st.m) == first
+        assert built == []
 
 
 class TestNextTrialPoint:
@@ -147,7 +168,7 @@ class TestNextTrialPoint:
         st = state_from([0, 1, 2], [1, 1, 0.2], [0, 0, -1.6])
         scan_characteristics(st, [4.0, 2.0])
         assert st.first_nonpositive is None
-        assert st.scan[1].char.R == pytest.approx(0.2)
+        assert st.R[1] == st.scan[1].support.char.R == pytest.approx(0.2)
         assert st.scan[1].x_next == st.scan[1].support.y
         assert next_trial_point(st) == st.scan[1].support.y
 
@@ -157,7 +178,7 @@ class TestNextTrialPoint:
         st = state_from([0, 1], [1, 2], [1, 1])
         scan_characteristics(st, [1.0])
         entry = st.scan[0]
-        assert entry.char.kind == LEFT_END
+        assert entry.support.char.kind == LEFT_END
         assert entry.x_next == entry.support.y_prime
         assert next_trial_point(st) == entry.support.y_prime
 
@@ -269,12 +290,15 @@ class TestSplicedState:
             assert all(lam == max(full.v[max(0, p - 1):p + 2])
                        for p, lam in enumerate(full.lam))
             assert len(state.scan) <= state.k - 1
+            assert len(state.R) == len(state.m) == len(state.scan)
             for p, entry in enumerate(state.scan):
                 if entry is not None:
                     lo, hi = state.trials[p], state.trials[p + 1]
                     d = entry.support.data
                     assert (d.x_left, d.x_right, d.z_left, d.z_right, d.dz_left, d.dz_right) \
                         == (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz)
+                    assert state.R[p] == entry.support.char.R
+                    assert state.m[p] == d.m
 
     @given(f0=hst.floats(0.05, 4.0),
            waves=hst.lists(hst.tuples(hst.floats(0.1, 1.0), hst.floats(0.3, 3.0),
@@ -418,6 +442,41 @@ class TestSolveOutcomes:
         assert BudgetExhausted(trials_used=5, best_so_far=4.5).point == 4.5
 
 
+def shifted_problem(problem, t):
+    """problem moved right by t: f(x - t) on [a + t, b + t]."""
+    return Problem(id=f"{problem.id}+{t:g}", name=f"{problem.name}, shifted by {t:g}",
+                   a=problem.a + t, b=problem.b + t,
+                   f=lambda x: problem.f(np.asarray(x, dtype=float) - t),
+                   df=lambda x: problem.df(np.asarray(x, dtype=float) - t))
+
+
+class TestKnownDefects:
+    """Valid inputs that still end in an internal exception rather than an
+    Outcome.  `build_support` places its knots in absolute x, and the
+    cancellation in its coefficients grows with |x|**2, so on an interval that
+    is narrow against |x| the knots land outside it and the build raises
+    DegenerateSlope.  Each test states what a fixed solver must return; the
+    xfail is strict, so a fix turns it into a failure until the mark goes."""
+
+    @pytest.mark.xfail(raises=DegenerateSlope, strict=True)
+    def test_a2_at_a_small_absolute_sigma(self):
+        # rootless t02: the search narrows to width 6e-10 near x = 0.2249
+        out = solve(get_problem("t02"), SolverConfig(method="a2", sigma_abs=1e-9)).outcome
+        assert isinstance(out, Outcome)
+
+    @pytest.mark.xfail(raises=DegenerateSlope, strict=True)
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    def test_shifted_far_from_zero(self, method):
+        p = get_problem("t05")
+        shift = 1e6
+        cfg = SolverConfig(method=method,
+                           lipschitz=exact_lipschitz_oracle(p) if method == "a1" else None)
+        ref = solve(p, cfg).outcome
+        out = solve(shifted_problem(p, shift), cfg).outcome
+        assert type(out) is type(ref)
+        assert out.point == pytest.approx(ref.point + shift, abs=cfg.resolve_sigma(p.a, p.b))
+
+
 class TestTraceInvariants:
     def test_trace_matches_trials_used(self):
         res = solve(get_problem("t10"), SolverConfig(method="a2"))
@@ -528,12 +587,11 @@ def _record_kwargs():
     data = dict(x_left=0.0, x_right=1.0, z_left=1.0, z_right=1.0,
                 dz_left=0.0, dz_right=0.0, m=4.0)
     sf = build_support(IntervalData(**data))
-    char = Characteristic(h=0.5, R=0.75, kind="interior")
     return {
         IntervalData: data,
         SupportFunction: dict(data=sf.data, y_prime=sf.y_prime, y=sf.y, b=sf.b, c=sf.c),
         Characteristic: dict(h=0.5, R=0.75, kind="interior"),
-        _ScanEntry: dict(support=sf, char=char, x_next=0.5),
+        _ScanEntry: dict(support=sf, x_next=0.5),
         Trial: dict(x=0.5, z=1.0, dz=-2.0, birth=3),
         TraceRecord: dict(iter=3, x=0.5, f=1.0, fprime=-2.0, k=4, b_n=1.0),
         CurvatureTable: dict(v=(1.0, 2.0), gaps=(0.5, 0.5), m_global=2.0, lam=(2.0, 2.0),
