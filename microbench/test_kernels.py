@@ -22,6 +22,11 @@ computes from the spliced estimates and widths, and
 `test_spliced_curvature_update` that step's whole curvature work, splice
 included.  A traced benchmark run counts both as solver time.
 
+`test_grid_search` and `test_grid_search_trace_read` time the 4135-step grid
+scan of t01, the first with its trace left unread, the second reading it in
+full: the trace builds its records on first read, so the difference is the
+cost of that build.
+
 The benchmarks need the pytest-benchmark plugin (the `bench` extra of the
 package).
 """
@@ -42,6 +47,7 @@ from firstroot import (
     build_support,
     characteristic,
     get_problem,
+    grid_search,
     leftmost_zero,
 )
 from firstroot.curvature import bounds_from
@@ -140,3 +146,18 @@ def test_spliced_curvature_update(benchmark, trials):
         return solver._interval_bounds_m(state, config)
 
     benchmark.pedantic(update, setup=seeded, rounds=2000)
+
+
+def _grid_t01():
+    problem = get_problem("t01")
+    return problem, 1e-4 * (problem.b - problem.a)
+
+
+def test_grid_search(benchmark):
+    problem, sigma = _grid_t01()
+    assert benchmark(grid_search, problem, sigma).outcome.trials_used == 4135
+
+
+def test_grid_search_trace_read(benchmark):
+    problem, sigma = _grid_t01()
+    assert benchmark(lambda: list(grid_search(problem, sigma).trace))[-1].iter == 4135

@@ -2,8 +2,9 @@
 analog-filter cutoff-frequency applications.
 
 Every objective and derivative accepts a float or an ndarray (numpy ufunc
-style); the solver evaluates them pointwise while the dense-grid oracles
-evaluate them vectorized.
+style); the solver evaluates them pointwise while the grid scan and the
+dense-grid oracles evaluate them vectorized through `on_mesh`, which also
+accepts a scalar result for an array.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "find_fmax",
     "cutoff_objective",
     "numeric_derivative",
+    "on_mesh",
     "exact_lipschitz_oracle",
     "curvature_bound",
 ]
@@ -314,13 +316,20 @@ def cutoff_objective(transfer: Callable, f_max: float, negate: bool, *,
     return Problem(id=pid, name=name, a=domain[0], b=domain[1], f=f, df=df)
 
 
+def on_mesh(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn evaluated on the array x in one vectorized call, as a read-only float
+    array of x's shape: a scalar result, such as a constant derivative
+    written `lambda x: -1.0`, is broadcast to every point."""
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+
+
 def exact_lipschitz_oracle(problem: Problem, grid_points: int = 200_000) -> float:
     """Reconstructed bound on the Lipschitz constant of df: the largest
     derivative difference quotient over a uniform grid, with 1% headroom."""
     if grid_points < 100_000:
         raise ValueError("grid_points must be >= 1e5")
     x = np.linspace(problem.a, problem.b, grid_points)
-    d = np.asarray(problem.df(x), dtype=float)
+    d = on_mesh(problem.df, x)
     return 1.01 * float(np.max(np.abs(np.diff(d)) / np.diff(x)))
 
 

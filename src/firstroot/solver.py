@@ -28,15 +28,18 @@ pass that gives the same values as the formula `build_curvature_table` applies
 once to seed them.  No list ever holds more than k - 1 entries.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
-the geometric methods are benchmarked against.
+the geometric methods are benchmarked against.  It keeps the trace as the
+arrays of x, f and f' it evaluated and builds the records the first time the
+trace is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import merge
-from itertools import compress
+from itertools import compress, repeat
 from operator import ne
 from typing import Literal, NamedTuple, Sequence
 
@@ -44,7 +47,7 @@ import numpy as np
 
 from .curvature import EstimationParams, bounds_from, build_curvature_table, interval_curvature
 from .errors import BadInitialCondition, NonFinite
-from .problems import Problem
+from .problems import Problem, on_mesh
 from .support import (
     RIGHT_END,
     IntervalData,
@@ -274,8 +277,15 @@ class TraceRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """An outcome and its trace: one TraceRecord per trial in birth order.
+
+    `trace` is a read-only Sequence[TraceRecord]: a list for `solve`, and for
+    `grid_search` a sequence that builds its records on first read.  Both
+    support len, indexing, iteration and == against each other.
+    """
+
     outcome: Outcome
-    trace: list[TraceRecord]
+    trace: Sequence[TraceRecord]
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +552,40 @@ def _grid_cap(a: float, b: float, sigma: float) -> int:
     return int(math.ceil(q - 1e-9 * max(1.0, q)))
 
 
+class _GridTrace(Sequence[TraceRecord]):
+    """The trace of a grid scan, kept as the arrays of x, f and f' the scan
+    evaluated at mesh steps 1, 2, ...  The records (iter = k = the step,
+    b_n = x) are built once, the first time anything but the length is read,
+    and then serve every read; they equal a list of the same records."""
+
+    def __init__(self, chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        self._x, self._f, self._fprime = map(np.concatenate, zip(*chunks))
+
+    @cached_property
+    def _records(self) -> list[TraceRecord]:
+        x = self._x.tolist()
+        steps = range(1, len(x) + 1)
+        return list(map(tuple.__new__, repeat(TraceRecord),
+                        zip(steps, x, self._f.tolist(), self._fprime.tolist(), steps, x)))
+
+    def __len__(self) -> int:
+        return len(self._x)
+
+    def __getitem__(self, i):
+        return self._records[i]
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _GridTrace):
+            other = other._records
+        return self._records == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._records)
+
+
 def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> SolveResult:
     """Mesh scan from the left margin in sigma steps until the first root is
     within half a step.
@@ -549,14 +593,15 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     The margin itself is presumed positive and not spent as a trial: the j-th
     evaluation happens at a + j*sigma, or at b for a last step that reaches
     past b, so trials_used equals the number of sigma steps taken.  The scan
-    stops at the first mesh point x where either f(x) < 0, so that the root lies in the step before x, or f(x) >= 0 and the
-    tangent line there, f(x) + f'(x)*t, reaches zero within t <= sigma/2,
-    so that x is the mesh point nearest the root it heads for.  The sigma-root
-    is the last mesh point where f >= 0: the point before x in the first case,
-    x itself in the second.  The second case also stops at a root where f
-    touches zero without changing sign (t17 at pi), which the sign test alone
-    never sees.  Like the sigma-root of a1 and a2 it does not prove that f
-    vanishes: a steep dip that turns back up just above zero stops it too.
+    stops at the first mesh point x where either f(x) < 0, so that the root
+    lies in the step before x, or f(x) >= 0 and the tangent line there,
+    f(x) + f'(x)*t, reaches zero within t <= sigma/2, so that x is the mesh
+    point nearest the root it heads for.  The sigma-root is the last mesh
+    point where f >= 0: the point before x in the first case, x itself in the
+    second.  The second case also stops at a root where f touches zero
+    without changing sign (t17 at pi), which the sign test alone never sees.
+    Like the sigma-root of a1 and a2 it does not prove that f vanishes: a
+    steep dip that turns back up just above zero stops it too.
 
     `PAPER.md` does not quote the paper's grid rule.  This one is read off the
     published grid column: it reproduces every count whose problem's own
@@ -569,7 +614,12 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     covered the whole interval, else as BudgetExhausted, since f was never
     looked at beyond the last mesh point.  `cap` defaults to, and is clamped
     to, the number of steps that covers the interval.  Evaluations are
-    performed in vectorized chunks of _GRID_CHUNK points.
+    performed in vectorized chunks of _GRID_CHUNK points (`on_mesh`, so an f
+    or f' that returns a scalar is broadcast).
+
+    The trace keeps the evaluated x, f and f' arrays and builds its records,
+    one per step with k = iter and b_n = x, the first time it is read: a
+    caller that reads only the outcome never pays for them.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
@@ -578,35 +628,31 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     a, b = problem.a, problem.b
     full = _grid_cap(a, b, sigma)
     cap = full if cap is None else min(cap, full)
-    trace: list[TraceRecord] = []
+    chunks = []
     best_x, best_f = a, math.inf
     j = 1
     while j <= cap:
         hi = min(j + _GRID_CHUNK - 1, cap)
         # the last step of the mesh may reach past b; its point is b itself
         xs = np.minimum(a + np.arange(j, hi + 1, dtype=float) * sigma, b)
-        fs = np.asarray(problem.f(xs), dtype=float)
-        dfs = np.asarray(problem.df(xs), dtype=float)
-        stops = np.nonzero((fs < 0.0) | (fs <= -0.5 * sigma * dfs))[0]
-        n = int(stops[0]) + 1 if len(stops) else len(xs)
-        iters = range(j, j + n)
-        points = xs[:n].tolist()
-        # TraceRecord fields: iter, x, f, fprime, k, b_n; k = iter, b_n = x
-        trace.extend(map(TraceRecord, iters, points, fs[:n].tolist(), dfs[:n].tolist(),
-                         iters, points))
-        block_min = int(np.argmin(fs[:n]))
+        fs = on_mesh(problem.f, xs)
+        dfs = on_mesh(problem.df, xs)
+        stops = np.flatnonzero((fs < 0.0) | (fs <= -0.5 * sigma * dfs))
+        if len(stops):
+            n = int(stops[0]) + 1
+            chunks.append((xs[:n], fs[:n], dfs[:n]))
+            j_stop = j + n - 1
+            x_sigma = a + (j_stop - 1) * sigma if fs[n - 1] < 0.0 else float(xs[n - 1])
+            return SolveResult(outcome=FirstRootFound(trials_used=j_stop, x_sigma=x_sigma),
+                               trace=_GridTrace(chunks))
+        chunks.append((xs, fs, dfs))
+        block_min = int(np.argmin(fs))
         if fs[block_min] < best_f:
             best_f = float(fs[block_min])
-            best_x = points[block_min]
-        if len(stops):
-            j_stop = j + n - 1
-            x_sigma = a + (j_stop - 1) * sigma if fs[n - 1] < 0.0 else points[-1]
-            return SolveResult(
-                outcome=FirstRootFound(trials_used=j_stop, x_sigma=x_sigma),
-                trace=trace)
+            best_x = float(xs[block_min])
         j = hi + 1
     if cap < full:
         outcome = BudgetExhausted(trials_used=cap, best_so_far=best_x)
     else:
         outcome = NoRootGlobalMin(trials_used=cap, x_best=best_x, f_best=best_f)
-    return SolveResult(outcome=outcome, trace=trace)
+    return SolveResult(outcome=outcome, trace=_GridTrace(chunks))

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from firstroot import get_problem, grid_search
 from firstroot.cli import main
 
 
@@ -67,10 +68,17 @@ class TestSolve:
         record = json.loads(lines[0])
         assert set(record) == {"iter", "x", "f", "fprime", "k", "b_n"}
 
-    def test_grid_method(self, capsys):
-        code, out, _ = run(capsys, "solve", "--problem", "t01", "--method", "grid")
+    def test_grid_method(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        code, out, _ = run(capsys, "solve", "--problem", "t01", "--method", "grid",
+                           "--trace", str(trace))
         assert code == 0
         assert re.search(r"trials:\s+4135", out)
+        p = get_problem("t01")
+        records = grid_search(p, 1e-4 * (p.b - p.a)).trace
+        lines = trace.read_text().splitlines()
+        assert len(lines) == len(records) == 4135
+        assert lines == [json.dumps(rec.as_dict()) for rec in records]
 
     def test_grid_obeys_max_trials(self, capsys):
         # t01's first root, at 3.01, lies far beyond 100 sigma steps from 0.2

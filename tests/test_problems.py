@@ -214,6 +214,12 @@ class TestLipschitzOracle:
                     f=lambda x: np.sin(x), df=lambda x: np.cos(x))
         assert exact_lipschitz_oracle(p) == pytest.approx(1.01, rel=1e-4)
 
+    def test_scalar_valued_derivative(self):
+        # df returns a float for an array: a line, whose f' does not vary
+        p = Problem(id="line", name="1.1 - x", a=0, b=1, f=lambda x: 1.1 - x,
+                    df=lambda x: -1.0)
+        assert exact_lipschitz_oracle(p) == 0.0
+
     def test_t05_frozen_value(self):
         k = exact_lipschitz_oracle(get_problem("t05"))
         assert k == pytest.approx(25.25, rel=0.01)

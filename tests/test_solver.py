@@ -20,6 +20,7 @@ from firstroot import (
     PrecisionExhausted,
     Problem,
     SearchState,
+    SolveResult,
     SolverConfig,
     SupportFunction,
     Trial,
@@ -450,13 +451,24 @@ def shifted_problem(problem, t):
                    df=lambda x: problem.df(np.asarray(x, dtype=float) - t))
 
 
+def scaled_problem(problem, c):
+    """problem with f and f' multiplied by c: the same roots and extrema."""
+    return Problem(id=f"{problem.id}*{c:g}", name=f"{problem.name}, scaled by {c:g}",
+                   a=problem.a, b=problem.b,
+                   f=lambda x: c * problem.f(x), df=lambda x: c * problem.df(x))
+
+
 class TestKnownDefects:
-    """Valid inputs that still end in an internal exception rather than an
-    Outcome.  `build_support` places its knots in absolute x, and the
+    """Valid inputs on which the solver is not yet invariant to where f sits
+    or how large it is.  Two end in an internal exception rather than an
+    Outcome: `build_support` places its knots in absolute x, and the
     cancellation in its coefficients grows with |x|**2, so on an interval that
     is narrow against |x| the knots land outside it and the build raises
-    DegenerateSlope.  Each test states what a fixed solver must return; the
-    xfail is strict, so a fix turns it into a failure until the mark goes."""
+    DegenerateSlope.  Two return an Outcome that differs from the unscaled
+    one: a2's curvature floor r*xi is absolute, so when f is scaled down far
+    enough the floor, not the data, sets the bounds.  Each test states what a
+    fixed solver must return; the xfail is strict, so a fix turns it into a
+    failure until the mark goes."""
 
     @pytest.mark.xfail(raises=DegenerateSlope, strict=True)
     def test_a2_at_a_small_absolute_sigma(self):
@@ -475,6 +487,20 @@ class TestKnownDefects:
         out = solve(shifted_problem(p, shift), cfg).outcome
         assert type(out) is type(ref)
         assert out.point == pytest.approx(ref.point + shift, abs=cfg.resolve_sigma(p.a, p.b))
+
+    # t05*1e-30 stops at 0.2 after 9 trials with PrecisionExhausted; t05*1e-10
+    # finds the root, but after 85 trials
+    @pytest.mark.xfail(raises=AssertionError, strict=True)
+    @pytest.mark.parametrize("c", [1e-30, 1e-10])
+    def test_a2_scaled_down(self, c):
+        p = get_problem("t05")
+        cfg = SolverConfig(method="a2")
+        ref = solve(p, cfg).outcome
+        assert isinstance(ref, FirstRootFound) and ref.trials_used == 15
+        out = solve(scaled_problem(p, c), cfg).outcome
+        assert type(out) is type(ref)
+        assert out.trials_used == ref.trials_used
+        assert out.point == pytest.approx(ref.point, abs=cfg.resolve_sigma(p.a, p.b))
 
 
 class TestTraceInvariants:
@@ -563,6 +589,19 @@ class TestGridSearch:
         assert res.outcome.trials_used == 4
         assert res.outcome.x_sigma == p.b == res.trace[-1].x
 
+    def test_scalar_valued_derivative(self):
+        # df returns a float for an array; a1 (K = 0) and a2 solve it too
+        p = Problem(id="line", name="1.1 - x", a=0, b=1, f=lambda x: 1.1 - x,
+                    df=lambda x: -1.0)
+        res = grid_search(p, 1e-4)
+        assert res.outcome == NoRootGlobalMin(trials_used=10_000, x_best=1.0,
+                                              f_best=pytest.approx(0.1))
+        assert [type(v) for v in res.trace[-1]] == [int, float, float, float, int, float]
+        assert all(rec.fprime == -1.0 for rec in res.trace)
+        for cfg in (SolverConfig(method="a1", lipschitz=0.0), SolverConfig(method="a2")):
+            out = solve(p, cfg).outcome
+            assert isinstance(out, NoRootGlobalMin) and out.point == res.outcome.point
+
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             grid_search(get_problem("t01"), sigma=0.1, cap=0)
@@ -581,6 +620,56 @@ class TestGridSearch:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             grid_search(get_problem("t01"), sigma=0.0)
+
+
+def eager_grid_trace(problem, sigma, cap, steps):
+    """The first `steps` records of a grid scan built one by one, as a list:
+    the mesh that grid_search evaluates, in chunks of _GRID_CHUNK points up to
+    `cap`, with a last point past b clamped to b."""
+    a, b = problem.a, problem.b
+    records = []
+    for j in range(1, cap + 1, solver_module._GRID_CHUNK):
+        hi = min(j + solver_module._GRID_CHUNK - 1, cap)
+        xs = np.minimum(a + np.arange(j, hi + 1, dtype=float) * sigma, b)
+        fs, dfs = problem.f(xs), problem.df(xs)
+        for i, step_no in enumerate(range(j, hi + 1)):
+            x = float(xs[i])
+            records.append(TraceRecord(iter=step_no, x=x, f=float(fs[i]), fprime=float(dfs[i]),
+                                       k=step_no, b_n=x))
+    return records[:steps]
+
+
+class TestGridTrace:
+    """The grid trace, built from the scan's arrays on first read, equals the
+    records built one by one, field types included; the outcome's fields stay
+    Python floats."""
+
+    @pytest.mark.parametrize("pid, cap, outcome, steps", [
+        ("t01", None, FirstRootFound, 4135),     # stops past the first chunk
+        ("t02", None, NoRootGlobalMin, 10_000),  # three chunks, last point at b
+        ("t01", 100, BudgetExhausted, 100),
+    ])
+    def test_equals_the_eager_build(self, pid, cap, outcome, steps):
+        p = get_problem(pid)
+        sigma = 1e-4 * (p.b - p.a)
+        res = grid_search(p, sigma, cap=cap)
+        assert type(res.outcome) is outcome and res.outcome.trials_used == steps
+        assert len(res.trace) == steps
+        ref = eager_grid_trace(p, sigma, cap or 10_000, steps)
+        assert len(ref) == steps
+        for rec, want in zip(res.trace, ref):
+            assert rec == want
+            assert type(rec) is TraceRecord
+            assert [type(v) for v in rec] == [type(v) for v in want]
+        assert [type(v) for v in ref[-1]] == [int, float, float, float, int, float]
+        assert res.trace[-1] == ref[-1] and res.trace[-steps] == ref[0]
+        assert res.trace[-1] is res.trace[steps - 1]  # built once
+        assert list(res.trace) == list(res.trace) == ref
+        assert res.trace == ref and ref == res.trace and res.trace != ref[:-1]
+        assert res == grid_search(p, sigma, cap=cap)
+        assert res == SolveResult(outcome=res.outcome, trace=ref)
+        points = {k: v for k, v in vars(res.outcome).items() if k != "trials_used"}
+        assert points and all(type(v) is float for v in points.values())
 
 
 def _record_kwargs():
