@@ -11,8 +11,9 @@ intervals (for leftmost_zero, over those whose minorant reaches zero), with the
 bounds of the adaptive table, so the reported times are per pass, not per call.
 A SupportFunction derives its characteristic when it is built, so
 `test_characteristic` times an accessor and `test_build_support` includes that
-derivation; `test_scan_entry` times the whole per-interval path of a scan, from
-the IntervalData to the scan entry.  `test_scan_clean_pass` times a scan in
+derivation; `test_per_interval_path` times what a scan does per interval it
+rebuilds, from the trials to the minorant it keeps: the validated IntervalData
+and `build_support`.  `test_scan_clean_pass` times a scan in
 which no slot is empty and no bound moved, so that nothing is rebuilt: the
 per-step cost of the scan outside minorant builds.  It runs on 31 trials of the
 rootless t02, whose minorants all stay positive, so the scan covers all 30
@@ -84,11 +85,11 @@ def test_build_support(benchmark, intervals):
     benchmark(lambda: [build_support(d) for d in intervals])
 
 
-def test_scan_entry(benchmark, trials):
+def test_per_interval_path(benchmark, trials):
     m = build_curvature_table(trials, PARAMS).m
 
     def scan_pass():
-        return [solver._scan_entry(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, m[p]))
+        return [build_support(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, m[p]))
                 for p, (lo, hi) in enumerate(zip(trials, trials[1:]))]
 
     benchmark(scan_pass)

@@ -61,6 +61,9 @@ class Problem:
     lipschitz_K: float | None = None
 
     def __post_init__(self) -> None:
+        # the solvers report the domain's ends as points: keep them floats
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
         if not self.a < self.b:
             raise ValueError(f"domain [{self.a}, {self.b}] is empty")
 

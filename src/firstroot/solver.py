@@ -15,17 +15,18 @@ that still reaches zero there marks its left end as the sigma-root, unless the
 minorant rests on the curvature floor alone.
 
 A step adds one trial inside the chosen interval, so the state is spliced
-rather than rebuilt: the slot of that interval in the per-slot lists (the scan
-entry with its minorant and the point where the next trial would go, the
-minorant's characteristic value R and the bound m it was built with) gives way
-to two empty slots for its halves, and for a2 the curvature estimate v and the
-width of that interval give way to the halves' values; every list is then cut
-to the effective intervals.  The next scan visits only the empty slots and,
-for a2, the slots whose bound m moved, found by comparing the flat list of m
-with the new bounds: every other slot holds a minorant with R > 0.  The a2
-bounds come from the spliced v and widths through `curvature.bounds_from`, one
-pass that gives the same values as the formula `build_curvature_table` applies
-once to seed them.  No list ever holds more than k - 1 entries.
+rather than rebuilt: the slot of that interval in the per-slot lists (its
+minorant, the minorant's characteristic value R and the bound m it was built
+with) gives way to two empty slots for its halves, and for a2 the curvature
+estimate v and the width of that interval give way to the halves' values;
+every list is then cut to the effective intervals.  A slot holds the minorant
+alone: where the next trial goes is worked out once per step, for the chosen
+interval only.  The next scan visits only the empty slots and, for a2, the
+slots whose bound m moved, found by comparing the flat list of m with the new
+bounds: every other slot holds a minorant with R > 0.  The a2 bounds come from
+the spliced v and widths through `curvature.bounds_from`, one pass that gives
+the same values as the formula `build_curvature_table` applies once to seed
+them.  No list ever holds more than k - 1 entries.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.  It keeps the trace as the
@@ -88,10 +89,9 @@ class Trial(NamedTuple):
     """One evaluation of f and f': abscissa, values, and birth iteration.
 
     Like the other records the search builds once per interval, trial or step
-    (_ScanEntry, TraceRecord, and IntervalData, SupportFunction,
-    Characteristic and CurvatureTable in their modules), a named tuple: cheap
-    to build, immutable and hashable, and equal to any tuple of the same
-    values."""
+    (TraceRecord, and IntervalData, SupportFunction, Characteristic and
+    CurvatureTable in their modules), a named tuple: cheap to build, immutable
+    and hashable, and equal to any tuple of the same values."""
 
     x: float
     z: float
@@ -123,23 +123,12 @@ class SolverConfig:
             raise ValueError("sigma_fraction must be positive")
         if self.max_trials < 2:
             raise ValueError("max_trials must be at least 2")
-        if self.method == "a1" and self.lipschitz is not None and self.lipschitz < 0.0:
-            raise ValueError("lipschitz bound must be >= 0")
+        if (self.method == "a1" and self.lipschitz is not None
+                and not 0.0 <= self.lipschitz < math.inf):
+            raise ValueError(f"lipschitz bound must be finite and >= 0, got {self.lipschitz}")
 
     def resolve_sigma(self, a: float, b: float) -> float:
         return self.sigma_abs if self.sigma_abs is not None else self.sigma_fraction * (b - a)
-
-
-class _ScanEntry(NamedTuple):
-    """One scanned interval: its minorant, whose `data` holds the interval's
-    endpoint values and bound m and whose `char` holds the characteristic it
-    derived when it was built; and `x_next`, where the next trial goes when
-    the interval is chosen without being flagged (the interior stationary
-    point if there is one, else the knot y at a right-end minimum, else the
-    knot y')."""
-
-    support: SupportFunction
-    x_next: float
 
 
 @dataclass
@@ -148,23 +137,24 @@ class SearchState:
     and right margin b_n, and per-interval lists spliced at every insertion.
 
     Entry p of each list describes the interval between trials p and p + 1.
-    `scan` holds the last scan's entries, with None in the slots of the two
-    halves of the interval split since; `R` and `m` hold, slot by slot, the
-    characteristic value of the entry's minorant and the bound it was built
-    with, NaN in an empty slot.  The three lists always have one length.  The
-    next scan fills the empty slots and, for a2, rebuilds the entries whose
-    bound moved; every other entry has R > 0, because a scan cuts the lists
-    after its first non-positive entry and the step empties the slot it
-    chooses.  `v` and `gaps` hold a2's curvature estimates and interval
-    widths for all k - 1 effective intervals; they stay empty under a1 and
-    until a2's first step seeds them.  No list holds more than k - 1 entries.
+    `scan` holds the minorants (SupportFunction) of the last scan, with None
+    in the slots of the two halves of the interval split since; `R` and `m`
+    hold, slot by slot, the minorant's characteristic value and the bound it
+    was built with, NaN in an empty slot.  The three lists always have one
+    length.  The next scan fills the empty slots and, for a2, rebuilds the
+    minorants whose bound moved; every other minorant has R > 0, because a
+    scan cuts the lists after its first non-positive one and the step empties
+    the slot it chooses.  `v` and `gaps` hold a2's curvature estimates and
+    interval widths for all k - 1 effective intervals; they stay empty under a1
+    and until a2's first step seeds them.  No list holds more than k - 1
+    entries.
     """
 
     trials: list[Trial]
     sigma: float
     k: int = 0
     b_n: float = 0.0
-    scan: list[_ScanEntry | None] = field(default_factory=list)
+    scan: list[SupportFunction | None] = field(default_factory=list)
     R: list[float] = field(default_factory=list)
     m: list[float] = field(default_factory=list)
     first_nonpositive: int | None = None
@@ -341,27 +331,18 @@ def _interval_bounds_m(state: SearchState, config: SolverConfig) -> Sequence[flo
     return bounds_from(state.v, state.gaps, config.params)
 
 
-def _scan_entry(data: IntervalData) -> _ScanEntry:
-    sf = build_support(data)
-    char = characteristic(sf)
-    x_next = interior_stationary_point(sf)
-    if x_next is None:
-        x_next = sf.y if char.kind == RIGHT_END else sf.y_prime
-    return _ScanEntry(sf, x_next)
-
-
 def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchState:
     """Minorants left to right over the effective intervals, up to the first
     one whose characteristic is <= 0.
 
     A minorant is a pure function of its interval's endpoint data and bound,
-    so the entry in slot p is kept as it is unless the slot is empty or its
-    bound differs from bounds[p]; entries right of the first non-positive one
-    are dropped.  Only those slots are visited, left to right, found by
+    so the minorant in slot p is kept as it is unless the slot is empty or its
+    bound differs from bounds[p]; minorants right of the first non-positive
+    one are dropped.  Only those slots are visited, left to right, found by
     comparing the list m with `bounds` (NaN, in an empty slot, equals
-    nothing): every other kept entry has R > 0 and cannot stop the walk.  The
-    one exception is a flagged entry left by a scan that no step followed,
-    which is visited too.
+    nothing): every other kept minorant has R > 0 and cannot stop the walk.
+    The one exception is a flagged minorant left by a scan that no step
+    followed, which is visited too.
     """
     scan, R, m = state.scan, state.R, state.m
     grow = state.k - 1 - len(scan)
@@ -377,9 +358,9 @@ def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchS
     for p in visit:
         if m[p] != bounds[p]:
             lo, hi = trials[p], trials[p + 1]
-            entry = scan[p] = _scan_entry(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz,
-                                                       bounds[p]))
-            R[p] = entry.support.char.R
+            sf = scan[p] = build_support(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz,
+                                                      bounds[p]))
+            R[p] = sf.char.R
             m[p] = bounds[p]
         if R[p] <= 0.0:
             state.first_nonpositive = p
@@ -406,10 +387,18 @@ def next_trial_point(state: SearchState) -> float:
 
 
 def _candidate(state: SearchState, p: int) -> float:
-    entry = state.scan[p]
+    # Unflagged, the trial goes to the interior stationary point if there is
+    # one, else to the knot y at a right-end minimum, else to the knot y'.
+    # Both accessors are called every time, since perfbench/layers.py reports
+    # per-call times from their call counts.
+    sf = state.scan[p]
     if state.first_nonpositive is not None:
-        return leftmost_zero(entry.support)
-    return entry.x_next
+        return leftmost_zero(sf)
+    x_hat = interior_stationary_point(sf)
+    kind = characteristic(sf).kind
+    if x_hat is not None:
+        return x_hat
+    return sf.y if kind == RIGHT_END else sf.y_prime
 
 
 def stop_check(state: SearchState, chosen_interval: int, sigma: float) -> bool:

@@ -117,32 +117,19 @@ class SupportFunction(_SupportFields):
     """A built minorant: interval data plus knots y' <= y and middle-piece
     coefficients b, c.
 
-    The constructor takes those five and derives the rest once: x_hat, the
-    zero of phi' in [y', y] when the slope changes sign there (else None), and
-    char, the minimum of phi over the interval.  `interior_stationary_point`
-    and `characteristic` return these two.  The named-tuple methods `_make`
-    and `_replace` skip the constructor and so the derivation: build a new
-    SupportFunction instead.
+    The constructor takes those five and derives the rest once, through the
+    same pass as `build_support`: x_hat, the zero of phi' in [y', y] when the
+    slope changes sign there (else None), and char, the minimum of phi over
+    the interval.  `interior_stationary_point` and `characteristic` return
+    these two.  The named-tuple methods `_make` and `_replace` skip the
+    constructor and so the derivation: build a new SupportFunction instead.
     """
 
     __slots__ = ()
 
     def __new__(cls, data: IntervalData, y_prime: float, y: float, b: float,
                 c: float) -> "SupportFunction":
-        x_left, x_right, z_left, z_right, _, _, m = data
-        slope_lo = _slope(data, y_prime, y, b, min(max(y_prime, x_left), x_right))
-        slope_hi = _slope(data, y_prime, y, b, min(max(y, x_left), x_right))
-        # candidates left end, x_hat, right end; the leftmost wins a tie
-        h, R, kind = x_left, z_left, LEFT_END
-        x_hat = None
-        if slope_lo * slope_hi < 0.0:
-            x_hat = -b / m
-            value = 0.5 * m * x_hat * x_hat + b * x_hat + c
-            if value < R:
-                h, R, kind = x_hat, value, INTERIOR
-        if z_right < R:
-            h, R, kind = x_right, z_right, RIGHT_END
-        return tuple.__new__(cls, (data, y_prime, y, b, c, x_hat, Characteristic(h, R, kind)))
+        return _derive(cls, data, y_prime, y, b, c)
 
 
 def build_support(data: IntervalData) -> SupportFunction:
@@ -166,15 +153,54 @@ def build_support(data: IntervalData) -> SupportFunction:
     half_span = width / 4.0 + (dz_right - dz_left) / (4.0 * m)
     y = half_span + ratio
     y_prime = -half_span + ratio
-    tol = 1e-9 * max(1.0, width, abs(x_left), abs(x_right))
-    if y_prime < x_left - tol or y > x_right + tol:
-        raise DegenerateSlope(
-            f"m={m} too small on [{x_left}, {x_right}]: knots "
-            f"y'={y_prime}, y={y} leave the interval; raise the curvature bound"
-        )
+    if y_prime < x_left or y > x_right:  # only a knot outside can fail the check
+        tol = 1e-9 * max(1.0, width, abs(x_left), abs(x_right))
+        if y_prime < x_left - tol or y > x_right + tol:
+            raise DegenerateSlope(
+                f"m={m} too small on [{x_left}, {x_right}]: knots "
+                f"y'={y_prime}, y={y} leave the interval; raise the curvature bound"
+            )
     b = dz_right - 2.0 * m * y + m * x_right
     c = z_right - dz_right * x_right - 0.5 * m * x_right ** 2 + m * y * y
-    return SupportFunction(data, y_prime, y, b, c)
+    return _derive(SupportFunction, data, y_prime, y, b, c)
+
+
+def _derive(cls: type, data: IntervalData, y_prime: float, y: float, b: float,
+            c: float) -> SupportFunction:
+    # x_hat and char in one flat pass.  Each knot is clamped into the interval
+    # by comparisons that return what min(max(v, x_left), x_right) returns,
+    # ties and signed zeros included; phi' at the clamped knot takes the arm
+    # of eval_support_derivative that the point falls in (see the float
+    # kernels below).
+    x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
+    x = x_left if x_left > y_prime else y_prime
+    x = x_right if x_right < x else x
+    if x <= y_prime:
+        slope_lo = dz_left - m * (x - x_left)
+    elif x <= y:
+        slope_lo = m * x + b
+    else:
+        slope_lo = dz_right + m * (x_right - x)
+    x = x_left if x_left > y else y
+    x = x_right if x_right < x else x
+    if x <= y_prime:
+        slope_hi = dz_left - m * (x - x_left)
+    elif x <= y:
+        slope_hi = m * x + b
+    else:
+        slope_hi = dz_right + m * (x_right - x)
+    # candidates left end, x_hat, right end; the leftmost wins a tie
+    h, R, kind = x_left, z_left, LEFT_END
+    x_hat = None
+    if slope_lo * slope_hi < 0.0:
+        x_hat = -b / m
+        value = 0.5 * m * x_hat * x_hat + b * x_hat + c
+        if value < R:
+            h, R, kind = x_hat, value, INTERIOR
+    if z_right < R:
+        h, R, kind = x_right, z_right, RIGHT_END
+    return tuple.__new__(cls, (data, y_prime, y, b, c, x_hat,
+                               tuple.__new__(Characteristic, (h, R, kind))))
 
 
 def _check_inside(s: SupportFunction, x) -> None:
@@ -216,15 +242,14 @@ def _middle_value(s: SupportFunction, x: float) -> float:
     return 0.5 * s.data.m * x * x + s.b * x + s.c
 
 
-# Plain-float kernels for phi and phi' at one point of the interval, used by
-# the scalar search path to skip the 0-d array round trip.  Each branch is the
-# expression of the matching np.where arm of eval_support /
-# eval_support_derivative, term for term, so both give the same bits for a
-# scalar x.  (numpy squares a scalar with pow, as Python's ** does, but an
-# array of several elements by multiplication, which differs in the last bit
-# about once in a thousand squares.)  `_slope` takes the knots and b apart
-# from a SupportFunction, because the constructor calls it before the
-# function exists.
+# Plain-float kernels at one point of the interval, used by the scalar search
+# path to skip the 0-d array round trip: `_phi` here, and phi' at the two
+# clamped knots, written out in `_derive`.  Each branch is the expression of
+# the matching np.where arm of eval_support / eval_support_derivative, term
+# for term, so both give the same bits for a scalar x.  (numpy squares a
+# scalar with pow, as Python's ** does, but an array of several elements by
+# multiplication, which differs in the last bit about once in a thousand
+# squares.)
 
 def _phi(s: SupportFunction, x: float) -> float:
     d = s.data
@@ -233,14 +258,6 @@ def _phi(s: SupportFunction, x: float) -> float:
     if x <= s.y:
         return _middle_value(s, x)
     return d.z_right - d.dz_right * (d.x_right - x) - 0.5 * d.m * (d.x_right - x) ** 2
-
-
-def _slope(d: IntervalData, y_prime: float, y: float, b: float, x: float) -> float:
-    if x <= y_prime:
-        return d.dz_left - d.m * (x - d.x_left)
-    if x <= y:
-        return d.m * x + b
-    return d.dz_right + d.m * (d.x_right - x)
 
 
 def _clamp(s: SupportFunction, x: float) -> float:

@@ -40,6 +40,12 @@ class TestSolve:
         assert code == 1
         assert "lipschitz" in err
 
+    def test_non_finite_lipschitz(self, capsys):
+        code, _, err = run(capsys, "solve", "--problem", "t01", "--method", "a1",
+                           "--lipschitz", "nan")
+        assert code == 1
+        assert err.startswith("error:") and "lipschitz" in err
+
     def test_unknown_problem(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "t99")
         assert code == 1

@@ -33,7 +33,6 @@ from firstroot import (
 )
 from firstroot.solver import (
     TraceRecord,
-    _ScanEntry,
     effective_points,
     initialize,
     next_trial_point,
@@ -41,7 +40,7 @@ from firstroot.solver import (
     step,
     stop_check,
 )
-from firstroot.support import LEFT_END
+from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
 
 
 def state_from(xs, zs, dzs, sigma=1e-4):
@@ -133,9 +132,11 @@ class TestScan:
     def test_symmetric_interval_classified_interior(self):
         st = state_from([0, 1], [1, 1], [0, 0])
         scan_characteristics(st, [4.0])
-        entry = st.scan[0]
-        assert entry.x_next == -entry.support.b / entry.support.data.m == 0.5
-        assert st.R[0] == entry.support.char.R == pytest.approx(0.75)
+        sf = st.scan[0]
+        assert isinstance(sf, SupportFunction)
+        assert sf.char.kind == INTERIOR
+        assert next_trial_point(st) == -sf.b / sf.data.m == 0.5
+        assert st.R[0] == sf.char.R == pytest.approx(0.75)
 
     def test_second_scan_without_a_step_keeps_the_flag(self, monkeypatch):
         # the flagged entry of a scan that no step followed still stops the
@@ -169,19 +170,29 @@ class TestNextTrialPoint:
         st = state_from([0, 1, 2], [1, 1, 0.2], [0, 0, -1.6])
         scan_characteristics(st, [4.0, 2.0])
         assert st.first_nonpositive is None
-        assert st.R[1] == st.scan[1].support.char.R == pytest.approx(0.2)
-        assert st.scan[1].x_next == st.scan[1].support.y
-        assert next_trial_point(st) == st.scan[1].support.y
+        sf = st.scan[1]
+        assert st.R[1] == sf.char.R == pytest.approx(0.2)
+        assert sf.char.kind == RIGHT_END and sf.x_hat is None
+        assert next_trial_point(st) == sf.y
 
     def test_left_knot_of_increasing_interval(self):
         # data of f(x) = 1 + x: phi rises over the whole interval, so it has
         # no interior stationary point and its minimum is the left end
         st = state_from([0, 1], [1, 2], [1, 1])
         scan_characteristics(st, [1.0])
-        entry = st.scan[0]
-        assert entry.support.char.kind == LEFT_END
-        assert entry.x_next == entry.support.y_prime
-        assert next_trial_point(st) == entry.support.y_prime
+        sf = st.scan[0]
+        assert sf.char.kind == LEFT_END and sf.x_hat is None
+        assert next_trial_point(st) == sf.y_prime
+
+    def test_stationary_point_beats_an_end_minimum(self):
+        # phi dips to a local minimum inside the interval, above z_left: the
+        # characteristic is the left end, and the trial still goes to x_hat
+        st = state_from([0, 1], [0.68, 1.22], [2.3, 2.1])
+        scan_characteristics(st, [8.0])
+        sf = st.scan[0]
+        assert sf.char.kind == LEFT_END and sf.x_hat is not None
+        assert sf.y_prime < sf.x_hat < sf.y
+        assert next_trial_point(st) == sf.x_hat
 
     def test_leftmost_zero_of_flagged_interval(self):
         st = state_from([0, 3], [1, -8], [-3, -3])
@@ -292,13 +303,13 @@ class TestSplicedState:
                        for p, lam in enumerate(full.lam))
             assert len(state.scan) <= state.k - 1
             assert len(state.R) == len(state.m) == len(state.scan)
-            for p, entry in enumerate(state.scan):
-                if entry is not None:
+            for p, sf in enumerate(state.scan):
+                if sf is not None:
                     lo, hi = state.trials[p], state.trials[p + 1]
-                    d = entry.support.data
+                    d = sf.data
                     assert (d.x_left, d.x_right, d.z_left, d.z_right, d.dz_left, d.dz_right) \
                         == (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz)
-                    assert state.R[p] == entry.support.char.R
+                    assert state.R[p] == sf.char.R
                     assert state.m[p] == d.m
 
     @given(f0=hst.floats(0.05, 4.0),
@@ -602,6 +613,20 @@ class TestGridSearch:
             out = solve(p, cfg).outcome
             assert isinstance(out, NoRootGlobalMin) and out.point == res.outcome.point
 
+    @pytest.mark.parametrize("end", [int, np.float64], ids=["int", "float64"])
+    def test_domain_ends_become_floats(self, end):
+        # every method reports points of the domain, its ends included, as
+        # Python floats, whatever type the ends were given in
+        p = Problem(id="line", name="1.1 - x", a=end(0), b=end(1), f=lambda x: 1.1 - x,
+                    df=lambda x: -1.0)
+        assert type(p.a) is float and type(p.b) is float
+        for res in (solve(p, SolverConfig(method="a1", lipschitz=0.0)),
+                    solve(p, SolverConfig(method="a2")), grid_search(p, 1e-4)):
+            out = res.outcome
+            assert isinstance(out, NoRootGlobalMin) and out.x_best == 1.0
+            assert type(out.x_best) is float and type(out.f_best) is float
+            assert all(type(rec.x) is float and type(rec.b_n) is float for rec in res.trace)
+
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             grid_search(get_problem("t01"), sigma=0.1, cap=0)
@@ -680,7 +705,6 @@ def _record_kwargs():
         IntervalData: data,
         SupportFunction: dict(data=sf.data, y_prime=sf.y_prime, y=sf.y, b=sf.b, c=sf.c),
         Characteristic: dict(h=0.5, R=0.75, kind="interior"),
-        _ScanEntry: dict(support=sf, x_next=0.5),
         Trial: dict(x=0.5, z=1.0, dz=-2.0, birth=3),
         TraceRecord: dict(iter=3, x=0.5, f=1.0, fprime=-2.0, k=4, b_n=1.0),
         CurvatureTable: dict(v=(1.0, 2.0), gaps=(0.5, 0.5), m_global=2.0, lam=(2.0, 2.0),
@@ -729,6 +753,11 @@ class TestConfigValidation:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             SolverConfig(max_trials=1)
+
+    @pytest.mark.parametrize("lipschitz", [-1.0, math.nan, math.inf])
+    def test_bad_lipschitz(self, lipschitz):
+        with pytest.raises(ValueError, match="lipschitz"):
+            SolverConfig(method="a1", lipschitz=lipschitz)
 
     def test_sigma_abs_overrides_fraction(self):
         cfg = SolverConfig(sigma_abs=0.25, sigma_fraction=1e-4)

@@ -11,6 +11,7 @@ from firstroot import (
     IntervalData,
     NoZero,
     OutOfInterval,
+    SupportFunction,
     build_support,
     characteristic,
     eval_support,
@@ -28,7 +29,6 @@ from firstroot.support import (
     _phi,
     _right_root_left_cap,
     _right_root_right_cap,
-    _slope,
 )
 
 from helpers import (
@@ -92,7 +92,6 @@ def assert_kernels_match_numpy(sf):
           d.x_left + 0.3 * d.width, d.x_left + 0.5 * d.width, d.x_left + 0.9 * d.width]
     for x in (_clamped(sf, x) for x in xs):
         assert _phi(sf, x) == eval_support(sf, x)
-        assert _slope(d, sf.y_prime, sf.y, sf.b, x) == eval_support_derivative(sf, x)
     assert interior_stationary_point(sf) == numpy_stationary_point(sf)
     assert characteristic(sf) == numpy_characteristic(sf)
     # the search asks for a zero only where f > 0 at the left end
@@ -232,6 +231,89 @@ class TestCharacteristic:
             sf = build_support(random_interval_data(rng))
             ch = characteristic(sf)
             assert ch.R <= min(sf.data.z_left, sf.data.z_right) + 1e-12 * sf.data.scale()
+
+
+def quadratic_interval(M, p, q, x_left, x_right, m):
+    """Endpoint data of 0.5*M*x**2 + p*x + q on [x_left, x_right] with bound
+    m.  At m = M the minorant's middle piece is the quadratic itself, so the
+    knots y' and y fall on the two ends, up to rounding; a smaller m pushes
+    them outside, which build_support accepts up to its tolerance."""
+    f = lambda x: 0.5 * M * x * x + p * x + q  # noqa: E731
+    df = lambda x: M * x + p  # noqa: E731
+    return IntervalData(x_left=x_left, x_right=x_right, z_left=f(x_left), z_right=f(x_right),
+                        dz_left=df(x_left), dz_right=df(x_right), m=m)
+
+
+def smallest_valid_bound(M, p, q, x_left, x_right):
+    """The smallest float m that build_support accepts for these data, found
+    by bisection below M."""
+    lo, hi = 0.99 * M, M
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        try:
+            build_support(quadratic_interval(M, p, q, x_left, x_right, mid))
+            hi = mid
+        except DegenerateSlope:
+            lo = mid
+
+
+class TestKnotsAtTheEnds:
+    """The stationary point and the characteristic clamp both knots into the
+    interval by comparison and take phi' there from the arm the point falls
+    in; they must agree with the numpy path where the knots round onto the
+    ends or lie just outside them.  The clamps and the arms decide the sign
+    of phi' only where phi' is near zero at a knot, so some cases put the
+    quadratic's vertex -p/M on an end or within the knots' tolerance of it."""
+
+    CASES = {  # M, p, q, x_left, x_right, and the characteristic's kind at m = M
+        "interior": (3.7, -2.1, 5.0, 0.2, 7.0, INTERIOR),
+        "unit": (4.0, -1.0, 1.0, 0.0, 1.0, INTERIOR),
+        "left_end": (0.3, 0.1, 2.0, 0.2, 7.0, LEFT_END),
+        "right_end": (10.0, -30.0, 40.0, 1.0, 2.0, RIGHT_END),
+        "vertex_on_left_end": (1.1, -1.1 * 0.2, 1.0, 0.2, 0.2 + 0.7, LEFT_END),
+        "vertex_an_ulp_left_of_zero": (3.7, -3.7 * -5e-324, 1.0, 0.0, 1.0, LEFT_END),
+        "vertex_within_tol_of_right_end": (0.3, -1.049999998767133, 1.0, 1.0, 3.5, RIGHT_END),
+        "vertex_on_right_end": (7.3, -7.3 * 1.7, 5.0, 1.0, 1.0 + 0.7, RIGHT_END),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_smallest_valid_bound_and_an_ulp_above(self, case):
+        M, p, q, x_left, x_right, kind = self.CASES[case]
+        m_min = smallest_valid_bound(M, p, q, x_left, x_right)
+        assert m_min < M
+        for m in (m_min, math.nextafter(m_min, math.inf), M, math.nextafter(M, math.inf)):
+            sf = build_support(quadratic_interval(M, p, q, x_left, x_right, m))
+            tol = 1e-9 * max(1.0, x_right - x_left, abs(x_left), abs(x_right))
+            assert x_left - tol <= sf.y_prime < x_left + tol
+            assert x_right - tol < sf.y <= x_right + tol
+            assert interior_stationary_point(sf) == numpy_stationary_point(sf)
+            assert characteristic(sf) == numpy_characteristic(sf)
+            assert_kernels_match_numpy(sf)
+            if m == M:
+                assert characteristic(sf).kind == kind
+            if m == m_min:  # both knots outside: both clamps act
+                assert sf.y_prime < x_left and sf.y > x_right
+
+    @pytest.mark.xfail(strict=True, reason="x_hat = -b/m can round below y', where the "
+                       "characteristic still takes phi(x_hat) from the middle piece but "
+                       "eval_support takes the left cap")
+    def test_stationary_point_rounding_below_the_left_knot(self):
+        M = 3.7
+        sf = build_support(quadratic_interval(M, -M * 0.2, 5.0, 0.2, 7.0,
+                                              math.nextafter(M, math.inf)))
+        assert sf.x_hat is not None and sf.x_hat < sf.y_prime
+        assert characteristic(sf) == numpy_characteristic(sf)
+
+    def test_negative_zero_knot_on_a_zero_left_end(self):
+        sf = build_support(quadratic_interval(*self.CASES["unit"][:5], 4.0))
+        assert (sf.data.x_left, sf.y_prime, sf.y) == (0.0, 0.0, 1.0)
+        signed = SupportFunction(sf.data, -0.0, sf.y, sf.b, sf.c)
+        assert math.copysign(1.0, signed.y_prime) == -1.0
+        assert interior_stationary_point(signed) == numpy_stationary_point(signed) == 0.25
+        assert characteristic(signed) == numpy_characteristic(signed) == characteristic(sf)
+        assert_kernels_match_numpy(signed)
 
 
 class TestLeftmostZero:
