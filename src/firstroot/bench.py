@@ -1,21 +1,29 @@
-"""Benchmark harness: run (problem x method) matrices and emit report tables."""
+"""Benchmark harness: run (problem x method) matrices and emit report tables.
+
+`run_method` is the one place that turns a method name and its settings into
+a call of `grid_search` or `solve`: it resolves sigma, builds the SolverConfig
+and, for a1 without a given bound, takes K from `problems.curvature_bound`.
+The matrix runs every cell through it, and so does the `solve` command of the
+command line.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import UnknownProblem
 from .problems import FILTERS, Problem, curvature_bound, get_problem
 from .solver import (
     EstimationParams,
     FirstRootFound,
+    SolveResult,
     SolverConfig,
     grid_search,
     solve,
 )
 
-__all__ = ["BenchConfig", "BenchRow", "run_matrix", "summarize", "emit_report", "parse_config"]
+__all__ = ["BenchConfig", "BenchRow", "run_method", "run_matrix", "summarize", "emit_report",
+           "parse_config"]
 
 CSV_HEADER = "problem,method,trials,outcome,x,f,ref_frl,abs_err"
 
@@ -56,16 +64,31 @@ class BenchRow:
     abs_error: float | None
 
 
-def _run_one(problem: Problem, method: str, config: BenchConfig) -> BenchRow:
-    sigma = config.sigma_fraction * (problem.b - problem.a)
+def run_method(problem: Problem, method: str, sigma_fraction: float, r: float, xi: float,
+               lipschitz: float | None = None,
+               max_trials: int | None = None) -> tuple[SolveResult, float | None]:
+    """Run `method` ("grid", "a1" or "a2") on `problem` with the step
+    sigma = sigma_fraction * (b - a); return the result and the bound K that
+    a1 ran with (None for grid and a2).
+
+    grid ignores r, xi and lipschitz.  a1 takes K from `curvature_bound`
+    when `lipschitz` is None.  `max_trials` caps the trials of every method;
+    None leaves the grid uncapped, so that it covers [a, b], and gives a1 and
+    a2 the budget of SolverConfig.
+    """
     if method == "grid":
-        outcome = grid_search(problem, sigma).outcome
-    else:
-        lipschitz = curvature_bound(problem) if method == "a1" else None
-        cfg = SolverConfig(method=method, lipschitz=lipschitz,
-                           params=EstimationParams(r=config.r, xi=config.xi),
-                           sigma_fraction=config.sigma_fraction)
-        outcome = solve(problem, cfg).outcome
+        return grid_search(problem, sigma_fraction * (problem.b - problem.a), cap=max_trials), None
+    if method == "a1" and lipschitz is None:
+        lipschitz = curvature_bound(problem)
+    config = SolverConfig(method=method, lipschitz=lipschitz,
+                          params=EstimationParams(r=r, xi=xi), sigma_fraction=sigma_fraction,
+                          max_trials=SolverConfig.max_trials if max_trials is None else max_trials)
+    return solve(problem, config), config.lipschitz if method == "a1" else None
+
+
+def _run_one(problem: Problem, method: str, config: BenchConfig) -> BenchRow:
+    result, _ = run_method(problem, method, config.sigma_fraction, config.r, config.xi)
+    outcome = result.outcome
     x = outcome.point
     abs_error = None
     if isinstance(outcome, FirstRootFound) and problem.reference_frl is not None:

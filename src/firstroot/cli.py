@@ -19,18 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .errors import FirstRootError, UnknownProblem
-from .problems import FILTERS, all_ids, curvature_bound, get_problem, registry
+from .errors import FirstRootError
+from .problems import FILTERS, all_ids, get_problem, registry
 from .solver import (
     BudgetExhausted,
-    EstimationParams,
     FirstRootFound,
     NoRootGlobalMin,
     PrecisionExhausted,
     SolveResult,
-    SolverConfig,
-    grid_search,
-    solve,
 )
 
 _EXIT_BY_TAG = {
@@ -92,28 +88,15 @@ def _write_trace(result: SolveResult, path: str) -> None:
 
 def _run_solve(args) -> int:
     problem = get_problem(args.problem)
-    note = None
     if args.lipschitz is not None and args.method != "a1":
         raise _UsageError("--lipschitz only applies to --method a1")
-    if args.method == "grid":
-        sigma = args.sigma_frac * (problem.b - problem.a)
-        result = grid_search(problem, sigma, cap=args.max_trials)
-    else:
-        lipschitz = None
-        if args.method == "a1":
-            lipschitz = args.lipschitz
-            if lipschitz is None:
-                lipschitz = curvature_bound(problem)
-                note = f"lipschitz K (oracle): {lipschitz:.10g}"
-        cfg = SolverConfig(method=args.method, lipschitz=lipschitz,
-                           params=EstimationParams(r=args.r, xi=args.xi),
-                           sigma_fraction=args.sigma_frac, max_trials=args.max_trials)
-        result = solve(problem, cfg)
+    result, lipschitz = bench_mod.run_method(problem, args.method, args.sigma_frac, args.r,
+                                             args.xi, args.lipschitz, args.max_trials)
     outcome = result.outcome
     print(f"problem:  {problem.id}  ({problem.name})")
     print(f"method:   {args.method}")
-    if note:
-        print(note)
+    if lipschitz is not None and args.lipschitz is None:
+        print(f"lipschitz K (oracle): {lipschitz:.10g}")
     print(f"outcome:  {outcome.tag}")
     if isinstance(outcome, FirstRootFound):
         x = outcome.x_sigma
@@ -193,13 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sample":
             return _run_sample(args)
         return _run_list()
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnknownProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FirstRootError, OSError, ValueError) as exc:
+    except (_UsageError, FirstRootError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

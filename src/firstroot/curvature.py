@@ -10,21 +10,19 @@ window), a width-scaled share of the global estimate, and a small floor:
 with r > 1 a reliability multiplier and xi > 0 covering the case of f'
 locally constant (v = 0 there).
 
-`table_from` turns the estimates v and the interval widths into the whole
-table, lambda, gamma and m; `build_curvature_table` computes v and the widths
-from scratch first.  `bounds_from` returns only the bounds m, the same values
-as `table_from(...).m` bit for bit, in a single loop of float comparisons
-instead of the list-per-column passes and three-argument `max` calls that keep
-`table_from` readable.  A search that keeps v and the widths up to date as it
-adds trials calls `bounds_from` at every step after the first; `table_from`
-stays the reference the tests hold it to.
+`bounds_from` is the only place that applies this formula: it turns the
+estimates v and the interval widths into the bounds m in a single loop of
+float comparisons.  `build_curvature_table` computes v and the widths from
+scratch and takes m from `bounds_from`; the adaptive search calls it once, to
+seed v and the widths, and from then on keeps them up to date as it adds
+trials and calls `bounds_from` at every step.  The tests hold `bounds_from` to
+the formula written column by column (`tests/helpers.py`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -34,8 +32,8 @@ from .errors import DegenerateInterval
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trial
 
-__all__ = ["EstimationParams", "CurvatureTable", "interval_curvature", "table_from",
-           "bounds_from", "build_curvature_table"]
+__all__ = ["EstimationParams", "CurvatureTable", "interval_curvature", "bounds_from",
+           "build_curvature_table"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -55,16 +53,14 @@ class EstimationParams:
 
 
 class CurvatureTable(NamedTuple):
-    """Per-interval estimates for the current trial set, as a named tuple.
+    """Per-interval estimates v, widths and bounds m for the current trial
+    set, as a named tuple.
 
     Entry p of each list describes the interval between trials p and p+1.
     """
 
     v: tuple[float, ...]
     gaps: tuple[float, ...]
-    m_global: float
-    lam: tuple[float, ...]
-    gamma: tuple[float, ...]
     m: tuple[float, ...]
 
 
@@ -79,35 +75,18 @@ def interval_curvature(trial_left: "Trial", trial_right: "Trial") -> float:
     return (abs(bracket) + d) / (h * h)
 
 
-def table_from(v: Sequence[float], gaps: Sequence[float],
-               params: EstimationParams) -> CurvatureTable:
-    """Bounds m from the estimates v and the widths `gaps` of the intervals,
-    entry p of each describing the interval between trials p and p+1.
-
-    lambda_p is the largest v over intervals p-1 .. p+1, gamma_p the global
-    estimate max(v) scaled by the width relative to the widest interval.
-    """
-    m_global = max(v)
-    x_max = max(gaps)
-    # Each v with its left and right neighbours; at the two ends the missing
-    # neighbour is the end value itself, which leaves the maximum unchanged.
-    lam = list(map(max, v[:1] + v[:-1], v, v[1:] + v[-1:]))
-    gamma = [m_global * gap / x_max for gap in gaps]
-    m = [params.r * bound for bound in map(max, lam, gamma, repeat(params.xi))]
-    return CurvatureTable(v=tuple(v), gaps=tuple(gaps), m_global=m_global, lam=tuple(lam),
-                          gamma=tuple(gamma), m=tuple(m))
-
-
 def bounds_from(v: Sequence[float], gaps: Sequence[float],
                 params: EstimationParams) -> tuple[float, ...]:
-    """The bounds m of `table_from(v, gaps, params)`, equal to them with `==`,
-    from one pass over the intervals.
+    """The bounds m from the estimates v and the widths `gaps` of the
+    intervals, entry p of each describing the interval between trials p and
+    p+1, in one pass over the intervals.
 
-    lambda_p is found by comparing v_p with its two neighbours, gamma_p is
-    computed as m_global * gap / x_max in that order, and m_p is r times the
-    largest of lambda_p, gamma_p and xi: the same operations on the same
-    values as in `table_from`.  v and gaps are two lists or two tuples of
-    the same length, at least 1.
+    lambda_p is the largest v over intervals p-1 .. p+1, found by comparing
+    v_p with its two neighbours; gamma_p is the global estimate m_global =
+    max(v) scaled by the width relative to the widest interval, computed as
+    m_global * gap / x_max in that order; and m_p is r times the largest of
+    lambda_p, gamma_p and xi.  v and gaps are two lists or two tuples of the
+    same length, at least 1.
     """
     r, xi = params.r, params.xi
     m_global = max(v)
@@ -132,7 +111,7 @@ def bounds_from(v: Sequence[float], gaps: Sequence[float],
 
 
 def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -> CurvatureTable:
-    """Compute v, lambda, gamma and the final bounds m for every interval.
+    """Compute v, the widths and the bounds m for every interval.
 
     trials must be at least two, strictly increasing in x.  Everything is
     computed from scratch: the adaptive search calls this once, on its first
@@ -144,4 +123,4 @@ def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -
         raise ValueError("need at least two trials")
     v = [interval_curvature(trials[p], trials[p + 1]) for p in range(n - 1)]
     gaps = [trials[p + 1].x - trials[p].x for p in range(n - 1)]
-    return table_from(v, gaps, params)
+    return CurvatureTable(v=tuple(v), gaps=tuple(gaps), m=bounds_from(v, gaps, params))

@@ -23,10 +23,17 @@ every list is then cut to the effective intervals.  A slot holds the minorant
 alone: where the next trial goes is worked out once per step, for the chosen
 interval only.  The next scan visits only the empty slots and, for a2, the
 slots whose bound m moved, found by comparing the flat list of m with the new
-bounds: every other slot holds a minorant with R > 0.  The a2 bounds come from
-the spliced v and widths through `curvature.bounds_from`, one pass that gives
-the same values as the formula `build_curvature_table` applies once to seed
-them.  No list ever holds more than k - 1 entries.
+bounds: every other slot holds a minorant with R > 0.  No list ever holds more
+than k - 1 entries.
+
+Each decision has one home.  `SolverConfig` validates the settings, the a1
+bound included, once, when it is built.  `_interval_bounds_m` gives the bounds
+of a step: K under a1, and under a2 the values of `curvature.bounds_from`, the
+only bound formula, which `build_curvature_table` also applies when it seeds v
+and the widths on the first step.  `_select_interval` chooses the interval,
+`_candidate` places the trial in it, and `_advance` stops when that interval
+is no wider than sigma.  Which method runs, with which bound, is resolved by
+`bench.run_method` for the command line and the benchmark alike.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.  It keeps the trace as the
@@ -71,10 +78,7 @@ __all__ = [
     "TraceRecord",
     "SolveResult",
     "initialize",
-    "effective_points",
     "scan_characteristics",
-    "next_trial_point",
-    "stop_check",
     "step",
     "solve",
     "grid_search",
@@ -123,9 +127,11 @@ class SolverConfig:
             raise ValueError("sigma_fraction must be positive")
         if self.max_trials < 2:
             raise ValueError("max_trials must be at least 2")
-        if (self.method == "a1" and self.lipschitz is not None
-                and not 0.0 <= self.lipschitz < math.inf):
-            raise ValueError(f"lipschitz bound must be finite and >= 0, got {self.lipschitz}")
+        if self.method == "a1":
+            if self.lipschitz is None:
+                raise ValueError("a1 requires a lipschitz bound (config.lipschitz)")
+            if not 0.0 <= self.lipschitz < math.inf:
+                raise ValueError(f"lipschitz bound must be finite and >= 0, got {self.lipschitz}")
 
     def resolve_sigma(self, a: float, b: float) -> float:
         return self.sigma_abs if self.sigma_abs is not None else self.sigma_fraction * (b - a)
@@ -294,34 +300,19 @@ def initialize(problem: Problem, config: SolverConfig) -> SearchState:
     """Evaluate the two endpoint trials and set up the state.
 
     Raises BadInitialCondition when f(a) <= 0: the search presumes a strictly
-    positive left margin.
+    positive left margin.  With f(a) > 0 both trials are effective, whatever
+    the sign of f(b), so k = 2 and the right margin b_n is b.
     """
     a, b = problem.a, problem.b
     left = _evaluate(problem, a, 0)
     if left.z <= 0.0:
         raise BadInitialCondition(f"f({a}) = {left.z} must be > 0")
     right = _evaluate(problem, b, 1)
-    state = SearchState(trials=[left, right], sigma=config.resolve_sigma(a, b))
-    state.k, state.b_n = effective_points(state)
-    return state
-
-
-def effective_points(state: SearchState) -> tuple[int, float]:
-    """Count k of trials up to and including the first negative value (all of
-    them when none is negative), and the moving right margin b_n = x_k."""
-    trials = state.trials
-    k = len(trials)
-    for i in range(1, len(trials)):
-        if trials[i].z < 0.0:
-            k = i + 1
-            break
-    return k, trials[k - 1].x
+    return SearchState(trials=[left, right], sigma=config.resolve_sigma(a, b), k=2, b_n=b)
 
 
 def _interval_bounds_m(state: SearchState, config: SolverConfig) -> Sequence[float]:
     if config.method == "a1":
-        if config.lipschitz is None:
-            raise ValueError("a1 requires a lipschitz bound (config.lipschitz)")
         m = config.lipschitz if config.lipschitz > 0.0 else _MIN_CURVATURE
         return [m] * (state.k - 1)
     if not state.v:  # the first a2 step seeds v and the widths; `_insert` splices them
@@ -376,19 +367,10 @@ def _select_interval(state: SearchState) -> int:
     return R.index(min(R))  # the leftmost of equal minima
 
 
-def next_trial_point(state: SearchState) -> float:
-    """Candidate abscissa for the next trial.
-
-    With a non-positive characteristic present this is the leftmost zero of
-    that interval's minorant; otherwise the knot or stationary point of the
-    interval with minimal characteristic (ties to the leftmost interval).
-    """
-    return _candidate(state, _select_interval(state))
-
-
 def _candidate(state: SearchState, p: int) -> float:
-    # Unflagged, the trial goes to the interior stationary point if there is
-    # one, else to the knot y at a right-end minimum, else to the knot y'.
+    # The next trial in interval p, the one `_select_interval` chose: the
+    # leftmost zero of its minorant when flagged, else the interior stationary
+    # point if there is one, else the knot y at a right-end minimum, else y'.
     # Both accessors are called every time, since perfbench/layers.py reports
     # per-call times from their call counts.
     sf = state.scan[p]
@@ -399,13 +381,6 @@ def _candidate(state: SearchState, p: int) -> float:
     if x_hat is not None:
         return x_hat
     return sf.y if kind == RIGHT_END else sf.y_prime
-
-
-def stop_check(state: SearchState, chosen_interval: int, sigma: float) -> bool:
-    """True when the selected interval is narrower than the accuracy sigma;
-    evaluated before the candidate trial is spent."""
-    lo, hi = state.interval_bounds(chosen_interval)
-    return hi - lo <= sigma
 
 
 def _clamp_candidate(state: SearchState, p: int, x: float) -> float:
@@ -455,7 +430,8 @@ def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outc
     bounds = _interval_bounds_m(state, config)
     scan_characteristics(state, bounds)
     chosen = _select_interval(state)
-    if stop_check(state, chosen, state.sigma):
+    lo, hi = state.interval_bounds(chosen)
+    if hi - lo <= state.sigma:
         return _finish(state, _at_floor(bounds[chosen], config))
     if len(state.trials) >= config.max_trials:
         if state.trials[state.k - 1].z < 0.0:
@@ -537,8 +513,9 @@ _GRID_CHUNK = 4096
 
 
 def _grid_cap(a: float, b: float, sigma: float) -> int:
+    # at least one step: for a sigma of about 1e9*(b - a) or more, that step is b
     q = (b - a) / sigma
-    return int(math.ceil(q - 1e-9 * max(1.0, q)))
+    return max(1, int(math.ceil(q - 1e-9 * max(1.0, q))))
 
 
 class _GridTrace(Sequence[TraceRecord]):
@@ -602,9 +579,12 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     observed point: as the global minimizer (NoRootGlobalMin) when the scan
     covered the whole interval, else as BudgetExhausted, since f was never
     looked at beyond the last mesh point.  `cap` defaults to, and is clamped
-    to, the number of steps that covers the interval.  Evaluations are
-    performed in vectorized chunks of _GRID_CHUNK points (`on_mesh`, so an f
-    or f' that returns a scalar is broadcast).
+    to, the number of steps that covers the interval, which is at least one:
+    a sigma wider than the interval takes a single step, to b.  Evaluations
+    are performed in vectorized chunks of _GRID_CHUNK points (`on_mesh`, so an
+    f or f' that returns a scalar is broadcast).  Like `solve`, the scan raises
+    NonFinite when f or f' is not finite at a mesh point it evaluated, up to
+    and including the one it stops at.
 
     The trace keeps the evaluated x, f and f' arrays and builds its records,
     one per step with k = iter and b_n = x, the first time it is read: a
@@ -627,11 +607,18 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
         fs = on_mesh(problem.f, xs)
         dfs = on_mesh(problem.df, xs)
         stops = np.flatnonzero((fs < 0.0) | (fs <= -0.5 * sigma * dfs))
+        n = int(stops[0]) + 1 if len(stops) else len(xs)
+        if not (np.isfinite(fs[:n]).all() and np.isfinite(dfs[:n]).all()):
+            bad = int(np.flatnonzero(~(np.isfinite(fs[:n]) & np.isfinite(dfs[:n])))[0])
+            raise NonFinite(f"non-finite evaluation at x={float(xs[bad])}: "
+                            f"f={float(fs[bad])}, f'={float(dfs[bad])}")
         if len(stops):
-            n = int(stops[0]) + 1
             chunks.append((xs[:n], fs[:n], dfs[:n]))
             j_stop = j + n - 1
-            x_sigma = a + (j_stop - 1) * sigma if fs[n - 1] < 0.0 else float(xs[n - 1])
+            if fs[n - 1] >= 0.0:
+                x_sigma = float(xs[n - 1])
+            else:  # the mesh point before the stop; a itself before step 1
+                x_sigma = a + (j_stop - 1) * sigma if j_stop > 1 else a
             return SolveResult(outcome=FirstRootFound(trials_used=j_stop, x_sigma=x_sigma),
                                trace=_GridTrace(chunks))
         chunks.append((xs, fs, dfs))

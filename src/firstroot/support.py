@@ -84,12 +84,6 @@ class IntervalData(_IntervalFields):
     def width(self) -> float:
         return self.x_right - self.x_left
 
-    def scale(self) -> float:
-        """Magnitude scale used for relative tolerances on this interval."""
-        w = self.width
-        return max(1.0, abs(self.z_left), abs(self.z_right),
-                   abs(self.dz_left) * w, abs(self.dz_right) * w)
-
 
 class Characteristic(NamedTuple):
     """Minimum of the support function over its interval.

@@ -1,6 +1,10 @@
-"""Shared generators and property checks used by the unit and acceptance tests."""
+"""Shared generators, reference formulas and property checks used by the unit
+and acceptance tests."""
 
 from __future__ import annotations
+
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,6 +16,56 @@ from firstroot import (
     build_support,
     registry,
 )
+
+
+def effective_points(trials) -> tuple[int, float]:
+    """Count k of trials up to and including the first negative value (all of
+    them when none is negative), and the right margin b_n = x_k: the effective
+    set that the solver keeps in state.k and state.b_n."""
+    k = len(trials)
+    for i in range(1, len(trials)):
+        if trials[i].z < 0.0:
+            k = i + 1
+            break
+    return k, trials[k - 1].x
+
+
+class ReferenceTable(NamedTuple):
+    """Every column of the adaptive bound formula: entry p of each list
+    describes the interval between trials p and p+1."""
+
+    v: tuple[float, ...]
+    gaps: tuple[float, ...]
+    m_global: float
+    lam: tuple[float, ...]
+    gamma: tuple[float, ...]
+    m: tuple[float, ...]
+
+
+def table_from(v, gaps, params) -> ReferenceTable:
+    """The adaptive bounds m_p = r * max(lambda_p, gamma_p, xi), written
+    column by column: the reference that `curvature.bounds_from` must equal
+    with `==`.
+
+    lambda_p is the largest v over intervals p-1 .. p+1, gamma_p the global
+    estimate max(v) scaled by the width relative to the widest interval.
+    """
+    m_global = max(v)
+    x_max = max(gaps)
+    # Each v with its left and right neighbours; at the two ends the missing
+    # neighbour is the end value itself, which leaves the maximum unchanged.
+    lam = list(map(max, v[:1] + v[:-1], v, v[1:] + v[-1:]))
+    gamma = [m_global * gap / x_max for gap in gaps]
+    m = [params.r * bound for bound in map(max, lam, gamma, repeat(params.xi))]
+    return ReferenceTable(v=tuple(v), gaps=tuple(gaps), m_global=m_global, lam=tuple(lam),
+                          gamma=tuple(gamma), m=tuple(m))
+
+
+def data_scale(data) -> float:
+    """Magnitude scale of an IntervalData, for relative tolerances on it."""
+    w = data.width
+    return max(1.0, abs(data.z_left), abs(data.z_right),
+               abs(data.dz_left) * w, abs(data.dz_right) * w)
 
 
 def piece_values(sf, x):
@@ -83,7 +137,7 @@ def trials_from_problem(problem, xs) -> list[Trial]:
 
 def check_endpoint_interpolation(sf, rel_tol=1e-12):
     d = sf.data
-    scale = d.scale()
+    scale = data_scale(d)
     p1l, _, _ = piece_values(sf, d.x_left)
     _, _, p3r = piece_values(sf, d.x_right)
     s1l, _, _ = piece_slopes(sf, d.x_left)
@@ -95,7 +149,7 @@ def check_endpoint_interpolation(sf, rel_tol=1e-12):
 
 def check_c1_gluing(sf, rel_tol=1e-9):
     d = sf.data
-    scale = d.scale()
+    scale = data_scale(d)
     worst = 0.0
     for knot, pair in ((sf.y_prime, (0, 1)), (sf.y, (1, 2))):
         vals = piece_values(sf, knot)

@@ -28,13 +28,16 @@ from firstroot import (
     registry,
     solve,
 )
-from firstroot.solver import effective_points, initialize, step
+from firstroot.solver import initialize, step
 
 from helpers import (
     check_c1_gluing,
     check_endpoint_interpolation,
+    data_scale,
+    effective_points,
     eq22_supports,
     random_interval_data,
+    table_from,
 )
 
 A, B = 0.2, 7.0
@@ -255,8 +258,8 @@ def test_support_lower_bound_on_testbed():
                 dz_left=float(problem.df(lo)), dz_right=float(problem.df(hi)), m=m))
             pts = np.linspace(lo, hi, 1000)
             gap = np.asarray(problem.f(pts), float) - eval_support(sf, pts)
-            worst = min(worst, float(gap.min() / sf.data.scale()))
-            assert gap.min() >= -1e-9 * sf.data.scale(), (problem.id, lo, hi)
+            worst = min(worst, float(gap.min() / data_scale(sf.data)))
+            assert gap.min() >= -1e-9 * data_scale(sf.data), (problem.id, lo, hi)
     report("support lower bound on all test functions", True,
            f"worst signed gap {worst:.2e} (tol -1e-9)")
 
@@ -279,10 +282,12 @@ def test_curvature_bounds_hold_during_every_solve():
         cfg = SolverConfig(method="a2", params=params)
         state = initialize(problem, cfg)
         while True:
-            k, _ = effective_points(state)
+            k, _ = effective_points(state.trials)
             table = build_curvature_table(state.trials[:k], params)
+            ref = table_from(table.v, table.gaps, params)
+            assert table.m == ref.m
             lo = params.r * params.xi
-            hi = params.r * max(params.xi, table.m_global)
+            hi = params.r * max(params.xi, ref.m_global)
             for m in table.m:
                 assert lo - 1e-18 <= m <= hi * (1 + 1e-12), (problem.id, m, lo, hi)
                 checked += 1

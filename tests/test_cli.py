@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from firstroot import get_problem, grid_search
+from firstroot.bench import BenchConfig, run_matrix
 from firstroot.cli import main
 
 
@@ -85,6 +86,29 @@ class TestSolve:
         lines = trace.read_text().splitlines()
         assert len(lines) == len(records) == 4135
         assert lines == [json.dumps(rec.as_dict()) for rec in records]
+
+    def test_grid_with_a_sigma_wider_than_the_interval(self, capsys):
+        code, out, _ = run(capsys, "solve", "--problem", "t01", "--method", "grid",
+                           "--sigma-frac", "1e10")
+        assert code == 0
+        assert re.search(r"trials:\s+1$", out, re.MULTILINE)
+        assert re.search(r"x_sigma:\s+0.2$", out, re.MULTILINE)
+
+    @pytest.mark.parametrize("method", ["grid", "a1", "a2"])
+    def test_same_run_as_the_bench(self, capsys, method):
+        # the command line and the bench matrix resolve a method the same way
+        row, = run_matrix(BenchConfig(problem_ids=("t05",), methods=(method,)))
+        code, out, _ = run(capsys, "solve", "--problem", "t05", "--method", method)
+        assert code == 0
+        assert re.search(rf"outcome:\s+{row.outcome_tag}$", out, re.MULTILINE)
+        assert re.search(rf"x_sigma:\s+{re.escape(f'{row.x_result:.10g}')}$", out, re.MULTILINE)
+        assert re.search(rf"trials:\s+{row.trials_used}$", out, re.MULTILINE)
+
+    def test_trace_in_a_missing_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", "--problem", "t05", "--trace",
+                           str(tmp_path / "missing" / "trace.jsonl"))
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_grid_obeys_max_trials(self, capsys):
         # t01's first root, at 3.01, lies far beyond 100 sigma steps from 0.2
@@ -176,6 +200,11 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--config", str(cfg))
         assert code == 0
         assert out_file.read_text().startswith("| problem |")
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bench", "--config", str(tmp_path / "missing.cfg"))
+        assert code == 1
+        assert out == "" and err.startswith("error:")
 
 
 class TestUsage:

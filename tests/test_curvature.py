@@ -13,7 +13,9 @@ from firstroot import (
     interval_curvature,
     registry,
 )
-from firstroot.curvature import bounds_from, table_from
+from firstroot.curvature import bounds_from
+
+from helpers import table_from
 
 
 def trial(x, z, dz, birth=0):
@@ -44,14 +46,27 @@ class TestIntervalCurvature:
             interval_curvature(trial(1.0, 0, 0), trial(1.0 + 1e-16, 0, 0))
 
 
+def reference(table, params):
+    """The columns of the bound formula for the v and widths of `table`,
+    whose bounds m must equal the reference's."""
+    ref = table_from(table.v, table.gaps, params)
+    assert table.m == ref.m
+    return ref
+
+
 class TestCurvatureTable:
+    """`build_curvature_table` against the hand-computed values, with
+    lambda, gamma and the global estimate read from the reference formula
+    `helpers.table_from`, whose m the table must equal."""
+
     def test_single_interval(self):
         params = EstimationParams(r=1.2, xi=1e-6)
         ts = [trial(0, 0, 0), trial(1, 0.5, 1)]
         table = build_curvature_table(ts, params)
+        ref = reference(table, params)
         assert table.v == (pytest.approx(1.0),)
-        assert table.lam == table.v
-        assert table.gamma == (pytest.approx(1.0),)
+        assert ref.lam == table.v
+        assert ref.gamma == (pytest.approx(1.0),)
         assert table.m == (pytest.approx(1.2),)
 
     def test_linear_trials_hit_the_floor(self):
@@ -60,7 +75,7 @@ class TestCurvatureTable:
         ts = [trial(0, 0, 1), trial(0.5, 0.5, 1), trial(1.0, 1.0, 1)]
         table = build_curvature_table(ts, params)
         assert table.v == (0.0, 0.0)
-        assert table.m_global == 0.0
+        assert reference(table, params).m_global == 0.0
         assert table.m == (pytest.approx(1.2e-6), pytest.approx(1.2e-6))
 
     def test_floor_always_respected(self):
@@ -83,7 +98,7 @@ class TestCurvatureTable:
             ts = [trial(float(x), float(rng.normal()), float(rng.normal()), i)
                   for i, x in enumerate(xs)]
             table = build_curvature_table(ts, params)
-            cap = params.r * max(params.xi, table.m_global)
+            cap = params.r * max(params.xi, reference(table, params).m_global)
             for m in table.m:
                 assert m <= cap * (1 + 1e-12)
 
@@ -92,11 +107,11 @@ class TestCurvatureTable:
         params = EstimationParams()
         xs = np.linspace(0.0, 7.0, 9)
         base = [trial(float(x), math.sin(x), math.cos(x), i) for i, x in enumerate(xs)]
-        before = build_curvature_table(base, params)
+        before = reference(build_curvature_table(base, params), params)
         j = 4
         bumped = list(base)
         bumped[j] = trial(base[j].x, base[j].z + 0.5, base[j].dz - 0.3, j)
-        after = build_curvature_table(bumped, params)
+        after = reference(build_curvature_table(bumped, params), params)
         for p in range(len(before.lam)):
             touched = j - 2 <= p <= j + 1
             if not touched:
@@ -126,7 +141,7 @@ class TestCurvatureTable:
                 xs = np.linspace(problem.a, problem.b, n)
                 ts = [trial(float(x), float(problem.f(x)), float(problem.df(x)), i)
                       for i, x in enumerate(xs)]
-                caps.append(build_curvature_table(ts, params).m_global)
+                caps.append(reference(build_curvature_table(ts, params), params).m_global)
             assert caps[2] <= 1.5 * caps[0] + 1.0, (problem.id, caps)
 
     def test_requires_two_trials(self):
@@ -154,8 +169,8 @@ def curvature_columns(draw):
 
 
 class TestBoundsFrom:
-    """`bounds_from` is `table_from(...).m` computed in one pass: equal with
-    `==`, for lists and for tuples."""
+    """`bounds_from` is the reference `helpers.table_from(...).m` computed in
+    one pass: equal with `==`, for lists and for tuples."""
 
     # name -> (v, gaps, xi, the term of max(lambda, gamma, xi) that must exceed
     # the other two on some interval; None where lambda and gamma tie)

@@ -31,24 +31,24 @@ from firstroot import (
     grid_search,
     solve,
 )
-from firstroot.solver import (
-    TraceRecord,
-    effective_points,
-    initialize,
-    next_trial_point,
-    scan_characteristics,
-    step,
-    stop_check,
-)
+from firstroot.errors import NonFinite
+from firstroot.solver import TraceRecord, initialize, scan_characteristics, step
 from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
+
+from helpers import effective_points, table_from
 
 
 def state_from(xs, zs, dzs, sigma=1e-4):
     trials = [Trial(x=float(x), z=float(z), dz=float(d), birth=i)
               for i, (x, z, d) in enumerate(zip(xs, zs, dzs))]
-    st = SearchState(trials=trials, sigma=sigma)
-    st.k, st.b_n = effective_points(st)
-    return st
+    k, b_n = effective_points(trials)
+    return SearchState(trials=trials, sigma=sigma, k=k, b_n=b_n)
+
+
+def next_trial_point(st):
+    """Where the solver places the next trial: the candidate in the interval
+    it selects."""
+    return solver_module._candidate(st, solver_module._select_interval(st))
 
 
 def cosines_problem(f0, amps, freqs, phases, drift, length):
@@ -81,6 +81,9 @@ def linear_problem(slope=-1.0, offset=0.5, a=0.0, b=1.0, pid="lin"):
 
 
 class TestEffectivePoints:
+    """The reference count k and margin b_n of `helpers.effective_points`,
+    which TestSplicedState holds the solver's state.k and state.b_n to."""
+
     def test_first_negative_cuts_the_set(self):
         st = state_from([0, 1, 2, 3], [3, 1, -2, 5], [0, 0, 0, 0])
         assert (st.k, st.b_n) == (3, 2.0)
@@ -293,14 +296,16 @@ class TestSplicedState:
             if outcome is not None:
                 return shrinks
             shrinks += state.k < k
+            assert (state.k, state.b_n) == effective_points(state.trials)
             assert len(measured) <= 2
             assert all(x <= state.b_n for x in measured)
             full = build_curvature_table(state.trials[:state.k], cfg.params)
+            ref = table_from(full.v, full.gaps, cfg.params)
             assert state.v == list(full.v)
             assert state.gaps == list(full.gaps)
-            assert solver_module._interval_bounds_m(state, cfg) == full.m
+            assert solver_module._interval_bounds_m(state, cfg) == full.m == ref.m
             assert all(lam == max(full.v[max(0, p - 1):p + 2])
-                       for p, lam in enumerate(full.lam))
+                       for p, lam in enumerate(ref.lam))
             assert len(state.scan) <= state.k - 1
             assert len(state.R) == len(state.m) == len(state.scan)
             for p, sf in enumerate(state.scan):
@@ -357,12 +362,17 @@ class TestLayerNames:
 
 class TestStopCheck:
     def test_threshold(self):
-        st = state_from([0.0, 6.7e-4], [1, 1], [0, 0])
-        assert stop_check(st, 0, 6.8e-4)
-        st = state_from([0.0, 2 * 6.8e-4], [1, 1], [0, 0])
-        assert not stop_check(st, 0, 6.8e-4)
-        st = state_from([0.0, 6.8e-4], [1, 1], [0, 0])
-        assert stop_check(st, 0, 6.8e-4)
+        # a step stops, without spending a trial, when the selected interval
+        # is no wider than sigma, and otherwise adds a trial inside it
+        one = Problem(id="one", name="f = 1", a=0.0, b=1.0,
+                      f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                      df=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        cfg = SolverConfig(method="a1", lipschitz=1.0)
+        for width, stops in ((6.7e-4, True), (2 * 6.8e-4, False), (6.8e-4, True)):
+            st = state_from([0.0, width], [1, 1], [0, 0], sigma=6.8e-4)
+            outcome = step(st, one, cfg)
+            assert (outcome is not None) == stops, width
+            assert len(st.trials) == (2 if stops else 3), width
 
 
 class TestSolveOutcomes:
@@ -631,6 +641,48 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(get_problem("t01"), sigma=0.1, cap=0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, 1e10 * 6.8])
+    def test_sigma_wider_than_the_interval_takes_one_step_to_b(self, sigma):
+        # f(7) < 0 on t01: the single step lands on b and the sigma-root is a,
+        # as a1 and a2 report it at sigma_abs = inf
+        res = grid_search(get_problem("t01"), sigma)
+        assert res.outcome == FirstRootFound(trials_used=1, x_sigma=0.2)
+        assert [rec.x for rec in res.trace] == [7.0]
+        for cfg in (SolverConfig(method="a1", lipschitz=1e3, sigma_abs=math.inf),
+                    SolverConfig(method="a2", sigma_abs=math.inf)):
+            out = solve(get_problem("t01"), cfg).outcome
+            assert out == FirstRootFound(trials_used=2, x_sigma=0.2)
+
+    def test_non_finite_value_raises(self):
+        # NaN within 1e-3 of 0.5; the minimum, 1.4 at 0.6, lies in the first
+        # 4096-point chunk, which holds the NaN too
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            y = np.where(x < 0.6, 2.0 - x, x + 0.8)
+            return np.where(np.abs(x - 0.5) < 1e-3, np.nan, y)
+
+        p = Problem(id="nan", name="NaN near 0.5", a=0.0, b=1.0, f=f,
+                    df=lambda x: np.where(np.asarray(x, dtype=float) < 0.6, -1.0, 1.0))
+        with pytest.raises(NonFinite, match="f=nan"):
+            grid_search(p, 1e-4)
+        with pytest.raises(NonFinite):
+            solve(p, SolverConfig(method="a2"))
+
+    @pytest.mark.parametrize("bad, raises", [(0.25, True), (0.5, True), (0.75, False)],
+                             ids=["before-the-stop", "at-the-stop", "past-the-stop"])
+    def test_non_finite_derivative_up_to_the_stop(self, bad, raises):
+        # f steps from 1 to -1 at 0.5, so the scan with sigma = 0.05 stops at
+        # step 10, x = 0.5; f' is infinite at the one mesh point `bad`
+        p = Problem(id="step", name="step down at 0.5", a=0.0, b=1.0,
+                    f=lambda x: np.where(np.asarray(x, dtype=float) < 0.5, 1.0, -1.0),
+                    df=lambda x: np.where(np.asarray(x, dtype=float) == bad, np.inf, 0.0))
+        if raises:
+            with pytest.raises(NonFinite, match=f"x={bad}: f=.*, f'=inf"):
+                grid_search(p, 0.05)
+        else:
+            assert grid_search(p, 0.05).outcome == FirstRootFound(trials_used=10,
+                                                                 x_sigma=0.45)
+
     def test_immediate_sign_change(self):
         res = grid_search(linear_problem(), sigma=0.6)
         assert isinstance(res.outcome, FirstRootFound)
@@ -707,8 +759,7 @@ def _record_kwargs():
         Characteristic: dict(h=0.5, R=0.75, kind="interior"),
         Trial: dict(x=0.5, z=1.0, dz=-2.0, birth=3),
         TraceRecord: dict(iter=3, x=0.5, f=1.0, fprime=-2.0, k=4, b_n=1.0),
-        CurvatureTable: dict(v=(1.0, 2.0), gaps=(0.5, 0.5), m_global=2.0, lam=(2.0, 2.0),
-                             gamma=(2.0, 2.0), m=(2.4, 2.4)),
+        CurvatureTable: dict(v=(1.0, 2.0), gaps=(0.5, 0.5), m=(2.4, 2.4)),
     }
 
 
@@ -754,7 +805,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(max_trials=1)
 
-    @pytest.mark.parametrize("lipschitz", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("lipschitz", [None, -1.0, math.nan, math.inf])
     def test_bad_lipschitz(self, lipschitz):
         with pytest.raises(ValueError, match="lipschitz"):
             SolverConfig(method="a1", lipschitz=lipschitz)

@@ -34,6 +34,7 @@ from firstroot.support import (
 from helpers import (
     check_c1_gluing,
     check_endpoint_interpolation,
+    data_scale,
     eq22_supports,
     piece_values,
     random_interval_data,
@@ -230,7 +231,7 @@ class TestCharacteristic:
         for _ in range(500):
             sf = build_support(random_interval_data(rng))
             ch = characteristic(sf)
-            assert ch.R <= min(sf.data.z_left, sf.data.z_right) + 1e-12 * sf.data.scale()
+            assert ch.R <= min(sf.data.z_left, sf.data.z_right) + 1e-12 * data_scale(sf.data)
 
 
 def quadratic_interval(M, p, q, x_left, x_right, m):
@@ -403,7 +404,7 @@ class TestModuleProperties:
                 sf = build_support(data)
                 xs = np.linspace(data.x_left, data.x_right, 1000)
                 gap = np.asarray(problem.f(xs), float) - eval_support(sf, xs)
-                assert gap.min() >= -1e-9 * data.scale(), (problem.id, gap.min())
+                assert gap.min() >= -1e-9 * data_scale(data), (problem.id, gap.min())
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(41)
@@ -420,7 +421,7 @@ class TestModuleProperties:
                     continue
                 fd = (eval_support(sf, x + h) - eval_support(sf, x - h)) / (2 * h)
                 slope = eval_support_derivative(sf, x)
-                assert fd == pytest.approx(slope, rel=1e-6, abs=1e-6 * data.scale() / w)
+                assert fd == pytest.approx(slope, rel=1e-6, abs=1e-6 * data_scale(data) / w)
 
 
 @given(
@@ -452,5 +453,5 @@ def test_invariants_hypothesis(x_left, width, coeffs, wave, headroom):
     ok, err = check_c1_gluing(sf)
     assert ok, err
     ch = characteristic(sf)
-    assert ch.R <= min(sf.data.z_left, sf.data.z_right) + 1e-9 * sf.data.scale()
+    assert ch.R <= min(sf.data.z_left, sf.data.z_right) + 1e-9 * data_scale(sf.data)
     assert_kernels_match_numpy(sf)
