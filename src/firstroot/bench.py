@@ -5,11 +5,16 @@ a call of `grid_search` or `solve`: it resolves sigma, builds the SolverConfig
 and, for a1 without a given bound, takes K from `problems.curvature_bound`.
 The matrix runs every cell through it, and so does the `solve` command of the
 command line.
+
+SolverConfig and EstimationParams are the one home of the default and the
+check of sigma_fraction, r, xi, the trial budget and the default method, and
+`METHODS` names the methods.  BenchConfig reads its defaults there and checks
+its values by building a SolverConfig from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .problems import FILTERS, Problem, curvature_bound, get_problem
@@ -22,21 +27,20 @@ from .solver import (
     solve,
 )
 
-__all__ = ["BenchConfig", "BenchRow", "run_method", "run_matrix", "summarize", "emit_report",
-           "parse_config"]
+__all__ = ["METHODS", "BenchConfig", "BenchRow", "run_method", "run_matrix", "summarize",
+           "emit_report"]
 
+METHODS = ("grid", "a1", "a2")
 CSV_HEADER = "problem,method,trials,outcome,x,f,ref_frl,abs_err"
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     problem_ids: tuple[str, ...]
-    methods: tuple[str, ...] = ("grid", "a1", "a2")
-    sigma_fraction: float = 1e-4
-    r: float = 1.2
-    xi: float = 1e-6
-    output_path: str = "bench_report.csv"
-    format: str = "csv"
+    methods: tuple[str, ...] = METHODS
+    sigma_fraction: float = SolverConfig.sigma_fraction
+    r: float = EstimationParams().r
+    xi: float = EstimationParams().xi
 
     def __post_init__(self) -> None:
         if not self.problem_ids:
@@ -44,12 +48,10 @@ class BenchConfig:
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:
-            if m not in ("grid", "a1", "a2"):
+            if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if not self.sigma_fraction > 0.0:
-            raise ValueError("sigma_fraction must be positive")
-        if self.format not in ("csv", "markdown"):
-            raise ValueError(f"unknown format {self.format!r}")
+        SolverConfig(sigma_fraction=self.sigma_fraction,
+                     params=EstimationParams(r=self.r, xi=self.xi))
 
 
 @dataclass(frozen=True)
@@ -160,29 +162,3 @@ def emit_report(rows: list[BenchRow], summary: dict[str, float],
     path.write_text("\n".join(lines) + "\n")
     return path
 
-
-def parse_config(path: str | Path) -> BenchConfig:
-    """Read a flat key = value file mirroring the BenchConfig fields."""
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    kwargs: dict = {}
-    if "problem_ids" in values:
-        kwargs["problem_ids"] = tuple(v.strip() for v in values["problem_ids"].split(",") if v.strip())
-    else:
-        raise ValueError("config must set problem_ids")
-    if "methods" in values:
-        kwargs["methods"] = tuple(v.strip() for v in values["methods"].split(",") if v.strip())
-    for key in ("sigma_fraction", "r", "xi"):
-        if key in values:
-            kwargs[key] = float(values[key])
-    for key in ("output_path", "format"):
-        if key in values:
-            kwargs[key] = values[key]
-    return BenchConfig(**kwargs)

@@ -7,6 +7,10 @@ Exit codes: 0 for a sigma-root (a sign change, or a zero that f may reach
 within sigma) or a certified no-root minimum, 1 for usage errors, 2 when a
 candidate interval no wider than sigma is flagged only by the curvature floor,
 3 when the trial budget ran out.
+
+`solve` and `bench` share --sigma-frac, --r and --xi.  Every default and check
+of a setting comes from SolverConfig and EstimationParams, and the method names
+from `bench.METHODS`.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from .errors import FirstRootError
 from .problems import FILTERS, all_ids, get_problem, registry
 from .solver import (
     BudgetExhausted,
+    EstimationParams,
     FirstRootFound,
     NoRootGlobalMin,
     PrecisionExhausted,
     SolveResult,
+    SolverConfig,
 )
 
 _EXIT_BY_TAG = {
@@ -50,24 +56,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="firstroot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run one method on one problem")
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--sigma-frac", type=float, default=SolverConfig.sigma_fraction,
+                          help="sigma as a share of b - a (default: %(default)s)")
+    settings.add_argument("--r", type=float, default=EstimationParams().r,
+                          help="a2's reliability multiplier (default: %(default)s)")
+    settings.add_argument("--xi", type=float, default=EstimationParams().xi,
+                          help="a2's curvature floor (default: %(default)s)")
+
+    p_solve = sub.add_parser("solve", parents=[settings], help="run one method on one problem")
     p_solve.add_argument("--problem", required=True, help="problem id (see `firstroot list`)")
-    p_solve.add_argument("--method", choices=("a1", "a2", "grid"), default="a2")
-    p_solve.add_argument("--sigma-frac", type=float, default=1e-4)
-    p_solve.add_argument("--r", type=float, default=1.2)
-    p_solve.add_argument("--xi", type=float, default=1e-6)
+    p_solve.add_argument("--method", choices=bench_mod.METHODS, default=SolverConfig.method)
     p_solve.add_argument("--lipschitz", type=float, default=None,
                          help="curvature bound for a1 (default: dense-grid estimate)")
-    p_solve.add_argument("--max-trials", type=int, default=10_000)
+    p_solve.add_argument("--max-trials", type=int, default=None,
+                         help="trial cap (default: the grid covers [a, b]; a1 and a2 get "
+                              f"{SolverConfig.max_trials})")
     p_solve.add_argument("--trace", default=None, help="write a JSONL trace here")
 
-    p_bench = sub.add_parser("bench", help="run the comparison matrix")
-    p_bench.add_argument("--config", default=None, help="flat key=value config file")
+    p_bench = sub.add_parser("bench", parents=[settings], help="run the comparison matrix")
     p_bench.add_argument("--problems", default=None, help="comma-separated ids (default: all)")
-    p_bench.add_argument("--methods", default="grid,a1,a2")
-    p_bench.add_argument("--sigma-frac", type=float, default=1e-4)
-    p_bench.add_argument("--r", type=float, default=1.2)
-    p_bench.add_argument("--xi", type=float, default=1e-6)
+    p_bench.add_argument("--methods", default=",".join(bench_mod.METHODS))
     p_bench.add_argument("--output", default="bench_report.csv")
     p_bench.add_argument("--format", choices=("csv", "markdown"), default="csv")
 
@@ -90,6 +99,8 @@ def _run_solve(args) -> int:
     problem = get_problem(args.problem)
     if args.lipschitz is not None and args.method != "a1":
         raise _UsageError("--lipschitz only applies to --method a1")
+    if args.trace:
+        Path(args.trace).touch()  # a bad path fails before the solve, not after it
     result, lipschitz = bench_mod.run_method(problem, args.method, args.sigma_frac, args.r,
                                              args.xi, args.lipschitz, args.max_trials)
     outcome = result.outcome
@@ -118,18 +129,14 @@ def _run_solve(args) -> int:
 
 
 def _run_bench(args) -> int:
-    if args.config:
-        config = bench_mod.parse_config(args.config)
-    else:
-        ids = tuple(v.strip() for v in args.problems.split(",")) if args.problems else tuple(all_ids())
-        config = bench_mod.BenchConfig(
-            problem_ids=ids,
-            methods=tuple(v.strip() for v in args.methods.split(",")),
-            sigma_fraction=args.sigma_frac, r=args.r, xi=args.xi,
-            output_path=args.output, format=args.format)
+    ids = tuple(v.strip() for v in args.problems.split(",")) if args.problems else tuple(all_ids())
+    config = bench_mod.BenchConfig(problem_ids=ids,
+                                   methods=tuple(v.strip() for v in args.methods.split(",")),
+                                   sigma_fraction=args.sigma_frac, r=args.r, xi=args.xi)
+    Path(args.output).touch()  # a bad path fails before the matrix runs, not after it
     rows = bench_mod.run_matrix(config)
     summary = bench_mod.summarize(rows)
-    path = bench_mod.emit_report(rows, summary, config.format, config.output_path)
+    path = bench_mod.emit_report(rows, summary, args.format, args.output)
     for method, avg in summary.items():
         print(f"average trials [{method}]: {avg:.2f}")
     print(f"report: {path}")

@@ -6,7 +6,6 @@ from firstroot.bench import (
     BenchConfig,
     BenchRow,
     emit_report,
-    parse_config,
     run_matrix,
     summarize,
 )
@@ -123,36 +122,19 @@ class TestEmitReport:
         p2 = emit_report(rows2, summarize(rows2), "csv", tmp_path / "r2.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_report([], {}, "xml", tmp_path / "r.xml")
+        assert not (tmp_path / "r.xml").exists()
+
 
 class TestConfigParsing:
-    def test_round_trip(self, tmp_path):
-        cfg_file = tmp_path / "bench.cfg"
-        cfg_file.write_text(
-            "# comparison setup\n"
-            "problem_ids = t01, t02\n"
-            "methods = grid, a2\n"
-            "sigma_fraction = 1e-4\n"
-            "r = 1.3\n"
-            "xi = 1e-7\n"
-            "output_path = out.csv\n"
-            "format = markdown\n")
-        config = parse_config(cfg_file)
-        assert config.problem_ids == ("t01", "t02")
-        assert config.methods == ("grid", "a2")
-        assert config.r == 1.3
-        assert config.xi == 1e-7
-        assert config.format == "markdown"
-
-    def test_requires_problem_ids(self, tmp_path):
-        cfg_file = tmp_path / "bench.cfg"
-        cfg_file.write_text("methods = a1\n")
-        with pytest.raises(ValueError):
-            parse_config(cfg_file)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BenchConfig(problem_ids=())
         with pytest.raises(ValueError):
             BenchConfig(problem_ids=("t01",), methods=("newton",))
-        with pytest.raises(ValueError):
-            BenchConfig(problem_ids=("t01",), format="xml")
+        # sigma, r and xi are checked even when no method of the matrix reads r and xi
+        for settings in ({"sigma_fraction": 0.0}, {"r": 1.0}, {"xi": 0.0}):
+            with pytest.raises(ValueError):
+                BenchConfig(problem_ids=("t01",), methods=("grid",), **settings)

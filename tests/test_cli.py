@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from firstroot import get_problem, grid_search
+from firstroot import bench, get_problem, grid_search
 from firstroot.bench import BenchConfig, run_matrix
 from firstroot.cli import main
 
@@ -94,21 +94,30 @@ class TestSolve:
         assert re.search(r"trials:\s+1$", out, re.MULTILINE)
         assert re.search(r"x_sigma:\s+0.2$", out, re.MULTILINE)
 
-    @pytest.mark.parametrize("method", ["grid", "a1", "a2"])
-    def test_same_run_as_the_bench(self, capsys, method):
-        # the command line and the bench matrix resolve a method the same way
-        row, = run_matrix(BenchConfig(problem_ids=("t05",), methods=(method,)))
-        code, out, _ = run(capsys, "solve", "--problem", "t05", "--method", method)
+    @pytest.mark.parametrize("problem, method, sigma_frac", [
+        *(pytest.param("t05", method, None, id=method) for method in ("grid", "a1", "a2")),
+        # rootless t02 needs 100 000 grid steps here, more than a1 and a2's budget
+        pytest.param("t02", "grid", 1e-5, id="t02-grid-1e-5"),
+    ])
+    def test_same_run_as_the_bench(self, capsys, problem, method, sigma_frac):
+        # the command line and the bench matrix resolve a method and its
+        # default settings the same way
+        settings = {} if sigma_frac is None else {"sigma_fraction": sigma_frac}
+        flags = () if sigma_frac is None else ("--sigma-frac", repr(sigma_frac))
+        row, = run_matrix(BenchConfig(problem_ids=(problem,), methods=(method,), **settings))
+        code, out, _ = run(capsys, "solve", "--problem", problem, "--method", method, *flags)
         assert code == 0
         assert re.search(rf"outcome:\s+{row.outcome_tag}$", out, re.MULTILINE)
-        assert re.search(rf"x_sigma:\s+{re.escape(f'{row.x_result:.10g}')}$", out, re.MULTILINE)
+        assert re.search(rf"x_(sigma|best):\s+{re.escape(f'{row.x_result:.10g}')}$", out,
+                         re.MULTILINE)
         assert re.search(rf"trials:\s+{row.trials_used}$", out, re.MULTILINE)
 
     def test_trace_in_a_missing_directory(self, capsys, tmp_path):
-        code, _, err = run(capsys, "solve", "--problem", "t05", "--trace",
-                           str(tmp_path / "missing" / "trace.jsonl"))
+        # the path fails before the solve, so no outcome is printed
+        code, out, err = run(capsys, "solve", "--problem", "t05", "--trace",
+                             str(tmp_path / "missing" / "trace.jsonl"))
         assert code == 1
-        assert err.startswith("error:")
+        assert out == "" and err.startswith("error:")
 
     def test_grid_obeys_max_trials(self, capsys):
         # t01's first root, at 3.01, lies far beyond 100 sigma steps from 0.2
@@ -192,17 +201,18 @@ class TestBench:
         assert len(lines) == 4  # header + 2 rows + 1 average
         assert "average trials [a2]" in out
 
-    def test_config_file(self, capsys, tmp_path):
+    def test_markdown_report(self, capsys, tmp_path):
         out_file = tmp_path / "report.md"
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text(f"problem_ids = t05\nmethods = a1, a2\n"
-                       f"output_path = {out_file}\nformat = markdown\n")
-        code, _, _ = run(capsys, "bench", "--config", str(cfg))
+        code, _, _ = run(capsys, "bench", "--problems", "t05", "--methods", "a1,a2",
+                         "--format", "markdown", "--output", str(out_file))
         assert code == 0
         assert out_file.read_text().startswith("| problem |")
 
-    def test_missing_config_file(self, capsys, tmp_path):
-        code, out, err = run(capsys, "bench", "--config", str(tmp_path / "missing.cfg"))
+    def test_output_in_a_missing_directory(self, capsys, tmp_path, monkeypatch):
+        # the path fails before the matrix runs
+        monkeypatch.setattr(bench, "run_matrix", lambda config: pytest.fail("matrix ran"))
+        code, out, err = run(capsys, "bench", "--problems", "t05", "--output",
+                             str(tmp_path / "missing" / "report.csv"))
         assert code == 1
         assert out == "" and err.startswith("error:")
 
@@ -215,3 +225,8 @@ class TestUsage:
     def test_bad_method(self, capsys):
         code, _, _ = run(capsys, "solve", "--problem", "t01", "--method", "newton")
         assert code == 1
+
+    def test_bench_has_no_config_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bench", "--config", str(tmp_path / "bench.cfg"))
+        assert code == 1
+        assert out == "" and "--config" in err
