@@ -23,6 +23,13 @@ computes from the spliced estimates and widths, and
 `test_spliced_curvature_update` that step's whole curvature work, splice
 included.  A traced benchmark run counts both as solver time.
 
+`test_one_step[a1]` and `test_one_step[a2]` time one whole `step` of a
+solve of the rootless t02 that has 31 intervals, as deep solves have midway:
+the scan of the two empty slots (and, under a2, of the slots whose bound
+moved), the choice of interval, the candidate, one f/f' evaluation and the
+insertion.  Each round starts from a fresh state that one step has seeded
+from 31 evenly spaced trials.
+
 `test_grid_search` and `test_grid_search_trace_read` time the 4135-step grid
 scan of t01, the first with its trace left unread, the second reading it in
 full: the trace builds its records on first read, so the difference is the
@@ -47,6 +54,7 @@ from firstroot import (
     build_curvature_table,
     build_support,
     characteristic,
+    curvature_bound,
     get_problem,
     grid_search,
     leftmost_zero,
@@ -147,6 +155,25 @@ def test_spliced_curvature_update(benchmark, trials):
         return solver._interval_bounds_m(state, config)
 
     benchmark.pedantic(update, setup=seeded, rounds=2000)
+
+
+@pytest.mark.parametrize("method", ["a1", "a2"])
+def test_one_step(benchmark, method):
+    problem = get_problem("t02")
+    bound = curvature_bound(problem) if method == "a1" else None
+    config = SolverConfig(method=method, lipschitz=bound, params=PARAMS)
+    trials = evenly_spaced_trials("t02")
+
+    def seeded():
+        state = SearchState(trials=list(trials), sigma=config.resolve_sigma(problem.a, problem.b),
+                            k=len(trials), b_n=trials[-1].x)
+        assert solver.step(state, problem, config) is None
+        assert len(state.scan) == 31 and state.first_nonpositive is None
+        return (state, problem, config), {}
+
+    args, _ = seeded()
+    assert solver.step(*args) is None
+    benchmark.pedantic(solver.step, setup=seeded, rounds=2000)
 
 
 def _grid_t01():

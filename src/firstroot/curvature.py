@@ -40,16 +40,16 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, slots=True)
 class EstimationParams:
-    """Reliability multiplier r > 1 and curvature floor xi > 0."""
+    """Reliability multiplier r > 1 and curvature floor xi > 0, both finite."""
 
     r: float = 1.2
     xi: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not self.r > 1.0:
-            raise ValueError(f"r={self.r} must be > 1")
-        if not self.xi > 0.0:
-            raise ValueError(f"xi={self.xi} must be > 0")
+        if not 1.0 < self.r < math.inf:
+            raise ValueError(f"r={self.r} must be finite and > 1")
+        if not 0.0 < self.xi < math.inf:
+            raise ValueError(f"xi={self.xi} must be finite and > 0")
 
 
 class CurvatureTable(NamedTuple):

@@ -72,12 +72,12 @@ class Problem:
         return (self.a, self.b)
 
 
-def _f14(x):
-    return sum(k * np.cos((k + 1) * x + k) for k in range(6)) + 12.0
+def _f14(x):  # the k = 0 term of the catalog's sum is zero, in f and f'
+    return sum(k * np.cos((k + 1) * x + k) for k in range(1, 6)) + 12.0
 
 
 def _df14(x):
-    return -sum(k * (k + 1) * np.sin((k + 1) * x + k) for k in range(6))
+    return -sum(k * (k + 1) * np.sin((k + 1) * x + k) for k in range(1, 6))
 
 
 # id, expression, f, df, FRL, roots, extrema

@@ -30,9 +30,12 @@ Each decision has one home.  `SolverConfig` validates the settings, the a1
 bound included, once, when it is built.  `_interval_bounds_m` gives the bounds
 of a step: K under a1, and under a2 the values of `curvature.bounds_from`, the
 only bound formula, which `build_curvature_table` also applies when it seeds v
-and the widths on the first step.  `_select_interval` chooses the interval,
-`_candidate` places the trial in it, and `_advance` stops when that interval
-is no wider than sigma.  Which method runs, with which bound, is resolved by
+and the widths on the first step.  `scan_characteristics` builds the
+minorants, `_select_interval` chooses the interval, `_candidate` places the
+trial in it, `_clamp_candidate` keeps it inside, `_evaluate` takes f and f'
+there and `_insert` splices it in; `_advance`, the one step that `step` and
+`solve` both run, calls each once or stops when the chosen interval is no
+wider than sigma.  Which method runs, with which bound, is resolved by
 `bench.run_method` for the command line and the benchmark alike.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
@@ -293,7 +296,7 @@ def _evaluate(problem: Problem, x: float, birth: int) -> Trial:
     dz = float(problem.df(x))
     if not (math.isfinite(z) and math.isfinite(dz)):
         raise NonFinite(f"non-finite evaluation at x={x}: f={z}, f'={dz}")
-    return Trial(x=x, z=z, dz=dz, birth=birth)
+    return Trial(x, z, dz, birth)
 
 
 def initialize(problem: Problem, config: SolverConfig) -> SearchState:
@@ -337,9 +340,10 @@ def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchS
     """
     scan, R, m = state.scan, state.R, state.m
     grow = state.k - 1 - len(scan)
-    scan.extend([None] * grow)
-    R.extend([math.nan] * grow)
-    m.extend([math.nan] * grow)
+    if grow:
+        scan.extend([None] * grow)
+        R.extend([math.nan] * grow)
+        m.extend([math.nan] * grow)
     visit = compress(range(state.k - 1), map(ne, m, bounds))
     flagged = state.first_nonpositive
     if flagged is not None and R[flagged] <= 0.0:  # no step emptied it
@@ -387,7 +391,7 @@ def _clamp_candidate(state: SearchState, p: int, x: float) -> float:
     # Keep the new trial strictly inside its interval: a candidate landing on
     # (or rounding past) an endpoint would duplicate an existing abscissa and
     # stall the subdivision.
-    lo, hi = state.interval_bounds(p)
+    lo, hi = state.trials[p].x, state.trials[p + 1].x
     width = hi - lo
     margin = 0.5 * state.sigma
     if x <= lo + margin:
@@ -430,17 +434,17 @@ def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outc
     bounds = _interval_bounds_m(state, config)
     scan_characteristics(state, bounds)
     chosen = _select_interval(state)
-    lo, hi = state.interval_bounds(chosen)
-    if hi - lo <= state.sigma:
+    trials = state.trials
+    if trials[chosen + 1].x - trials[chosen].x <= state.sigma:
         return _finish(state, _at_floor(bounds[chosen], config))
-    if len(state.trials) >= config.max_trials:
-        if state.trials[state.k - 1].z < 0.0:
-            best = state.trials[state.k - 2].x
+    if len(trials) >= config.max_trials:
+        if trials[state.k - 1].z < 0.0:
+            best = trials[state.k - 2].x
         else:
             best = _best_observed(state)[0]
-        return BudgetExhausted(trials_used=len(state.trials), best_so_far=best)
+        return BudgetExhausted(trials_used=len(trials), best_so_far=best)
     candidate = _clamp_candidate(state, chosen, _candidate(state, chosen))
-    trial = _evaluate(problem, candidate, birth=len(state.trials))
+    trial = _evaluate(problem, candidate, len(trials))
     _insert(state, chosen, trial)
     return trial
 
@@ -455,22 +459,26 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
     """
     trials = state.trials
     trials.insert(p + 1, trial)
+    lo = trials[p]
     if trial.z < 0.0:
         state.k = p + 2
-        halves = [(trials[p], trial)]
-        cut = slice(p, None)
-    else:
-        state.k += 1
-        halves = [(trials[p], trial), (trial, trials[p + 2])]
-        cut = slice(p, p + 1)
+        state.b_n = trial.x
+        state.scan[p:] = [None]
+        state.R[p:] = [math.nan]
+        state.m[p:] = [math.nan]
+        if state.v:
+            state.v[p:] = [interval_curvature(lo, trial)]
+            state.gaps[p:] = [trial.x - lo.x]
+        return
+    state.k += 1
     state.b_n = trials[state.k - 1].x
-    empty = [math.nan] * len(halves)
-    state.scan[cut] = [None] * len(halves)
-    state.R[cut] = empty
-    state.m[cut] = empty
+    state.scan[p:p + 1] = [None, None]
+    state.R[p:p + 1] = [math.nan, math.nan]
+    state.m[p:p + 1] = [math.nan, math.nan]
     if state.v:
-        state.v[cut] = [interval_curvature(lo, hi) for lo, hi in halves]
-        state.gaps[cut] = [hi.x - lo.x for lo, hi in halves]
+        hi = trials[p + 2]
+        state.v[p:p + 1] = [interval_curvature(lo, trial), interval_curvature(trial, hi)]
+        state.gaps[p:p + 1] = [trial.x - lo.x, hi.x - trial.x]
 
 
 def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | None:
@@ -488,21 +496,19 @@ def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome 
     return result if isinstance(result, Outcome) else None
 
 
-def _trace_record(trial: Trial, k: int, b_n: float) -> TraceRecord:
-    return TraceRecord(iter=trial.birth, x=trial.x, f=trial.z, fprime=trial.dz,
-                       k=k, b_n=b_n)
-
-
 def solve(problem: Problem, config: SolverConfig) -> SolveResult:
     """Run the search to termination; the trace lists every trial in birth
-    order with the effective count and right margin after its insertion."""
+    order with the effective count and right margin after its insertion,
+    built from rows of (trial, k, b_n) once the search has ended."""
     state = initialize(problem, config)
-    trace = [_trace_record(t, state.k, state.b_n) for t in state.trials]
+    rows = [(t, state.k, state.b_n) for t in state.trials]
     while True:
         result = _advance(state, problem, config)
         if isinstance(result, Outcome):
-            return SolveResult(outcome=result, trace=trace)
-        trace.append(_trace_record(result, state.k, state.b_n))
+            break
+        rows.append((result, state.k, state.b_n))
+    trace = [TraceRecord(birth, x, z, dz, k, b_n) for (x, z, dz, birth), k, b_n in rows]
+    return SolveResult(outcome=result, trace=trace)
 
 
 # ---------------------------------------------------------------------------

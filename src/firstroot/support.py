@@ -237,13 +237,13 @@ def _middle_value(s: SupportFunction, x: float) -> float:
 
 
 # Plain-float kernels at one point of the interval, used by the scalar search
-# path to skip the 0-d array round trip: `_phi` here, and phi' at the two
-# clamped knots, written out in `_derive`.  Each branch is the expression of
-# the matching np.where arm of eval_support / eval_support_derivative, term
-# for term, so both give the same bits for a scalar x.  (numpy squares a
-# scalar with pow, as Python's ** does, but an array of several elements by
-# multiplication, which differs in the last bit about once in a thousand
-# squares.)
+# path to skip the 0-d array round trip: `_phi` here; phi' at the two clamped
+# knots, written out in `_derive`; and `_phi` and `_clamp` at y', written out
+# in `leftmost_zero`.  Each branch is the expression of the matching np.where
+# arm of eval_support / eval_support_derivative, term for term, so both give
+# the same bits for a scalar x.  (numpy squares a scalar with pow, as Python's
+# ** does, but an array of several elements by multiplication, which differs
+# in the last bit about once in a thousand squares.)
 
 def _phi(s: SupportFunction, x: float) -> float:
     d = s.data
@@ -280,16 +280,24 @@ def _clamped_sqrt(disc: float, scale: float) -> float:
 
 def _right_root_left_cap(s: SupportFunction) -> float:
     # Larger root of z_left + dz_left*u - 0.5*m*u^2 = 0, u = x - x_left,
-    # written to avoid cancellation for either sign of dz_left.
-    d = s.data
-    disc = d.dz_left ** 2 + 2.0 * d.m * d.z_left
-    root = _clamped_sqrt(disc, max(1.0, d.dz_left ** 2, 2.0 * d.m * abs(d.z_left)))
-    if d.dz_left > 0.0:
-        u = (d.dz_left + root) / d.m
+    # written to avoid cancellation for either sign of dz_left.  The
+    # discriminant and the root are clamped as _clamped_sqrt and _clamp do.
+    x_left, x_right, z_left, _, dz_left, _, m = s.data
+    disc = dz_left ** 2 + 2.0 * m * z_left
+    if disc < 0.0:
+        scale = max(1.0, dz_left ** 2, 2.0 * m * abs(z_left))
+        if disc < -_DISC_SLACK * scale:
+            raise NumericalDiscriminant(f"discriminant {disc} below -{_DISC_SLACK}*{scale}")
+        disc = 0.0
+    root = math.sqrt(disc)
+    if dz_left > 0.0:
+        u = (dz_left + root) / m
     else:
-        denom = root - d.dz_left
-        u = 2.0 * d.z_left / denom if denom > 0.0 else 0.0
-    return min(max(d.x_left + u, d.x_left), d.x_right)
+        denom = root - dz_left
+        u = 2.0 * z_left / denom if denom > 0.0 else 0.0
+    x = x_left + u
+    x = x_left if x_left > x else x
+    return x_right if x_right < x else x
 
 
 def _right_root_right_cap(s: SupportFunction) -> float:
@@ -328,17 +336,27 @@ def leftmost_zero(s: SupportFunction) -> float:
     the middle piece or the right cap depending on where the middle piece
     bottoms out.
     """
-    if s.data.z_left < 0.0:
-        raise ValueError(f"leftmost_zero requires z_left >= 0, got {s.data.z_left}")
-    if s.char.R > 0.0:
+    data, y_prime, y, b, c, x_hat, char = s
+    x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
+    if z_left < 0.0:
+        raise ValueError(f"leftmost_zero requires z_left >= 0, got {z_left}")
+    if char.R > 0.0:
         raise NoZero("support function is strictly positive on the interval")
-    if _phi(s, _clamp(s, s.y_prime)) <= 0.0:
+    # _phi(s, _clamp(s, y')), written out
+    x = x_left if x_left > y_prime else y_prime
+    x = x_right if x_right < x else x
+    if x <= y_prime:
+        phi = z_left + dz_left * (x - x_left) - 0.5 * m * (x - x_left) ** 2
+    elif x <= y:
+        phi = 0.5 * m * x * x + b * x + c
+    else:
+        phi = z_right - dz_right * (x_right - x) - 0.5 * m * (x_right - x) ** 2
+    if phi <= 0.0:
         return _right_root_left_cap(s)
-    x_hat = s.x_hat
     if x_hat is not None:
         if _middle_value(s, x_hat) > 0.0:
             return _right_root_right_cap(s)
         return _left_root_middle(s)
-    if _phi(s, _clamp(s, s.y)) > 0.0:
+    if _phi(s, _clamp(s, y)) > 0.0:
         return _right_root_right_cap(s)
     return _left_root_middle(s)

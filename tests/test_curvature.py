@@ -153,6 +153,12 @@ class TestCurvatureTable:
             EstimationParams(r=1.0)
         with pytest.raises(ValueError):
             EstimationParams(xi=0.0)
+        # a non-finite r or xi would make every bound infinite or NaN
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                EstimationParams(r=bad)
+            with pytest.raises(ValueError):
+                EstimationParams(xi=bad)
 
 
 @hst.composite

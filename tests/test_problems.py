@@ -80,6 +80,26 @@ class TestRegistry:
             denom = np.maximum(1.0, np.abs(ana))
             assert np.max(np.abs(ana - num) / denom) <= 1e-6, p.id
 
+    def test_t14_is_the_catalog_sum(self):
+        # f and f' skip the catalog's k = 0 term, which is zero: every value,
+        # its sign bit included, equals the sum over k = 0..5 on a mesh and at
+        # scalar points
+        def f(x):
+            return sum(k * np.cos((k + 1) * x + k) for k in range(6)) + 12.0
+
+        def df(x):
+            return -sum(k * (k + 1) * np.sin((k + 1) * x + k) for k in range(6))
+
+        p = get_problem("t14")
+        assert p.name == "sum_{k=0..5} k*cos((k+1)*x + k) + 12"
+        xs = np.linspace(p.a, p.b, 200_001)
+        for got, want in ((p.f(xs), f(xs)), (p.df(xs), df(xs))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        for x in np.random.default_rng(14).uniform(p.a, p.b, 2000).tolist() + [p.a, p.b]:
+            assert float(p.f(x)) == float(f(x))
+            assert float(p.df(x)) == float(df(x))
+
     def test_t02_has_no_root(self):
         p = get_problem("t02")
         xs = np.linspace(p.a, p.b, 1_000_001)

@@ -24,8 +24,10 @@ from firstroot import (
     SolverConfig,
     SupportFunction,
     Trial,
+    all_ids,
     build_curvature_table,
     build_support,
+    curvature_bound,
     exact_lipschitz_oracle,
     get_problem,
     grid_search,
@@ -554,6 +556,25 @@ class TestTraceInvariants:
         r2 = solve(get_problem("t10"), SolverConfig(method="a2"))
         assert r1.trace == r2.trace
         assert r1.outcome == r2.outcome
+
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    @pytest.mark.parametrize("pid", all_ids())
+    def test_step_reproduces_solve(self, pid, method):
+        # `solve` builds its trace at the end; driving `step` from `initialize`
+        # by hand must give the same trials, k and b_n after each insertion,
+        # and the same outcome: one engine behind both
+        p = get_problem(pid)
+        cfg = SolverConfig(method=method, lipschitz=curvature_bound(p) if method == "a1" else None)
+        res = solve(p, cfg)
+        state = initialize(p, cfg)
+        rows = [(t, state.k, state.b_n) for t in state.trials]
+        while (outcome := step(state, p, cfg)) is None:
+            rows.append((max(state.trials, key=lambda t: t.birth), state.k, state.b_n))
+        assert outcome == res.outcome
+        assert sorted(state.trials, key=lambda t: t.birth) == [t for t, _, _ in rows]
+        assert res.trace == [(t.birth, t.x, t.z, t.dz, k, b_n) for t, k, b_n in rows]
+        assert all(type(r) is TraceRecord for r in res.trace)
+        assert {tuple(map(type, r)) for r in res.trace} == {(int, float, float, float, int, float)}
 
 
 class TestGridSearch:
