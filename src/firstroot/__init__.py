@@ -15,8 +15,6 @@ from .errors import (
     UnknownProblem,
 )
 from .problems import (
-    ChebyshevParams,
-    PassbandParams,
     Problem,
     all_ids,
     chebyshev_transfer,

@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
 def _write_trace(result: SolveResult, path: str) -> None:
     with open(path, "w") as fh:
         for record in result.trace:
-            fh.write(json.dumps(record.as_dict()) + "\n")
+            fh.write(json.dumps(record._asdict()) + "\n")
 
 
 def _run_solve(args) -> int:

@@ -1,5 +1,6 @@
 """Built-in problems: a 20-function benchmark suite on [0.2, 7] and two
-analog-filter cutoff-frequency applications.
+analog-filter cutoff-frequency applications, whose circuits have fixed
+component values (module constants).
 
 Every objective and derivative accepts a float or an ndarray (numpy ufunc
 style); the solver evaluates them pointwise while the grid scan and the
@@ -19,10 +20,6 @@ from .errors import DomainError, NonFinite, UnknownProblem
 
 __all__ = [
     "Problem",
-    "ChebyshevParams",
-    "PassbandParams",
-    "CHEBYSHEV_PARAMS",
-    "PASSBAND_PARAMS",
     "FILTERS",
     "registry",
     "get_problem",
@@ -42,7 +39,8 @@ _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 @dataclass(frozen=True)
 class Problem:
-    """An objective f with analytic or numeric derivative df on [a, b].
+    """An objective f with analytic or numeric derivative df on a finite,
+    non-empty [a, b].
 
     reference_frl is the known first root from the left (None when f has no
     root), root_count / reference_extrema are catalog metadata, lipschitz_K an
@@ -64,8 +62,8 @@ class Problem:
         # the solvers report the domain's ends as points: keep them floats
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        if not self.a < self.b:
-            raise ValueError(f"domain [{self.a}, {self.b}] is empty")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"domain [{self.a}, {self.b}] must be finite and non-empty")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -178,37 +176,10 @@ def registry() -> list[Problem]:
 # Filters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ChebyshevParams:
-    """Component values of the third-order lowpass ladder (ohm, farad, henry)."""
-
-    R: float = 1.0
-    C: float = 4.0
-    L: float = 2.0
-
-    def __post_init__(self) -> None:
-        if min(self.R, self.C, self.L) <= 0.0:
-            raise ValueError("all component values must be positive")
-
-
-@dataclass(frozen=True, slots=True)
-class PassbandParams:
-    """Component values of the bandpass circuit."""
-
-    R1: float = 3108.0
-    R2: float = 477.0
-    L1: float = 40e-3
-    L2: float = 350e-2
-    C1: float = 1e-6
-    C2: float = 0.1e-6
-
-    def __post_init__(self) -> None:
-        if min(self.R1, self.R2, self.L1, self.L2, self.C1, self.C2) <= 0.0:
-            raise ValueError("all component values must be positive")
-
-
-CHEBYSHEV_PARAMS = ChebyshevParams()
-PASSBAND_PARAMS = PassbandParams()
+# Component values of the third-order lowpass ladder (ohm, farad, henry)
+_R, _C, _L = 1.0, 4.0, 2.0
+# and of the bandpass circuit
+_R1, _R2, _L1, _L2, _C1, _C2 = 3108.0, 477.0, 40e-3, 350e-2, 1e-6, 0.1e-6
 
 # Search windows bracketing the published cutoffs with a positive objective at
 # the left margin; the transfer functions decay toward both window edges.
@@ -217,32 +188,31 @@ PASSBAND_DOMAIN = (1.0, 1e4)
 _FMAX_GRID = 1_000_000
 
 
-def chebyshev_transfer(omega, p: ChebyshevParams = CHEBYSHEV_PARAMS):
+def chebyshev_transfer(omega):
     """|Vout/Vin| of the lowpass ladder at angular frequency omega >= 0."""
     w = np.asarray(omega, dtype=float)
-    out = (1.0 / np.sqrt(1.0 + p.R**2 * p.C**2 * w**2)
-           / np.sqrt((2.0 - w**2 * p.L * p.C)**2 + w**2 * p.L**2 / p.R**2))
+    out = (1.0 / np.sqrt(1.0 + _R**2 * _C**2 * w**2)
+           / np.sqrt((2.0 - w**2 * _L * _C)**2 + w**2 * _L**2 / _R**2))
     return float(out) if out.ndim == 0 else out
 
 
-def passband_transfer(omega, p: PassbandParams = PASSBAND_PARAMS):
+def passband_transfer(omega):
     """|Vout/Iin| of the bandpass circuit at angular frequency omega > 0."""
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise DomainError("passband transfer function requires omega > 0")
-    z1 = (-w**3 * p.R1 * p.L1 * p.L2 + w * p.R1 * p.L2 + w * p.R1 * p.L1 * p.C1 / p.C2
-          - p.R1 / (w * p.C2) + 2 * w * p.L1 * p.R1 + w * p.L1 * p.R2)
-    z2 = (w**2 * p.L1 * p.L2 + w**2 * p.R1 * p.R2 * p.L1 * p.C1
-          - p.R1 * p.R2 - p.L1 / p.C2)
-    z3 = (w * p.L1)**2 + (w**2 * p.R1 * p.L1 * p.C1 - p.R1)**2
-    out = w * p.L1 * p.R1 / np.sqrt((z1**2 + z2**2)**2 * z3)
+    z1 = (-w**3 * _R1 * _L1 * _L2 + w * _R1 * _L2 + w * _R1 * _L1 * _C1 / _C2
+          - _R1 / (w * _C2) + 2 * w * _L1 * _R1 + w * _L1 * _R2)
+    z2 = (w**2 * _L1 * _L2 + w**2 * _R1 * _R2 * _L1 * _C1
+          - _R1 * _R2 - _L1 / _C2)
+    z3 = (w * _L1)**2 + (w**2 * _R1 * _L1 * _C1 - _R1)**2
+    out = w * _L1 * _R1 / np.sqrt((z1**2 + z2**2)**2 * z3)
     return float(out) if out.ndim == 0 else out
 
 
-def find_fmax(transfer: Callable, omega_range: tuple[float, float],
-              grid_points: int = _FMAX_GRID) -> tuple[float, float]:
-    """Maximum of a transfer function over [lo, hi]: dense grid scan followed
-    by golden-section refinement around the best bracket.
+def find_fmax(transfer: Callable, omega_range: tuple[float, float]) -> tuple[float, float]:
+    """Maximum of a transfer function over [lo, hi]: a scan of _FMAX_GRID
+    points followed by golden-section refinement around the best bracket.
 
     Returns (F_max, argmax); ties on the grid resolve to the leftmost point
     and the grid point is kept when refinement finds nothing strictly better.
@@ -250,13 +220,11 @@ def find_fmax(transfer: Callable, omega_range: tuple[float, float],
     lo, hi = omega_range
     if not lo < hi:
         raise ValueError("omega_range must satisfy lo < hi")
-    if grid_points < 1000:
-        raise ValueError("grid_points must be >= 1000")
-    w = np.linspace(lo, hi, grid_points)
+    w = np.linspace(lo, hi, _FMAX_GRID)
     vals = np.asarray(transfer(w), dtype=float)
     i = int(np.argmax(vals))
     a = w[max(i - 1, 0)]
-    b = w[min(i + 1, grid_points - 1)]
+    b = w[min(i + 1, _FMAX_GRID - 1)]
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
@@ -326,12 +294,14 @@ def on_mesh(fn: Callable, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
 
 
-def exact_lipschitz_oracle(problem: Problem, grid_points: int = 200_000) -> float:
+_ORACLE_GRID = 200_000
+
+
+def exact_lipschitz_oracle(problem: Problem) -> float:
     """Reconstructed bound on the Lipschitz constant of df: the largest
-    derivative difference quotient over a uniform grid, with 1% headroom."""
-    if grid_points < 100_000:
-        raise ValueError("grid_points must be >= 1e5")
-    x = np.linspace(problem.a, problem.b, grid_points)
+    derivative difference quotient over a uniform grid of _ORACLE_GRID
+    points, with 1% headroom."""
+    x = np.linspace(problem.a, problem.b, _ORACLE_GRID)
     d = on_mesh(problem.df, x)
     return 1.01 * float(np.max(np.abs(np.diff(d)) / np.diff(x)))
 

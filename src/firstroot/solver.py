@@ -110,22 +110,19 @@ class Trial(NamedTuple):
 class SolverConfig:
     """Method selection and accuracy/budget settings.
 
-    sigma_abs overrides sigma_fraction * (b - a) when given.  a1 requires a
-    curvature bound `lipschitz`; a2 uses the adaptive estimation parameters.
+    sigma is sigma_fraction * (b - a).  a1 requires a curvature bound
+    `lipschitz`; a2 uses the adaptive estimation parameters.
     """
 
     method: Literal["a1", "a2"] = "a2"
     lipschitz: float | None = None
     params: EstimationParams = field(default_factory=EstimationParams)
     sigma_fraction: float = 1e-4
-    sigma_abs: float | None = None
     max_trials: int = 10_000
 
     def __post_init__(self) -> None:
         if self.method not in ("a1", "a2"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.sigma_abs is not None and not self.sigma_abs > 0.0:
-            raise ValueError("sigma_abs must be positive")
         if not self.sigma_fraction > 0.0:
             raise ValueError("sigma_fraction must be positive")
         if self.max_trials < 2:
@@ -137,7 +134,7 @@ class SolverConfig:
                 raise ValueError(f"lipschitz bound must be finite and >= 0, got {self.lipschitz}")
 
     def resolve_sigma(self, a: float, b: float) -> float:
-        return self.sigma_abs if self.sigma_abs is not None else self.sigma_fraction * (b - a)
+        return self.sigma_fraction * (b - a)
 
 
 @dataclass
@@ -169,9 +166,6 @@ class SearchState:
     first_nonpositive: int | None = None
     v: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
-
-    def interval_bounds(self, p: int) -> tuple[float, float]:
-        return self.trials[p].x, self.trials[p + 1].x
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +254,8 @@ class BudgetExhausted(Outcome):
 
 
 class TraceRecord(NamedTuple):
-    """One line of the solve trace (consumed by the CLI and the bench)."""
+    """One line of the solve trace (consumed by the CLI and the bench); its
+    `_asdict()` is a JSONL trace line, keys in field order."""
 
     iter: int
     x: float
@@ -268,10 +263,6 @@ class TraceRecord(NamedTuple):
     fprime: float | None
     k: int
     b_n: float
-
-    def as_dict(self) -> dict:
-        return {"iter": self.iter, "x": self.x, "f": self.f,
-                "fprime": self.fprime, "k": self.k, "b_n": self.b_n}
 
 
 @dataclass(frozen=True)
@@ -422,10 +413,10 @@ def _finish(state: SearchState, floored: bool) -> Outcome:
     if p is None:
         x_best, f_best = _best_observed(state)
         return NoRootGlobalMin(trials_used=n_used, x_best=x_best, f_best=f_best)
-    lo, hi = state.interval_bounds(p)
-    if floored and state.trials[p + 1].z >= 0.0:
-        return PrecisionExhausted(trials_used=n_used, interval=(lo, hi))
-    return FirstRootFound(trials_used=n_used, x_sigma=lo)
+    lo, hi = state.trials[p], state.trials[p + 1]
+    if floored and hi.z >= 0.0:
+        return PrecisionExhausted(trials_used=n_used, interval=(lo.x, hi.x))
+    return FirstRootFound(trials_used=n_used, x_sigma=lo.x)
 
 
 def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | Trial:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSlope, NoZero, NumericalDiscriminant, OutOfInterval
+from .errors import DegenerateSlope, NonFinite, NoZero, NumericalDiscriminant, OutOfInterval
 
 __all__ = [
     "IntervalData",
@@ -130,7 +130,8 @@ def build_support(data: IntervalData) -> SupportFunction:
     """Construct the three-piece minorant for one interval.
 
     Raises DegenerateSlope when m*(x_right - x_left) + dz_right - dz_left <= 0,
-    which signals that m is below the derivative variation on the interval.
+    which signals that m is below the derivative variation on the interval,
+    and NonFinite when a knot is not finite, as when m overflows.
     """
     x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
     width = x_right - x_left
@@ -147,9 +148,16 @@ def build_support(data: IntervalData) -> SupportFunction:
     half_span = width / 4.0 + (dz_right - dz_left) / (4.0 * m)
     y = half_span + ratio
     y_prime = -half_span + ratio
-    if y_prime < x_left or y > x_right:  # only a knot outside can fail the check
+    # a knot outside the interval fails this test, and so does a NaN knot
+    # (its comparisons are false)
+    if not (x_left <= y_prime and y <= x_right):
+        if not (math.isfinite(y_prime) and math.isfinite(y)):
+            raise NonFinite(
+                f"m={m} on [{x_left}, {x_right}]: knots y'={y_prime}, y={y} are not "
+                f"finite; the curvature bound overflows, lower r or xi (a2) or K (a1)"
+            )
         tol = 1e-9 * max(1.0, width, abs(x_left), abs(x_right))
-        if y_prime < x_left - tol or y > x_right + tol:
+        if not (x_left - tol <= y_prime and y <= x_right + tol):
             raise DegenerateSlope(
                 f"m={m} too small on [{x_left}, {x_right}]: knots "
                 f"y'={y_prime}, y={y} leave the interval; raise the curvature bound"

@@ -72,8 +72,7 @@ class TestSolve:
         trials = int(re.search(r"trials:\s+(\d+)", out).group(1))
         lines = trace.read_text().splitlines()
         assert len(lines) == trials
-        record = json.loads(lines[0])
-        assert set(record) == {"iter", "x", "f", "fprime", "k", "b_n"}
+        assert list(json.loads(lines[0])) == ["iter", "x", "f", "fprime", "k", "b_n"]
 
     def test_grid_method(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -85,7 +84,9 @@ class TestSolve:
         records = grid_search(p, 1e-4 * (p.b - p.a)).trace
         lines = trace.read_text().splitlines()
         assert len(lines) == len(records) == 4135
-        assert lines == [json.dumps(rec.as_dict()) for rec in records]
+        assert list(json.loads(lines[0])) == ["iter", "x", "f", "fprime", "k", "b_n"]
+        assert lines == [json.dumps({"iter": r.iter, "x": r.x, "f": r.f, "fprime": r.fprime,
+                                     "k": r.k, "b_n": r.b_n}) for r in records]
 
     def test_grid_with_a_sigma_wider_than_the_interval(self, capsys):
         code, out, _ = run(capsys, "solve", "--problem", "t01", "--method", "grid",
@@ -218,6 +219,14 @@ class TestBench:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("flag", ["--r", "--xi"])
+    def test_an_overflowing_bound_is_reported(self, capsys, flag):
+        # m = r*lambda is inf at r = 1e308; at xi = 1e308, m = 1.2e308 is
+        # finite but the knots of the first minorant overflow
+        code, _, err = run(capsys, "solve", "--problem", "t01", flag, "1e308")
+        assert code == 1
+        assert "the curvature bound overflows, lower r or xi" in err
+
     def test_no_command(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

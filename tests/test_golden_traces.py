@@ -34,7 +34,7 @@ def golden_entry(problem_id: str, method: str) -> dict:
         params=EstimationParams(r=SETTINGS["r"], xi=SETTINGS["xi"]),
         sigma_fraction=SETTINGS["sigma_fraction"])
     result = solve(problem, config)
-    lines = "".join(json.dumps(record.as_dict()) + "\n" for record in result.trace)
+    lines = "".join(json.dumps(record._asdict()) + "\n" for record in result.trace)
     return {"tag": result.outcome.tag,
             "trials_used": result.outcome.trials_used,
             "point": float(result.outcome.point).hex(),

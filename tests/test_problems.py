@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from firstroot import (
-    ChebyshevParams,
     DomainError,
     NonFinite,
     NoRootGlobalMin,
-    PassbandParams,
     Problem,
     SolverConfig,
     UnknownProblem,
@@ -115,9 +113,17 @@ class TestRegistry:
         assert ids[-2:] == ["chebyshev", "passband"]
 
 
+class TestProblemDomain:
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0)])
+    def test_rejects_an_infinite_or_empty_domain(self, a, b):
+        with pytest.raises(ValueError, match="must be finite and non-empty"):
+            Problem(id="p", name="p", a=a, b=b, f=np.cos, df=np.sin)
+
+
 class TestChebyshevTransfer:
     def test_dc_value(self):
-        assert chebyshev_transfer(0.0, ChebyshevParams(R=1, C=4, L=2)) == pytest.approx(0.5)
+        # at omega = 0 the response is 1 / sqrt(2**2), whatever R, C and L
+        assert chebyshev_transfer(0.0) == pytest.approx(0.5)
 
     def test_tail_decays_monotonically(self):
         ws = np.array([5.0, 10.0, 20.0, 40.0, 80.0])
@@ -155,14 +161,13 @@ class TestPassbandTransfer:
 
 class TestFindFmax:
     def test_unimodal(self):
-        fmax, arg = find_fmax(lambda w: 1.0 / (1.0 + (np.asarray(w) - 3.0) ** 2), (0.0, 10.0),
-                              grid_points=100_000)
+        fmax, arg = find_fmax(lambda w: 1.0 / (1.0 + (np.asarray(w) - 3.0) ** 2), (0.0, 10.0))
         assert fmax == pytest.approx(1.0, abs=1e-9)
         assert arg == pytest.approx(3.0, abs=1e-5)
 
     def test_constant_ties_to_left(self):
         fmax, arg = find_fmax(lambda w: 2.5 * np.ones_like(np.asarray(w, dtype=float)),
-                              (1.0, 4.0), grid_points=1000)
+                              (1.0, 4.0))
         assert fmax == 2.5
         assert arg == 1.0
 
@@ -173,8 +178,6 @@ class TestFindFmax:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_fmax(lambda w: w, (1.0, 1.0))
-        with pytest.raises(ValueError):
-            find_fmax(lambda w: w, (0.0, 1.0), grid_points=10)
 
 
 class TestCutoffObjective:
@@ -245,26 +248,13 @@ class TestLipschitzOracle:
         assert k == pytest.approx(25.25, rel=0.01)
 
     def test_stable_under_refinement(self):
+        # 1.01 * sup|f''| of (3x - 1.4) sin 18x + 1.7, sampled 20 times finer
         p = get_problem("t10")
-        k1 = exact_lipschitz_oracle(p, grid_points=200_000)
-        k2 = exact_lipschitz_oracle(p, grid_points=400_000)
-        assert abs(k2 - k1) <= 0.01 * k1
-
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            exact_lipschitz_oracle(get_problem("t01"), grid_points=10)
+        x = np.linspace(p.a, p.b, 4_000_001)
+        d2 = 108 * np.cos(18 * x) - 324 * (3 * x - 1.4) * np.sin(18 * x)
+        assert exact_lipschitz_oracle(p) == pytest.approx(1.01 * np.max(np.abs(d2)), rel=1e-6)
 
     def test_curvature_bound_prefers_a_supplied_K(self):
         p = get_problem("t05")
         assert curvature_bound(p) == exact_lipschitz_oracle(p)
         assert curvature_bound(dataclasses.replace(p, lipschitz_K=2.5)) == 2.5
-
-
-class TestParamsValidation:
-    def test_chebyshev_params(self):
-        with pytest.raises(ValueError):
-            ChebyshevParams(R=0.0)
-
-    def test_passband_params(self):
-        with pytest.raises(ValueError):
-            PassbandParams(C2=-1e-7)

@@ -9,6 +9,7 @@ from firstroot import (
     Characteristic,
     DegenerateSlope,
     IntervalData,
+    NonFinite,
     NoZero,
     OutOfInterval,
     SupportFunction,
@@ -132,6 +133,13 @@ class TestBuild:
         with pytest.raises(DegenerateSlope):
             build_support(IntervalData(x_left=0.0, x_right=1.0, z_left=1.0, z_right=1.0,
                                        dz_left=1.0, dz_right=-2.0, m=0.5))
+
+    @pytest.mark.parametrize("m", [math.inf, 1.2e308])
+    def test_overflowing_bound_raises(self, m):
+        # the knots come out NaN; the NaN-safe knot test rejects them
+        with pytest.raises(NonFinite, match="overflows"):
+            build_support(IntervalData(x_left=0.2, x_right=7.0, z_left=5.0, z_right=-42.0,
+                                       dz_left=0.2, dz_right=-17.1, m=m))
 
     def test_bad_interval_data_rejected(self):
         with pytest.raises(ValueError):
