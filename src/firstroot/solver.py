@@ -14,6 +14,13 @@ iteration stops when the selected interval is no wider than sigma; a minorant
 that still reaches zero there marks its left end as the sigma-root, unless the
 minorant rests on the curvature floor alone.
 
+The end game takes one trial.  Once the leftmost zero falls within sigma of
+the flagged interval's left end lo, the trial goes to the largest float e with
+e - lo <= sigma rather than to the zero.  If f(e) < 0, the next step stops on
+the bracket [lo, e], no wider than sigma, and reports lo; otherwise the search
+goes on.  Only where no float above lo lies within sigma of it does the trial
+fall back to the quarter clamp that keeps every trial inside its interval.
+
 A step adds one trial inside the chosen interval, so the state is spliced
 rather than rebuilt: the slot of that interval in the per-slot lists (its
 minorant, the minorant's characteristic value R and the bound m it was built
@@ -32,10 +39,10 @@ of a step: K under a1, and under a2 the values of `curvature.bounds_from`, the
 only bound formula, which `build_curvature_table` also applies when it seeds v
 and the widths on the first step.  `scan_characteristics` builds the
 minorants, `_select_interval` chooses the interval, `_candidate` places the
-trial in it, `_clamp_candidate` keeps it inside, `_evaluate` takes f and f'
-there and `_insert` splices it in; `_advance`, the one step that `step` and
-`solve` both run, calls each once or stops when the chosen interval is no
-wider than sigma.  Which method runs, with which bound, is resolved by
+trial in it, `_clamp_candidate` moves it to the end game's edge or keeps it
+inside, `_evaluate` takes f and f' there and `_insert` splices it in;
+`_advance`, the one step that `step` and `solve` both run, calls each once or
+stops when the chosen interval is no wider than sigma.  Which method runs, with which bound, is resolved by
 `bench.run_method` for the command line and the benchmark alike.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
@@ -192,9 +199,12 @@ class FirstRootFound(Outcome):
 
     Either f changes sign on that interval, and then the first root lies in
     it, or f is positive at both its ends and the minorant built from the data
-    reaches zero inside it.  The second case covers a root where f touches
-    zero without changing sign (t17 at pi), which no smaller sigma would turn
-    into a sign change.  It does not prove that f vanishes: a rootless f whose
+    reaches zero inside it.  The first case is how the end game usually ends:
+    when the flagged minorant's zero lies within sigma of x_sigma, the search
+    places its last trial at the largest float no more than sigma right of
+    x_sigma, and a negative value there closes the bracket.  The second case
+    covers a root where f touches zero without changing sign (t17 at pi),
+    which no smaller sigma would turn into a sign change.  It does not prove that f vanishes: a rootless f whose
     minimum inside the interval is below what the minorant can resolve
     (roughly m*sigma**2/8) is reported the same way.
     """
@@ -379,12 +389,27 @@ def _candidate(state: SearchState, p: int) -> float:
 
 
 def _clamp_candidate(state: SearchState, p: int, x: float) -> float:
-    # Keep the new trial strictly inside its interval: a candidate landing on
-    # (or rounding past) an endpoint would duplicate an existing abscissa and
-    # stall the subdivision.
+    # The end game: when the flagged minorant's leftmost zero x lies within
+    # sigma of lo, the trial goes to the largest float e with e - lo <= sigma,
+    # stepped to from lo + sigma, which overshoots sigma by an ulp for most lo
+    # (and falls short of it for some lo < 0).  A negative f(e) leaves the
+    # bracket [lo, e], and the next step stops on it.  e < hi, since the
+    # interval is wider than sigma.  Where sigma is below half an ulp of lo,
+    # e is lo itself and the clamp below applies: it keeps the trial strictly
+    # inside the interval, since a candidate landing on (or rounding past) an
+    # endpoint would duplicate an existing abscissa and stall the subdivision.
     lo, hi = state.trials[p].x, state.trials[p + 1].x
+    sigma = state.sigma
+    if state.first_nonpositive is not None and x - lo <= sigma:
+        edge = lo + sigma
+        while edge - lo > sigma:
+            edge = math.nextafter(edge, -math.inf)
+        while math.nextafter(edge, math.inf) - lo <= sigma:
+            edge = math.nextafter(edge, math.inf)
+        if edge > lo:
+            return edge
     width = hi - lo
-    margin = 0.5 * state.sigma
+    margin = 0.5 * sigma
     if x <= lo + margin:
         return lo + 0.25 * width
     if x >= hi - margin:

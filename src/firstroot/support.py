@@ -171,9 +171,9 @@ def _derive(cls: type, data: IntervalData, y_prime: float, y: float, b: float,
             c: float) -> SupportFunction:
     # x_hat and char in one flat pass.  Each knot is clamped into the interval
     # by comparisons that return what min(max(v, x_left), x_right) returns,
-    # ties and signed zeros included; phi' at the clamped knot takes the arm
-    # of eval_support_derivative that the point falls in (see the float
-    # kernels below).
+    # ties and signed zeros included; phi' at the clamped knot, and phi at
+    # x_hat, take the arm of eval_support_derivative and eval_support that the
+    # point falls in (see the float kernels below).
     x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
     x = x_left if x_left > y_prime else y_prime
     x = x_right if x_right < x else x
@@ -195,8 +195,15 @@ def _derive(cls: type, data: IntervalData, y_prime: float, y: float, b: float,
     h, R, kind = x_left, z_left, LEFT_END
     x_hat = None
     if slope_lo * slope_hi < 0.0:
+        # x_hat can round outside [y', y]; phi there comes from the piece it
+        # falls in, as in _phi
         x_hat = -b / m
-        value = 0.5 * m * x_hat * x_hat + b * x_hat + c
+        if x_hat <= y_prime:
+            value = z_left + dz_left * (x_hat - x_left) - 0.5 * m * (x_hat - x_left) ** 2
+        elif x_hat <= y:
+            value = 0.5 * m * x_hat * x_hat + b * x_hat + c
+        else:
+            value = z_right - dz_right * (x_right - x_hat) - 0.5 * m * (x_right - x_hat) ** 2
         if value < R:
             h, R, kind = x_hat, value, INTERIOR
     if z_right < R:
@@ -246,12 +253,13 @@ def _middle_value(s: SupportFunction, x: float) -> float:
 
 # Plain-float kernels at one point of the interval, used by the scalar search
 # path to skip the 0-d array round trip: `_phi` here; phi' at the two clamped
-# knots, written out in `_derive`; and `_phi` and `_clamp` at y', written out
-# in `leftmost_zero`.  Each branch is the expression of the matching np.where
-# arm of eval_support / eval_support_derivative, term for term, so both give
-# the same bits for a scalar x.  (numpy squares a scalar with pow, as Python's
-# ** does, but an array of several elements by multiplication, which differs
-# in the last bit about once in a thousand squares.)
+# knots and `_phi` at x_hat, written out in `_derive`; and `_phi` and `_clamp`
+# at y', written out in `leftmost_zero`.  Each branch is the expression of the
+# matching np.where arm of eval_support / eval_support_derivative, term for
+# term, so both give the same bits for a scalar x.  (numpy squares a scalar
+# with pow, as Python's ** does, but an array of several elements by
+# multiplication, which differs in the last bit about once in a thousand
+# squares.)
 
 def _phi(s: SupportFunction, x: float) -> float:
     d = s.data

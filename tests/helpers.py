@@ -18,6 +18,21 @@ from firstroot import (
 )
 
 
+# The paper's trials per solve on t01-t20, in problem order, by method.  The a1
+# column averages exactly 22.55 and the a2 column 15.60.
+PUBLISHED_TRIALS = {
+    "grid": (4135, 10000, 1295, 4060, 5470, 10000, 1678, 10000, 4326, 1567,
+             1713, 4931, 10000, 6740, 4531, 10000, 4325, 2016, 2601, 7413),
+    "a1": (5, 31, 6, 12, 7, 10, 5, 36, 15, 55, 69, 13, 99, 23, 9, 7, 20, 11, 12, 6),
+    "a2": (5, 34, 5, 7, 11, 9, 6, 24, 10, 12, 60, 6, 39, 18, 9, 12, 17, 10, 12, 6),
+}
+
+
+def published_trials(problem_id: str, method: str) -> int:
+    """The paper's trial count for test function t01-t20 under `method`."""
+    return PUBLISHED_TRIALS[method][int(problem_id[1:]) - 1]
+
+
 def effective_points(trials) -> tuple[int, float]:
     """Count k of trials up to and including the first negative value (all of
     them when none is negative), and the right margin b_n = x_k: the effective

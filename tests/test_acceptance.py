@@ -36,6 +36,7 @@ from helpers import (
     data_scale,
     effective_points,
     eq22_supports,
+    published_trials,
     random_interval_data,
     table_from,
 )
@@ -113,6 +114,22 @@ def test_root_accuracy(solved, pid, method):
     err = abs(outcome.x_sigma - FRL[pid])
     report(name, err <= 2 * SIGMA and elapsed < 1.0,
            f"|x-frl|={err:.2e} (tol {2 * SIGMA:.2e}), {elapsed * 1e3:.1f} ms")
+
+
+@pytest.mark.parametrize("method", ["a1", "a2"])
+@pytest.mark.parametrize("pid", ROOTED)
+def test_end_game_matches_published_counts(solved, pid, method):
+    # the end game places one trial at the largest float within sigma of the
+    # bracket's left end, instead of closing in by quarters
+    outcome, _ = solved[(pid, method)]
+    name = f"end game {pid}/{method}"
+    if not isinstance(outcome, FirstRootFound):
+        report(name, False, f"outcome {outcome.tag}, expected first_root")
+    published = published_trials(pid, method)
+    err = abs(outcome.x_sigma - FRL[pid])
+    report(name, abs(outcome.trials_used - published) <= 2 and err <= SIGMA,
+           f"trials={outcome.trials_used} (published {published} +- 2), "
+           f"|x-frl|={err:.2e} (tol {SIGMA:.2e})")
 
 
 # ---------------------------------------------------------------------------

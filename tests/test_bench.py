@@ -10,6 +10,8 @@ from firstroot.bench import (
     summarize,
 )
 
+from helpers import PUBLISHED_TRIALS
+
 
 def synthetic_row(pid, method, trials, tag="first_root", x=1.0, f=0.0,
                   ref=None, err=None):
@@ -51,10 +53,7 @@ class TestRunMatrix:
 class TestSummarize:
     def test_reference_columns(self):
         # the targets the harness is compared against: per-method averages
-        grid = [4135, 10000, 1295, 4060, 5470, 10000, 1678, 10000, 4326, 1567,
-                1713, 4931, 10000, 6740, 4531, 10000, 4325, 2016, 2601, 7413]
-        a1 = [5, 31, 6, 12, 7, 10, 5, 36, 15, 55, 69, 13, 99, 23, 9, 7, 20, 11, 12, 6]
-        a2 = [5, 34, 5, 7, 11, 9, 6, 24, 10, 12, 60, 6, 39, 18, 9, 12, 17, 10, 12, 6]
+        grid, a1, a2 = (PUBLISHED_TRIALS[m] for m in ("grid", "a1", "a2"))
         rows = []
         for i, (g, x, y) in enumerate(zip(grid, a1, a2), start=1):
             pid = f"t{i:02d}"

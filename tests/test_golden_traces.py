@@ -8,6 +8,8 @@ per line).  The settings are those of `firstroot.bench.run_matrix`: sigma =
 
 A change that is meant to move a trace must regenerate the file, with
 `PYTHONPATH=src python tests/test_golden_traces.py`, and say which entries moved and why.
+Before it writes, the script prints one line per entry that changes: the tag,
+trials and point, old -> new, and |dx| between the points.
 """
 
 from __future__ import annotations
@@ -60,8 +62,37 @@ def test_outcome_and_trace_are_bit_identical(key):
     assert golden_entry(*key.split("/")) == _golden()["solves"].get(key)
 
 
+def _describe(entry: dict | None) -> str:
+    if entry is None:
+        return "(none)"
+    return f"{entry['tag']} {entry['trials_used']} {float.fromhex(entry['point'])!r}"
+
+
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per key whose entry differs: the tag, trials and point, old ->
+    new, and |dx| between the points; a trace that moved with the same tag,
+    trials and point is marked as such."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key), new.get(key)
+        if before == after:
+            continue
+        line = f"{key}: {_describe(before)} -> {_describe(after)}"
+        if before is not None and after is not None:
+            dx = abs(float.fromhex(after["point"]) - float.fromhex(before["point"]))
+            line += f", |dx| = {dx:.3g}"
+            if _describe(before) == _describe(after):
+                line += " (trace only)"
+        lines.append(line)
+    return lines
+
+
 if __name__ == "__main__":
     solves = {key: golden_entry(*key.split("/")) for key in _matrix()}
+    old = _golden()["solves"] if GOLDEN.exists() else {}
+    moved = changes(old, solves)
+    print("\n".join(moved))
+    print(f"{len(moved)} of {len(solves)} entries changed")
     GOLDEN.write_text(json.dumps({"settings": SETTINGS, "solves": solves}, indent=1,
                                  sort_keys=True) + "\n")
     print(f"wrote {len(solves)} entries to {GOLDEN}")

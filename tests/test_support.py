@@ -305,15 +305,36 @@ class TestKnotsAtTheEnds:
             if m == m_min:  # both knots outside: both clamps act
                 assert sf.y_prime < x_left and sf.y > x_right
 
-    @pytest.mark.xfail(strict=True, reason="x_hat = -b/m can round below y', where the "
-                       "characteristic still takes phi(x_hat) from the middle piece but "
-                       "eval_support takes the left cap")
     def test_stationary_point_rounding_below_the_left_knot(self):
+        # x_hat = -b/m rounds below y': phi(x_hat) comes from the left cap, as
+        # in eval_support, not from the middle piece
         M = 3.7
         sf = build_support(quadratic_interval(M, -M * 0.2, 5.0, 0.2, 7.0,
                                               math.nextafter(M, math.inf)))
         assert sf.x_hat is not None and sf.x_hat < sf.y_prime
         assert characteristic(sf) == numpy_characteristic(sf)
+
+    def test_vertex_within_the_knot_tolerance_of_an_end(self):
+        # seeded quadratics whose vertex lies within the knot tolerance of an
+        # end, at the four bounds of the test above: x_hat can round outside
+        # [y', y] there
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            M = float(10.0 ** rng.uniform(-1, 1))
+            x_left = float(rng.uniform(-5.0, 5.0))
+            x_right = x_left + float(10.0 ** rng.uniform(-1, 1))
+            tol = 1e-9 * max(1.0, x_right - x_left, abs(x_left), abs(x_right))
+            end = x_left if rng.random() < 0.5 else x_right
+            vertex = end + float(rng.uniform(-1, 1) * tol * 10.0 ** rng.uniform(-9, 0))
+            q = float(rng.uniform(0.5, 5.0))
+            m_min = smallest_valid_bound(M, -M * vertex, q, x_left, x_right)
+            for m in (m_min, math.nextafter(m_min, math.inf), M, math.nextafter(M, math.inf)):
+                try:  # the knot test can reject m_min + ulp after accepting m_min
+                    sf = build_support(quadratic_interval(M, -M * vertex, q, x_left, x_right, m))
+                except DegenerateSlope:
+                    continue
+                assert interior_stationary_point(sf) == numpy_stationary_point(sf)
+                assert characteristic(sf) == numpy_characteristic(sf), (M, vertex, m)
 
     def test_negative_zero_knot_on_a_zero_left_end(self):
         sf = build_support(quadratic_interval(*self.CASES["unit"][:5], 4.0))
