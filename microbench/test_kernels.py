@@ -13,15 +13,16 @@ A SupportFunction derives its characteristic when it is built, so
 `test_characteristic` times an accessor and `test_build_support` includes that
 derivation; `test_per_interval_path` times what a scan does per interval it
 rebuilds, from the trials to the minorant it keeps: the validated IntervalData
-and `build_support`.  `test_scan_clean_pass` times a scan in
+and `build_support`.  `test_scan_clean_pass` times an adaptive scan in
 which no slot is empty and no bound moved, so that nothing is rebuilt: the
-per-step cost of the scan outside minorant builds.  It runs on 31 trials of the
-rootless t02, whose minorants all stay positive, so the scan covers all 30
-intervals.  `build_curvature_table` is the full build that seeds an adaptive
-solve; `test_bounds_from` times the one-pass bounds that every later step
-computes from the spliced estimates and widths, and
-`test_spliced_curvature_update` that step's whole curvature work, splice
-included.  A traced benchmark run counts both as solver time.
+per-step cost of the walk outside minorant builds, each bound drawn from
+`iter_bounds` included.  It runs on 31 trials of the rootless t02, whose
+minorants all stay positive, so the walk covers all 30 intervals.
+`build_curvature_table` is the full build that seeds an adaptive solve;
+`test_bounds_from` times the one pass of the bound formula over every
+interval, and `test_spliced_curvature_update` an adaptive step's whole scan
+after a split, splice included.  A traced benchmark run counts both as solver
+time.
 
 `test_one_step[a1]` and `test_one_step[a2]` time one whole `step` of a
 solve of the rootless t02 that has 31 intervals, as deep solves have midway:
@@ -105,12 +106,12 @@ def test_per_interval_path(benchmark, trials):
 
 def test_scan_clean_pass(benchmark):
     rootless = evenly_spaced_trials("t02")
+    config = SolverConfig(method="a2", params=PARAMS)
     state = SearchState(trials=rootless, sigma=1e-4, k=len(rootless), b_n=rootless[-1].x)
-    bounds = build_curvature_table(rootless, PARAMS).m
-    solver.scan_characteristics(state, bounds)
+    solver.scan_characteristics(state, solver._walk(state, config))
     assert state.first_nonpositive is None and None not in state.scan
     assert len(state.scan) == 30
-    benchmark(solver.scan_characteristics, state, bounds)
+    benchmark(lambda: solver.scan_characteristics(state, solver._walk(state, config)))
 
 
 def test_characteristic(benchmark, supports):
@@ -134,25 +135,28 @@ def test_bounds_from(benchmark, trials):
     benchmark(bounds_from, v, gaps, PARAMS)
 
 
-def test_spliced_curvature_update(benchmark, trials):
-    """One adaptive step's curvature work after the seed: insert a trial in
-    the middle of the 30 intervals, splice the estimates and widths, and
-    recompute the 31 bounds."""
-    problem = get_problem("t05")
+def test_spliced_curvature_update(benchmark):
+    """One adaptive step's scan after the seed: insert a trial in the middle
+    of the 30 intervals of the rootless t02, splice the estimates and widths,
+    and walk all 31 slots, drawing each bound and rebuilding the two halves
+    and the minorants whose bound moved."""
+    problem = get_problem("t02")
     config = SolverConfig(method="a2", params=PARAMS)
-    p = 20  # right of the single negative trial, so k stays 31 + 1
+    trials = evenly_spaced_trials("t02")
+    p = 20
     x = 0.5 * (trials[p].x + trials[p + 1].x)
     new = Trial(x=x, z=float(problem.f(x)), dz=float(problem.df(x)), birth=len(trials))
     assert new.z >= 0.0
 
     def seeded():
         state = SearchState(trials=list(trials), sigma=1e-4, k=len(trials), b_n=trials[-1].x)
-        solver._interval_bounds_m(state, config)
+        solver.scan_characteristics(state, solver._walk(state, config))
         return (state,), {}
 
     def update(state):
         solver._insert(state, p, new)
-        return solver._interval_bounds_m(state, config)
+        solver.scan_characteristics(state, solver._walk(state, config))
+        assert state.first_nonpositive is None and None not in state.scan
 
     benchmark.pedantic(update, setup=seeded, rounds=2000)
 

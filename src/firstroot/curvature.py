@@ -10,20 +10,23 @@ window), a width-scaled share of the global estimate, and a small floor:
 with r > 1 a reliability multiplier and xi > 0 covering the case of f'
 locally constant (v = 0 there).
 
-`bounds_from` is the only place that applies this formula: it turns the
-estimates v and the interval widths into the bounds m in a single loop of
-float comparisons.  `build_curvature_table` computes v and the widths from
-scratch and takes m from `bounds_from`; the adaptive search calls it once, to
-seed v and the widths, and from then on keeps them up to date as it adds
-trials and calls `bounds_from` at every step.  The tests hold `bounds_from` to
-the formula written column by column (`tests/helpers.py`).
+`iter_bounds` is the only place that applies this formula: it turns the
+estimates v and the interval widths into the bounds m, left to right, in a
+single loop of float comparisons, yielding each bound as it goes.
+`bounds_from` collects all of them, and `build_curvature_table` computes v
+and the widths from scratch and takes m from `bounds_from`.  The adaptive
+search calls `build_curvature_table` once, to seed v and the widths, and from
+then on keeps them up to date as it adds trials; at every step its scan draws
+the bounds from `iter_bounds` one slot at a time and stops drawing where the
+scan stops.  The tests hold `bounds_from` to the formula written column by
+column (`tests/helpers.py`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +35,8 @@ from .errors import DegenerateInterval
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trial
 
-__all__ = ["EstimationParams", "CurvatureTable", "interval_curvature", "bounds_from",
-           "build_curvature_table"]
+__all__ = ["EstimationParams", "CurvatureTable", "interval_curvature", "iter_bounds",
+           "bounds_from", "build_curvature_table"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -75,24 +78,23 @@ def interval_curvature(trial_left: "Trial", trial_right: "Trial") -> float:
     return (abs(bracket) + d) / (h * h)
 
 
-def bounds_from(v: Sequence[float], gaps: Sequence[float],
-                params: EstimationParams) -> tuple[float, ...]:
+def iter_bounds(v: Sequence[float], gaps: Sequence[float],
+                params: EstimationParams) -> Iterator[float]:
     """The bounds m from the estimates v and the widths `gaps` of the
     intervals, entry p of each describing the interval between trials p and
-    p+1, in one pass over the intervals.
+    p+1, yielded left to right in one pass over the intervals.
 
     lambda_p is the largest v over intervals p-1 .. p+1, found by comparing
     v_p with its two neighbours; gamma_p is the global estimate m_global =
     max(v) scaled by the width relative to the widest interval, computed as
     m_global * gap / x_max in that order; and m_p is r times the largest of
     lambda_p, gamma_p and xi.  v and gaps are two lists or two tuples of the
-    same length, at least 1.
+    same length, at least 1.  A caller that needs only the first bounds stops
+    drawing: the bounds right of them are never computed.
     """
     r, xi = params.r, params.xi
     m_global = max(v)
     x_max = max(gaps)
-    m = []
-    append = m.append
     left = v[0]
     for mid, right, gap in zip(v, v[1:] + v[-1:], gaps):
         lam = mid
@@ -105,9 +107,14 @@ def bounds_from(v: Sequence[float], gaps: Sequence[float],
             lam = gamma
         if xi > lam:
             lam = xi
-        append(r * lam)
+        yield r * lam
         left = mid
-    return tuple(m)
+
+
+def bounds_from(v: Sequence[float], gaps: Sequence[float],
+                params: EstimationParams) -> tuple[float, ...]:
+    """Every bound of `iter_bounds`, as a tuple."""
+    return tuple(iter_bounds(v, gaps, params))
 
 
 def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -> CurvatureTable:
@@ -116,7 +123,8 @@ def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -
     trials must be at least two, strictly increasing in x.  Everything is
     computed from scratch: the adaptive search calls this once, on its first
     step, and from then on updates v and the widths next to each new trial and
-    calls `bounds_from`; the tests use it as the reference for those updates.
+    draws the bounds from `iter_bounds`; the tests use it as the reference for
+    those updates.
     """
     n = len(trials)
     if n < 2:

@@ -24,26 +24,35 @@ fall back to the quarter clamp that keeps every trial inside its interval.
 A step adds one trial inside the chosen interval, so the state is spliced
 rather than rebuilt: the slot of that interval in the per-slot lists (its
 minorant, the minorant's characteristic value R and the bound m it was built
-with) gives way to two empty slots for its halves, and for a2 the curvature
-estimate v and the width of that interval give way to the halves' values;
-every list is then cut to the effective intervals.  A slot holds the minorant
-alone: where the next trial goes is worked out once per step, for the chosen
-interval only.  The next scan visits only the empty slots and, for a2, the
-slots whose bound m moved, found by comparing the flat list of m with the new
-bounds: every other slot holds a minorant with R > 0.  No list ever holds more
-than k - 1 entries.
+with) gives way to two empty slots for its halves, which join the run of
+pending slots, and for a2 the curvature estimate v and the width of that
+interval give way to the halves' values; a negative trial cuts every list to
+the effective intervals.  A slot holds the minorant alone: where the next trial
+goes is worked out once per step, for the chosen interval only.
+
+A scan walks the slots left to right and stops at the first minorant that
+reaches zero, touching only slots whose minorant can have changed.  Under a1
+the bound never moves, so the walk visits the pending slots alone (and, on the
+first scan, those past the end of the lists); no step looks at the other
+slots.  Under a2 the walk draws each slot's bound from `curvature.iter_bounds`
+as it goes, so no bound right of the stop is computed, and rebuilds a minorant
+only where that bound differs from the one it was built with.  The stop
+deletes nothing: the minorants right of it stay valid and are rebuilt only
+once their bound moves.  No list ever holds more than k - 1 entries.
 
 Each decision has one home.  `SolverConfig` validates the settings, the a1
-bound included, once, when it is built.  `_interval_bounds_m` gives the bounds
-of a step: K under a1, and under a2 the values of `curvature.bounds_from`, the
-only bound formula, which `build_curvature_table` also applies when it seeds v
-and the widths on the first step.  `scan_characteristics` builds the
-minorants, `_select_interval` chooses the interval, `_candidate` places the
-trial in it, `_clamp_candidate` moves it to the end game's edge or keeps it
-inside, `_evaluate` takes f and f' there and `_insert` splices it in;
-`_advance`, the one step that `step` and `solve` both run, calls each once or
-stops when the chosen interval is no wider than sigma.  Which method runs, with which bound, is resolved by
-`bench.run_method` for the command line and the benchmark alike.
+bound included, once, when it is built.  `_walk` gives the slots a scan visits
+and their bounds: K under a1, and under a2 the values of
+`curvature.iter_bounds`, the only bound formula, which `build_curvature_table`
+also applies when it seeds v and the widths on the first step.
+`scan_characteristics` builds the minorants, `_select_interval` chooses the
+interval, `_candidate` places the trial in it, `_clamp_candidate` moves it to
+the end game's edge or keeps it inside, `_evaluate` takes f and f' there and
+`_insert` splices it in; `_advance`, the one step that `step` and `solve`
+both run, calls each once or stops: when the chosen interval is no wider than
+sigma, or when no float is left strictly inside it for the trial.  Which
+method runs, with which bound, is resolved by `bench.run_method` for the
+command line and the benchmark alike.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.  It keeps the trace as the
@@ -56,14 +65,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import merge
-from itertools import compress, repeat
-from operator import ne
-from typing import Literal, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .curvature import EstimationParams, bounds_from, build_curvature_table, interval_curvature
+from .curvature import EstimationParams, build_curvature_table, interval_curvature, iter_bounds
 from .errors import BadInitialCondition, NonFinite
 from .problems import Problem, on_mesh
 from .support import (
@@ -150,17 +157,20 @@ class SearchState:
     and right margin b_n, and per-interval lists spliced at every insertion.
 
     Entry p of each list describes the interval between trials p and p + 1.
-    `scan` holds the minorants (SupportFunction) of the last scan, with None
-    in the slots of the two halves of the interval split since; `R` and `m`
-    hold, slot by slot, the minorant's characteristic value and the bound it
-    was built with, NaN in an empty slot.  The three lists always have one
-    length.  The next scan fills the empty slots and, for a2, rebuilds the
-    minorants whose bound moved; every other minorant has R > 0, because a
-    scan cuts the lists after its first non-positive one and the step empties
-    the slot it chooses.  `v` and `gaps` hold a2's curvature estimates and
-    interval widths for all k - 1 effective intervals; they stay empty under a1
-    and until a2's first step seeds them.  No list holds more than k - 1
-    entries.
+    `scan` holds the minorants (SupportFunction) that scans built, with None
+    in an empty slot: one that a step emptied and no scan has reached since;
+    `R` and `m` hold, slot by slot, the minorant's characteristic value and
+    the bound it was built with, NaN in an empty slot.  The three lists always
+    have one length, at most k - 1: a scan extends them only as far as it
+    walks, and keeps the minorants right of where it stops.  Every minorant
+    but the flagged one (`first_nonpositive`) has R > 0, because a scan stops
+    at the first non-positive one it builds and the step empties the slot it
+    chooses.  `pending` = (start, stop) holds the run of slots start ..
+    stop - 1, none when start == stop, that the next scan must visit whatever
+    their bound: every empty slot in the lists lies in it, and so does the
+    flagged one.  `v` and `gaps` hold a2's curvature estimates and interval
+    widths for all k - 1 effective intervals; they stay empty under a1 and
+    until a2's first step seeds them.
     """
 
     trials: list[Trial]
@@ -171,6 +181,7 @@ class SearchState:
     R: list[float] = field(default_factory=list)
     m: list[float] = field(default_factory=list)
     first_nonpositive: int | None = None
+    pending: tuple[int, int] = (0, 0)
     v: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
 
@@ -235,12 +246,19 @@ class NoRootGlobalMin(Outcome):
 
 @dataclass(frozen=True)
 class PrecisionExhausted(Outcome):
-    """A minorant reaches zero inside `interval`, whose endpoints are both
+    """The search cannot resolve the first root of `interval` any further.
+
+    Either a minorant reaches zero inside `interval`, whose endpoints are both
     positive and which is no wider than sigma, but that minorant rests on the
     curvature floor (_MIN_CURVATURE for a1 with K = 0, r*xi for a2) rather
     than on a bound taken from data.  The zero then comes from the floor, not
     from f, so it is not reported as a root: an f whose values are small
     against the floor needs rescaling or a lower xi.
+
+    Or the chosen interval is still wider than sigma, but the next trial,
+    once placed, does not lie strictly inside it: with sigma below the
+    spacing of floats near the interval (an interval one ulp wide, say), no
+    float is left where a new trial could go.  A larger sigma resolves it.
     """
 
     interval: tuple[float, float] = (0.0, 0.0)
@@ -315,29 +333,39 @@ def initialize(problem: Problem, config: SolverConfig) -> SearchState:
     return SearchState(trials=[left, right], sigma=config.resolve_sigma(a, b), k=2, b_n=b)
 
 
-def _interval_bounds_m(state: SearchState, config: SolverConfig) -> Sequence[float]:
+def _walk(state: SearchState, config: SolverConfig) -> Iterable[tuple[int, float]]:
+    # The (slot, bound) pairs the next scan visits, left to right.  Under a1
+    # the bound never moves, so only the pending slots and those past the end
+    # of the lists can change.  Under a2 every slot is visited, its bound drawn
+    # from `iter_bounds` as the scan goes, so none right of the stop is computed.
     if config.method == "a1":
         m = config.lipschitz if config.lipschitz > 0.0 else _MIN_CURVATURE
-        return [m] * (state.k - 1)
+        start, stop = state.pending
+        if len(state.scan) < state.k - 1:  # the first scan: the slots past the end too
+            stop = state.k - 1
+        return zip(range(start, stop), repeat(m))
     if not state.v:  # the first a2 step seeds v and the widths; `_insert` splices them
         table = build_curvature_table(state.trials[:state.k], config.params)
         state.v, state.gaps = list(table.v), list(table.gaps)
-        return table.m
-    return bounds_from(state.v, state.gaps, config.params)
+        return enumerate(table.m)
+    return enumerate(iter_bounds(state.v, state.gaps, config.params))
 
 
-def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchState:
-    """Minorants left to right over the effective intervals, up to the first
-    one whose characteristic is <= 0.
+def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) -> SearchState:
+    """Walk the effective intervals left to right, building minorants where
+    they may have changed, up to the first one whose characteristic is <= 0.
 
-    A minorant is a pure function of its interval's endpoint data and bound,
-    so the minorant in slot p is kept as it is unless the slot is empty or its
-    bound differs from bounds[p]; minorants right of the first non-positive
-    one are dropped.  Only those slots are visited, left to right, found by
-    comparing the list m with `bounds` (NaN, in an empty slot, equals
-    nothing): every other kept minorant has R > 0 and cannot stop the walk.
-    The one exception is a flagged minorant left by a scan that no step
-    followed, which is visited too.
+    `walk` yields (p, m_p), p increasing, for every slot p whose minorant can
+    differ from the one the slot holds: at least every pending slot (one
+    emptied by a step, or flagged by a scan that no step followed), every slot
+    past the end of the lists, and every slot whose bound moved.  A minorant
+    is a pure function of its interval's endpoint data and bound, so the walk
+    builds one only where the slot is empty or holds a minorant built with a
+    bound other than m_p; it stops at, and flags, the first slot whose R is
+    <= 0.  A slot the walk leaves out holds a minorant with R > 0 built with
+    its current bound.  Minorants right of the stop are kept as they are: a
+    later walk rebuilds them only once their bound moves.  The lists grow only
+    by the slots a walk reaches.
     """
     scan, R, m = state.scan, state.R, state.m
     grow = state.k - 1 - len(scan)
@@ -345,23 +373,22 @@ def scan_characteristics(state: SearchState, bounds: Sequence[float]) -> SearchS
         scan.extend([None] * grow)
         R.extend([math.nan] * grow)
         m.extend([math.nan] * grow)
-    visit = compress(range(state.k - 1), map(ne, m, bounds))
-    flagged = state.first_nonpositive
-    if flagged is not None and R[flagged] <= 0.0:  # no step emptied it
-        visit = merge(visit, (flagged,))
     state.first_nonpositive = None
     trials = state.trials
-    for p in visit:
-        if m[p] != bounds[p]:
+    for p, bound in walk:
+        if m[p] != bound:  # NaN, in an empty slot, equals nothing
             lo, hi = trials[p], trials[p + 1]
-            sf = scan[p] = build_support(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz,
-                                                      bounds[p]))
+            sf = scan[p] = build_support(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound))
             R[p] = sf.char.R
-            m[p] = bounds[p]
+            m[p] = bound
         if R[p] <= 0.0:
             state.first_nonpositive = p
-            del scan[p + 1:], R[p + 1:], m[p + 1:]
-            break
+            if grow:  # the slots past the end that the walk did not reach
+                del scan[p + 1:], R[p + 1:], m[p + 1:]
+            stop = state.pending[1]
+            state.pending = (p, stop if stop > p else p + 1)
+            return state
+    state.pending = (0, 0)
     return state
 
 
@@ -395,9 +422,11 @@ def _clamp_candidate(state: SearchState, p: int, x: float) -> float:
     # (and falls short of it for some lo < 0).  A negative f(e) leaves the
     # bracket [lo, e], and the next step stops on it.  e < hi, since the
     # interval is wider than sigma.  Where sigma is below half an ulp of lo,
-    # e is lo itself and the clamp below applies: it keeps the trial strictly
-    # inside the interval, since a candidate landing on (or rounding past) an
+    # e is lo itself and the clamp below applies: it keeps the trial inside
+    # the interval, since a candidate landing on (or rounding past) an
     # endpoint would duplicate an existing abscissa and stall the subdivision.
+    # A quarter of an interval a few ulps wide can still round onto an end;
+    # `_advance` then stops with PrecisionExhausted.
     lo, hi = state.trials[p].x, state.trials[p + 1].x
     sigma = state.sigma
     if state.first_nonpositive is not None and x - lo <= sigma:
@@ -430,16 +459,15 @@ def _at_floor(m: float, config: SolverConfig) -> bool:
     return m <= config.params.r * config.params.xi
 
 
-def _finish(state: SearchState, floored: bool) -> Outcome:
-    """Outcome once the selected interval is no wider than sigma; `floored`
-    tells whether that interval's bound is the curvature floor."""
+def _finish(state: SearchState, config: SolverConfig) -> Outcome:
+    """Outcome once the selected interval is no wider than sigma."""
     n_used = len(state.trials)
     p = state.first_nonpositive
     if p is None:
         x_best, f_best = _best_observed(state)
         return NoRootGlobalMin(trials_used=n_used, x_best=x_best, f_best=f_best)
     lo, hi = state.trials[p], state.trials[p + 1]
-    if floored and hi.z >= 0.0:
+    if _at_floor(state.m[p], config) and hi.z >= 0.0:
         return PrecisionExhausted(trials_used=n_used, interval=(lo.x, hi.x))
     return FirstRootFound(trials_used=n_used, x_sigma=lo.x)
 
@@ -447,12 +475,12 @@ def _finish(state: SearchState, floored: bool) -> Outcome:
 def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | Trial:
     """One iteration: the Outcome when the search terminates, else the trial
     it added."""
-    bounds = _interval_bounds_m(state, config)
-    scan_characteristics(state, bounds)
+    scan_characteristics(state, _walk(state, config))
     chosen = _select_interval(state)
     trials = state.trials
-    if trials[chosen + 1].x - trials[chosen].x <= state.sigma:
-        return _finish(state, _at_floor(bounds[chosen], config))
+    lo, hi = trials[chosen].x, trials[chosen + 1].x
+    if hi - lo <= state.sigma:
+        return _finish(state, config)
     if len(trials) >= config.max_trials:
         if trials[state.k - 1].z < 0.0:
             best = trials[state.k - 2].x
@@ -460,18 +488,22 @@ def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outc
             best = _best_observed(state)[0]
         return BudgetExhausted(trials_used=len(trials), best_so_far=best)
     candidate = _clamp_candidate(state, chosen, _candidate(state, chosen))
+    if not lo < candidate < hi:  # no float strictly inside the interval is left
+        return PrecisionExhausted(trials_used=len(trials), interval=(lo, hi))
     trial = _evaluate(problem, candidate, len(trials))
     _insert(state, chosen, trial)
     return trial
 
 
 def _insert(state: SearchState, p: int, trial: Trial) -> None:
-    """Insert `trial`, which lies strictly inside interval p (the clamp keeps
-    it there), and splice the per-interval lists.
+    """Insert `trial`, which lies strictly inside interval p, and splice the
+    per-interval lists.
 
     Trials 1 .. p are non-negative, since p < k - 1, so a negative trial
     becomes the first negative one and k drops to p + 2, cutting every
-    interval right of it; otherwise k grows by one.
+    interval right of it; otherwise k grows by one.  p is the slot the last
+    scan chose, so the pending run is empty or starts at p; the emptied slots
+    extend it, and the slots right of p move up by one.
     """
     trials = state.trials
     trials.insert(p + 1, trial)
@@ -482,6 +514,7 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
         state.scan[p:] = [None]
         state.R[p:] = [math.nan]
         state.m[p:] = [math.nan]
+        state.pending = (p, p + 1)
         if state.v:
             state.v[p:] = [interval_curvature(lo, trial)]
             state.gaps[p:] = [trial.x - lo.x]
@@ -491,6 +524,8 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
     state.scan[p:p + 1] = [None, None]
     state.R[p:p + 1] = [math.nan, math.nan]
     state.m[p:p + 1] = [math.nan, math.nan]
+    start, stop = state.pending
+    state.pending = (p, stop + 1 if stop > start else p + 2)
     if state.v:
         hi = trials[p + 2]
         state.v[p:p + 1] = [interval_curvature(lo, trial), interval_curvature(trial, hi)]
@@ -502,8 +537,8 @@ def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome 
     None when a trial was added and the search continues.
 
     state.k and state.b_n must describe state.trials, and state.scan,
-    state.R, state.m, state.v and state.gaps must be empty or spliced by
-    `step`, as `initialize` and `step` leave them.  Under a2 the curvature
+    state.R, state.m, state.pending, state.v and state.gaps must be empty or
+    spliced by `step`, as `initialize` and `step` leave them.  Under a2 the curvature
     estimates of the two halves are computed as the trial is added, so a
     DegenerateInterval for a too narrow half is raised by the step that adds
     the trial.

@@ -11,6 +11,7 @@ import numpy as np
 from firstroot import (
     EstimationParams,
     IntervalData,
+    Problem,
     Trial,
     build_curvature_table,
     build_support,
@@ -74,6 +75,29 @@ def table_from(v, gaps, params) -> ReferenceTable:
     m = [params.r * bound for bound in map(max, lam, gamma, repeat(params.xi))]
     return ReferenceTable(v=tuple(v), gaps=tuple(gaps), m_global=m_global, lam=tuple(lam),
                           gamma=tuple(gamma), m=tuple(m))
+
+
+def cosines_problem(f0, amps, freqs, phases, drift, length):
+    """f(x) = f0 + sum_j a_j (cos(w_j x + phi_j) - cos(phi_j)) on [0, length],
+    minus drift * max(0, x - 0.8 * length)**2: f(0) = f0 > 0; rootless when
+    f0 exceeds twice the sum of the amplitudes and drift is 0, with several
+    negative dips when f0 is small, and with a late root when only the drift
+    reaches below zero."""
+    a, w, phi = (np.asarray(v, dtype=float) for v in (amps, freqs, phases))
+    x0 = 0.8 * length
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        u = np.maximum(x - x0, 0.0)
+        waves = a * (np.cos(w * x[..., None] + phi) - np.cos(phi))
+        return f0 + waves.sum(axis=-1) - drift * u * u
+
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        u = np.maximum(x - x0, 0.0)
+        return -(a * w * np.sin(w * x[..., None] + phi)).sum(axis=-1) - 2.0 * drift * u
+
+    return Problem(id="cos", name="sum of cosines", a=0.0, b=length, f=f, df=df)
 
 
 def data_scale(data) -> float:

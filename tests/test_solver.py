@@ -37,7 +37,7 @@ from firstroot.errors import FirstRootError, NonFinite
 from firstroot.solver import TraceRecord, initialize, scan_characteristics, step
 from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
 
-from helpers import effective_points, table_from
+from helpers import cosines_problem, effective_points, table_from
 
 
 def state_from(xs, zs, dzs, sigma=1e-4):
@@ -51,29 +51,6 @@ def next_trial_point(st):
     """Where the solver places the next trial: the candidate in the interval
     it selects."""
     return solver_module._candidate(st, solver_module._select_interval(st))
-
-
-def cosines_problem(f0, amps, freqs, phases, drift, length):
-    """f(x) = f0 + sum_j a_j (cos(w_j x + phi_j) - cos(phi_j)) on [0, length],
-    minus drift * max(0, x - 0.8 * length)**2: f(0) = f0 > 0; rootless when
-    f0 exceeds twice the sum of the amplitudes and drift is 0, with several
-    negative dips when f0 is small, and with a late root when only the drift
-    reaches below zero."""
-    a, w, phi = (np.asarray(v, dtype=float) for v in (amps, freqs, phases))
-    x0 = 0.8 * length
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        u = np.maximum(x - x0, 0.0)
-        waves = a * (np.cos(w * x[..., None] + phi) - np.cos(phi))
-        return f0 + waves.sum(axis=-1) - drift * u * u
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        u = np.maximum(x - x0, 0.0)
-        return -(a * w * np.sin(w * x[..., None] + phi)).sum(axis=-1) - 2.0 * drift * u
-
-    return Problem(id="cos", name="sum of cosines", a=0.0, b=length, f=f, df=df)
 
 
 def linear_problem(slope=-1.0, offset=0.5, a=0.0, b=1.0, pid="lin"):
@@ -122,7 +99,7 @@ class TestInitialize:
 class TestScan:
     def test_all_positive_scans_every_interval(self):
         st = state_from([0, 1, 2], [1, 1, 1], [0, 0, 0])
-        scan_characteristics(st, [1.0, 1.0])
+        scan_characteristics(st, enumerate([1.0, 1.0]))
         assert st.first_nonpositive is None
         assert len(st.scan) == 2
 
@@ -130,13 +107,13 @@ class TestScan:
         # a large bound makes the first minorant dip below zero; the second
         # interval must stay unscanned
         st = state_from([0, 1, 2], [1, 0.5, 2], [-0.6, -0.6, 2.9])
-        scan_characteristics(st, [30.0, 30.0])
+        scan_characteristics(st, enumerate([30.0, 30.0]))
         assert st.first_nonpositive == 0
         assert len(st.scan) == 1
 
     def test_symmetric_interval_classified_interior(self):
         st = state_from([0, 1], [1, 1], [0, 0])
-        scan_characteristics(st, [4.0])
+        scan_characteristics(st, enumerate([4.0]))
         sf = st.scan[0]
         assert isinstance(sf, SupportFunction)
         assert sf.char.kind == INTERIOR
@@ -147,7 +124,7 @@ class TestScan:
         # the flagged entry of a scan that no step followed still stops the
         # next scan with the same bounds, which rebuilds nothing
         st = state_from([0, 1, 2], [1, 0.5, 2], [-0.6, -0.6, 2.9])
-        scan_characteristics(st, [30.0, 30.0])
+        scan_characteristics(st, enumerate([30.0, 30.0]))
         first = (st.first_nonpositive, list(st.scan), list(st.R), list(st.m))
         assert first[0] == 0
         built = []
@@ -158,7 +135,7 @@ class TestScan:
             return original(data)
 
         monkeypatch.setattr(solver_module, "build_support", counting)
-        scan_characteristics(st, [30.0, 30.0])
+        scan_characteristics(st, enumerate([30.0, 30.0]))
         assert (st.first_nonpositive, st.scan, st.R, st.m) == first
         assert built == []
 
@@ -166,14 +143,14 @@ class TestScan:
 class TestNextTrialPoint:
     def test_interior_point_of_single_interval(self):
         st = state_from([0, 1], [1, 1], [0, 0])
-        scan_characteristics(st, [4.0])
+        scan_characteristics(st, enumerate([4.0]))
         assert next_trial_point(st) == pytest.approx(0.5)
 
     def test_minimal_characteristic_wins(self):
         # interval 1 has an interior minimum 0.75; interval 2 carries data of
         # f(x) = 1 - 0.8*(x-1)^2, decreasing to z = 0.2, and wins the argmin
         st = state_from([0, 1, 2], [1, 1, 0.2], [0, 0, -1.6])
-        scan_characteristics(st, [4.0, 2.0])
+        scan_characteristics(st, enumerate([4.0, 2.0]))
         assert st.first_nonpositive is None
         sf = st.scan[1]
         assert st.R[1] == sf.char.R == pytest.approx(0.2)
@@ -184,7 +161,7 @@ class TestNextTrialPoint:
         # data of f(x) = 1 + x: phi rises over the whole interval, so it has
         # no interior stationary point and its minimum is the left end
         st = state_from([0, 1], [1, 2], [1, 1])
-        scan_characteristics(st, [1.0])
+        scan_characteristics(st, enumerate([1.0]))
         sf = st.scan[0]
         assert sf.char.kind == LEFT_END and sf.x_hat is None
         assert next_trial_point(st) == sf.y_prime
@@ -193,7 +170,7 @@ class TestNextTrialPoint:
         # phi dips to a local minimum inside the interval, above z_left: the
         # characteristic is the left end, and the trial still goes to x_hat
         st = state_from([0, 1], [0.68, 1.22], [2.3, 2.1])
-        scan_characteristics(st, [8.0])
+        scan_characteristics(st, enumerate([8.0]))
         sf = st.scan[0]
         assert sf.char.kind == LEFT_END and sf.x_hat is not None
         assert sf.y_prime < sf.x_hat < sf.y
@@ -201,9 +178,14 @@ class TestNextTrialPoint:
 
     def test_leftmost_zero_of_flagged_interval(self):
         st = state_from([0, 3], [1, -8], [-3, -3])
-        scan_characteristics(st, [2.0])
+        scan_characteristics(st, enumerate([2.0]))
         assert st.first_nonpositive == 0
         assert next_trial_point(st) == pytest.approx((-3 + math.sqrt(13)) / 2, abs=1e-12)
+
+
+# positive up to the drift that starts at x = 16, with the first root at 17.8
+LATE_ROOT = cosines_problem(2.51, (0.14, 0.58, 0.51), (0.47, 2.03, 2.6), (3.72, 1.63, 5.27),
+                            1.0, 20.0)
 
 
 class TestMinorantReuse:
@@ -245,50 +227,116 @@ class TestMinorantReuse:
             return original(data)
 
         monkeypatch.setattr(solver_module, "build_support", counting)
-        complete_steps = moved_total = 0
-        for pid in ("t02", "t06"):  # rootless; t02 flags most scans, t06 none
-            p = get_problem(pid)
+        complete_steps = moved_total = kept_right = 0
+        # rootless t02 flags most scans, t06 none; the late root of the sum
+        # of cosines leaves minorants right of a flag that later walks reach
+        for p in (get_problem("t02"), get_problem("t06"), LATE_ROOT):
             cfg = SolverConfig(method="a2")
             state = initialize(p, cfg)
-            kept = {}  # (x_left, x_right) -> m of every entry the last scan left
+            kept = {}  # (x_left, x_right) -> m of every minorant the lists hold
             outcome = None
             while outcome is None:
                 k = state.k
                 xs = [t.x for t in state.trials[:k]]
+                intervals = list(zip(xs, xs[1:]))
                 m = build_curvature_table(state.trials[:k], cfg.params).m
+                # a minorant stays, right of a flag too, while its interval is
+                # effective; the last step split one interval and may have cut k
+                kept = {key: mp for key, mp in kept.items() if key in set(intervals)}
+                assert kept == {(sf.data.x_left, sf.data.x_right): sf.data.m
+                                for sf in state.scan if sf is not None}
                 built.clear()
                 outcome = step(state, p, cfg)
                 last = state.first_nonpositive
-                scanned = list(zip(zip(xs, xs[1:]), m))[:k - 1 if last is None else last + 1]
+                scanned = list(zip(intervals, m))[:k - 1 if last is None else last + 1]
                 rebuilt = [(*key, mp) for key, mp in scanned if kept.get(key) != mp]
                 assert built == rebuilt
                 moved = sum(key in kept for key, mp in scanned if kept.get(key) != mp)
-                if kept and len(kept) == len(scanned) - 1 == k - 2:
-                    # both this scan and the last covered every interval: the
-                    # two halves of the split plus the survivors whose m moved
+                if len(kept) == len(scanned) - 2 == k - 3:
+                    # this scan covered every interval and the lists held all
+                    # but the two halves of the split: those two are built,
+                    # plus the survivors whose m moved
                     assert len(built) == 2 + moved
                     complete_steps += 1
+                if last is not None:
+                    kept_right += sum(key[0] > xs[last] for key in kept)
                 moved_total += moved
-                kept = dict(scanned)
-        assert complete_steps > 0 and moved_total > 0
+                kept.update(scanned)
+        assert complete_steps > 0 and moved_total > 0 and kept_right > 0
+
+    def test_a2_never_builds_a_minorant_twice(self, monkeypatch):
+        # a late root: walks stop at flagged minorants left of minorants that
+        # a later walk reaches again, with the bound they were built with
+        built = []
+        original = solver_module.build_support
+
+        def counting(data):
+            built.append((data.x_left, data.x_right, data.m))
+            return original(data)
+
+        monkeypatch.setattr(solver_module, "build_support", counting)
+        out = solve(LATE_ROOT, SolverConfig(method="a2")).outcome
+        assert isinstance(out, FirstRootFound) and out.x_sigma > 0.8 * LATE_ROOT.b
+        assert len(set(built)) == len(built)
 
 
 class TestSplicedState:
-    """After every step the spliced a2 table equals a full rebuild over the
-    effective trials, and v is computed for effective intervals only."""
+    """After every step the spliced a2 estimates and widths equal a full
+    rebuild over the effective trials, v is computed for effective intervals
+    only, and every scan, a1's and a2's, leaves the minorants it reached built
+    with the right bounds (for a2, those of the oracle `helpers.table_from`)
+    and every empty slot in the pending run."""
 
     @staticmethod
-    def drive(problem, cfg, monkeypatch) -> int:
-        """Step to the end, checking the spliced state after every step;
-        returns how many steps made k smaller."""
+    def check_scan(state, cfg) -> None:
+        """Every minorant up to and including the flagged slot (every one, with
+        no flag) was built with the oracle's bound, every minorant the lists
+        keep, right of the flag too, is built on its two trials, and the
+        pending run starts at the flag and holds every empty slot."""
+        if cfg.method == "a1":
+            bounds = [cfg.lipschitz] * (state.k - 1)
+        else:
+            full = build_curvature_table(state.trials[:state.k], cfg.params)
+            bounds = table_from(full.v, full.gaps, cfg.params).m
+            assert full.m == bounds
+        last = state.first_nonpositive
+        reached = state.k - 1 if last is None else last + 1
+        assert len(state.scan) >= reached
+        assert all(state.m[p] == bounds[p] for p in range(reached))
+        assert len(state.scan) <= state.k - 1
+        assert len(state.R) == len(state.m) == len(state.scan)
+        start, stop = state.pending
+        assert start == stop if last is None else start == last < stop
+        for p, sf in enumerate(state.scan):
+            if sf is None:
+                assert reached <= p < stop
+                continue
+            lo, hi = state.trials[p], state.trials[p + 1]
+            d = sf.data
+            assert (d.x_left, d.x_right, d.z_left, d.z_right, d.dz_left, d.dz_right) \
+                == (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz)
+            assert state.R[p] == sf.char.R
+            assert state.m[p] == d.m
+
+    @classmethod
+    def drive(cls, problem, cfg, monkeypatch) -> int:
+        """Step to the end, checking the state after every scan and every
+        step; returns how many steps made k smaller."""
         measured = []
         original = solver_module.interval_curvature
+        scan = solver_module.scan_characteristics
 
         def recording(lo, hi):
             measured.append(hi.x)
             return original(lo, hi)
 
+        def checked(state, walk):
+            scan(state, walk)
+            cls.check_scan(state, cfg)
+            return state
+
         monkeypatch.setattr(solver_module, "interval_curvature", recording)
+        monkeypatch.setattr(solver_module, "scan_characteristics", checked)
         state = initialize(problem, cfg)
         shrinks = 0
         while True:
@@ -301,23 +349,16 @@ class TestSplicedState:
             assert (state.k, state.b_n) == effective_points(state.trials)
             assert len(measured) <= 2
             assert all(x <= state.b_n for x in measured)
-            full = build_curvature_table(state.trials[:state.k], cfg.params)
-            ref = table_from(full.v, full.gaps, cfg.params)
-            assert state.v == list(full.v)
-            assert state.gaps == list(full.gaps)
-            assert solver_module._interval_bounds_m(state, cfg) == full.m == ref.m
-            assert all(lam == max(full.v[max(0, p - 1):p + 2])
-                       for p, lam in enumerate(ref.lam))
-            assert len(state.scan) <= state.k - 1
-            assert len(state.R) == len(state.m) == len(state.scan)
+            if cfg.method == "a2":
+                full = build_curvature_table(state.trials[:state.k], cfg.params)
+                assert state.v == list(full.v)
+                assert state.gaps == list(full.gaps)
+                assert all(lam == max(full.v[max(0, p - 1):p + 2]) for p, lam
+                           in enumerate(table_from(full.v, full.gaps, cfg.params).lam))
             for p, sf in enumerate(state.scan):
                 if sf is not None:
                     lo, hi = state.trials[p], state.trials[p + 1]
-                    d = sf.data
-                    assert (d.x_left, d.x_right, d.z_left, d.z_right, d.dz_left, d.dz_right) \
-                        == (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz)
-                    assert state.R[p] == sf.char.R
-                    assert state.m[p] == d.m
+                    assert (sf.data.x_left, sf.data.x_right) == (lo.x, hi.x)
 
     @given(f0=hst.floats(0.05, 4.0),
            waves=hst.lists(hst.tuples(hst.floats(0.1, 1.0), hst.floats(0.3, 3.0),
@@ -326,12 +367,31 @@ class TestSplicedState:
            length=hst.floats(5.0, 30.0))
     @example(f0=3.0, waves=[(0.5, 1.0, 0.0), (0.3, 2.1, 1.0)], drift=1.0, length=20.0)
     @example(f0=4.0, waves=[(0.5, 1.0, 0.0), (0.3, 2.1, 1.0)], drift=0.0, length=20.0)
+    # the fourth trial is negative in an interval no flag chose, and cuts k
+    @example(f0=1.8, waves=[(0.87, 0.96, 1.67), (0.59, 2.05, 4.8), (0.44, 1.26, 5.8)],
+             drift=0.0, length=6.5)
     @settings(max_examples=40, deadline=None)
     def test_spliced_table_equals_full_build(self, f0, waves, drift, length):
         amps, freqs, phases = zip(*waves)
         problem = cosines_problem(f0, amps, freqs, phases, drift, length)
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.drive(problem, SolverConfig(method="a2"), monkeypatch)
+
+    @given(f0=hst.floats(0.05, 4.0),
+           waves=hst.lists(hst.tuples(hst.floats(0.1, 1.0), hst.floats(0.3, 3.0),
+                                      hst.floats(0.0, 2 * math.pi)), min_size=1, max_size=3),
+           drift=hst.sampled_from([0.0, 1.0]),
+           length=hst.floats(5.0, 30.0))
+    @example(f0=0.16, waves=[(0.4, 2.5, 5.7), (0.3, 2.1, 4.6), (0.9, 2.9, 5.3)], drift=0.0,
+             length=20.0)
+    @settings(max_examples=40, deadline=None)
+    def test_a1_walk_reaches_every_empty_slot(self, f0, waves, drift, length):
+        # K bounds |f''| by the sum of a_j w_j**2 plus twice the drift
+        amps, freqs, phases = zip(*waves)
+        problem = cosines_problem(f0, amps, freqs, phases, drift, length)
+        bound = sum(a * w * w for a, w in zip(amps, freqs)) + 2.0 * drift
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.drive(problem, SolverConfig(method="a1", lipschitz=bound), monkeypatch)
 
     def test_a_negative_trial_shrinks_k(self, monkeypatch):
         # several negative dips: a trial in one left of the last found cuts k,
@@ -464,6 +524,23 @@ class TestEndGame:
             assert isinstance(outcome, Outcome)
         assert placed
         assert all(lo < out == lo + 0.25 * (hi - lo) < hi for lo, hi, out in placed)
+
+    def test_no_float_inside_the_interval_ends_in_precision_exhausted(self):
+        # At a = 1 the quarter clamp narrows the flagged interval to one ulp,
+        # [1, 1 + 2**-52], still wider than sigma; lo + width/4 then rounds
+        # onto lo, and the solve stops instead of repeating that abscissa.
+        # (a2 raises DegenerateSlope on this input first, as at a = +-1e6.)
+        a = 1.0
+        problem = Problem(id="edge", name="eps - (x - 1)", a=a, b=a + 1.0,
+                          f=lambda x: 1e-18 - (np.asarray(x, dtype=float) - a),
+                          df=lambda x: -np.ones_like(np.asarray(x, dtype=float)))
+        res = solve(problem, SolverConfig(method="a1", lipschitz=1.0, sigma_fraction=1e-17))
+        out = res.outcome
+        assert isinstance(out, PrecisionExhausted)
+        assert out.interval == (a, math.nextafter(a, math.inf))
+        assert out.trials_used == len(res.trace)
+        xs = [r.x for r in res.trace]
+        assert len(set(xs)) == len(xs)
 
     def test_a_negative_trial_at_the_edge_stops_on_a_sigma_bracket(self):
         p = get_problem("t01")
