@@ -36,6 +36,11 @@ scan of t01, the first with its trace left unread, the second reading it in
 full: the trace builds its records on first read, so the difference is the
 cost of that build.
 
+`test_find_fmax[chebyshev]` and `test_find_fmax[passband]` time the one-off
+F_max of a filter: the block-wise scan of its 1 000 000-point mesh and the
+golden-section refinement.  `test_lipschitz_oracle` times the one-off a1
+bound K of t14, the block-wise scan of f' on a 200 000-point mesh.
+
 The benchmarks need the pytest-benchmark plugin (the `bench` extra of the
 package).
 """
@@ -56,11 +61,14 @@ from firstroot import (
     build_support,
     characteristic,
     curvature_bound,
+    exact_lipschitz_oracle,
+    find_fmax,
     get_problem,
     grid_search,
     leftmost_zero,
 )
 from firstroot.curvature import bounds_from
+from firstroot.problems import FILTERS
 
 PARAMS = EstimationParams()
 
@@ -193,3 +201,14 @@ def test_grid_search(benchmark):
 def test_grid_search_trace_read(benchmark):
     problem, sigma = _grid_t01()
     assert benchmark(lambda: list(grid_search(problem, sigma).trace))[-1].iter == 4135
+
+
+@pytest.mark.parametrize("pid", ["chebyshev", "passband"])
+def test_find_fmax(benchmark, pid):
+    _, transfer, domain, _ = FILTERS[pid]
+    assert benchmark(find_fmax, transfer, domain)[0] > 0.0
+
+
+def test_lipschitz_oracle(benchmark):
+    problem = get_problem("t14")
+    assert benchmark(exact_lipschitz_oracle, problem) > 0.0

@@ -3,6 +3,7 @@ and acceptance tests."""
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ from firstroot import (
     build_support,
     registry,
 )
+from firstroot.problems import _FMAX_GRID, _ORACLE_GRID, on_mesh
 
 
 # The paper's trials per solve on t01-t20, in problem order, by method.  The a1
@@ -75,6 +77,46 @@ def table_from(v, gaps, params) -> ReferenceTable:
     m = [params.r * bound for bound in map(max, lam, gamma, repeat(params.xi))]
     return ReferenceTable(v=tuple(v), gaps=tuple(gaps), m_global=m_global, lam=tuple(lam),
                           gamma=tuple(gamma), m=tuple(m))
+
+
+def one_shot_lipschitz(problem) -> float:
+    """The dense-grid K as one pass over the whole mesh: the reference that the
+    block-wise `exact_lipschitz_oracle` must equal with `==`."""
+    x = np.linspace(problem.a, problem.b, _ORACLE_GRID)
+    d = on_mesh(problem.df, x)
+    return 1.01 * float(np.max(np.abs(np.diff(d)) / np.diff(x)))
+
+
+def one_shot_fmax(transfer, omega_range) -> tuple[float, float]:
+    """F_max and its argmax from one argmax over the whole mesh, then the same
+    golden-section refinement: the reference that the block-wise `find_fmax`
+    must equal bit for bit."""
+    lo, hi = omega_range
+    w = np.linspace(lo, hi, _FMAX_GRID)
+    vals = np.asarray(transfer(w), dtype=float)
+    i = int(np.argmax(vals))
+    a = w[max(i - 1, 0)]
+    b = w[min(i + 1, _FMAX_GRID - 1)]
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv * (b - a)
+    x2 = a + inv * (b - a)
+    f1 = float(transfer(x1))
+    f2 = float(transfer(x2))
+    tol = 1e-10 * max(1.0, abs(hi))
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = float(transfer(x2))
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = float(transfer(x1))
+    x_ref = 0.5 * (a + b)
+    f_ref = float(transfer(x_ref))
+    if f_ref > vals[i]:
+        return f_ref, x_ref
+    return float(vals[i]), float(w[i])
 
 
 def cosines_problem(f0, amps, freqs, phases, drift, length):

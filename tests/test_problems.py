@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,16 @@ from firstroot import (
     registry,
     solve,
 )
-from firstroot.problems import CHEBYSHEV_DOMAIN, PASSBAND_DOMAIN
+from firstroot.problems import (
+    _FMAX_GRID,
+    _MESH_BLOCK,
+    _ORACLE_GRID,
+    CHEBYSHEV_DOMAIN,
+    FILTERS,
+    PASSBAND_DOMAIN,
+)
+
+from helpers import cosines_problem, one_shot_fmax, one_shot_lipschitz
 
 
 class TestRegistry:
@@ -166,10 +176,13 @@ class TestFindFmax:
         assert arg == pytest.approx(3.0, abs=1e-5)
 
     def test_constant_ties_to_left(self):
-        fmax, arg = find_fmax(lambda w: 2.5 * np.ones_like(np.asarray(w, dtype=float)),
-                              (1.0, 4.0))
+        def transfer(w):
+            return 2.5 * np.ones_like(np.asarray(w, dtype=float))
+
+        fmax, arg = find_fmax(transfer, (1.0, 4.0))
         assert fmax == 2.5
         assert arg == 1.0
+        assert (fmax, arg) == one_shot_fmax(transfer, (1.0, 4.0))
 
     def test_chebyshev_peak_is_half(self):
         fmax, _ = find_fmax(chebyshev_transfer, CHEBYSHEV_DOMAIN)
@@ -258,3 +271,84 @@ class TestLipschitzOracle:
         p = get_problem("t05")
         assert curvature_bound(p) == exact_lipschitz_oracle(p)
         assert curvature_bound(dataclasses.replace(p, lipschitz_K=2.5)) == 2.5
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of the memory traced while fn runs, numpy buffers included, MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedOracles:
+    """The dense oracles walk their meshes in blocks of _MESH_BLOCK points;
+    every result equals that of one pass over the whole mesh bit for bit."""
+
+    @pytest.mark.parametrize("pid", all_ids())
+    def test_catalog_K_equals_one_shot(self, pid):
+        p = get_problem(pid)
+        assert exact_lipschitz_oracle(p) == one_shot_lipschitz(p)
+
+    @pytest.mark.parametrize("f0, amps, freqs, phases, drift, length", [
+        (3.0, (0.5, 0.3), (1.0, 2.1), (0.0, 1.0), 1.0, 20.0),
+        (2.51, (0.14, 0.58, 0.51), (0.47, 2.03, 2.6), (3.72, 1.63, 5.27), 1.0, 20.0),
+        (1.8, (0.87, 0.59, 0.44), (0.96, 2.05, 1.26), (1.67, 4.8, 5.8), 0.0, 6.5),
+    ])
+    def test_cosine_sums_K_equals_one_shot(self, f0, amps, freqs, phases, drift, length):
+        p = cosines_problem(f0, amps, freqs, phases, drift, length)
+        assert exact_lipschitz_oracle(p) == one_shot_lipschitz(p)
+
+    @pytest.mark.parametrize("jump", [_MESH_BLOCK - 1, _MESH_BLOCK, _MESH_BLOCK + 1,
+                                      3 * _MESH_BLOCK, _ORACLE_GRID - 1])
+    def test_largest_quotient_at_a_block_boundary(self, jump):
+        # f' steps by 1 at mesh point `jump`: its one nonzero quotient pairs
+        # mesh points jump - 1 and jump, the last quotient of a block when
+        # jump is a multiple of the block size
+        x_jump = np.linspace(0.0, 1.0, _ORACLE_GRID)[jump]
+        p = Problem(id="step", name="step", a=0.0, b=1.0, f=np.abs,
+                    df=lambda x: np.where(x >= x_jump, 1.0, 0.0))
+        k = exact_lipschitz_oracle(p)
+        assert k == one_shot_lipschitz(p)
+        assert k == pytest.approx(1.01 * (_ORACLE_GRID - 1), rel=1e-9)
+
+    def test_a_nan_quotient_makes_K_nan(self):
+        x_nan = np.linspace(0.0, 1.0, _ORACLE_GRID)[5 * _MESH_BLOCK + 7]
+        p = Problem(id="nan", name="nan", a=0.0, b=1.0, f=np.sin,
+                    df=lambda x: np.where(x == x_nan, np.nan, np.cos(x)))
+        assert math.isnan(exact_lipschitz_oracle(p))
+        assert math.isnan(one_shot_lipschitz(p))
+
+    @pytest.mark.parametrize("pid", list(FILTERS))
+    def test_filter_fmax_equals_one_shot(self, pid):
+        _, transfer, domain, _ = FILTERS[pid]
+        assert find_fmax(transfer, domain) == one_shot_fmax(transfer, domain)
+
+    def test_the_first_nan_wins(self):
+        # a finite peak in the first block, NaN at two points of late blocks:
+        # the first NaN is the grid's argmax
+        mesh = np.linspace(1.0, 4.0, _FMAX_GRID)
+        first, second = mesh[20 * _MESH_BLOCK + 5], mesh[-3]
+
+        def transfer(w):
+            w = np.asarray(w, dtype=float)
+            return np.where((w == first) | (w == second), np.nan, np.exp(-(w - 1.01) ** 2))
+
+        got = find_fmax(transfer, (1.0, 4.0))
+        assert [v.hex() for v in got] == [v.hex() for v in one_shot_fmax(transfer, (1.0, 4.0))]
+        assert math.isnan(got[0]) and got[1] == first
+
+
+class TestOracleMemory:
+    """Each block's temporaries are block-sized, so the mesh itself dominates
+    the traced peak; one pass over the whole mesh traced 53.4 MiB for
+    passband's F_max and 6.1 MiB for the K of t14."""
+
+    def test_passband_fmax_peak(self):
+        assert traced_peak_mib(lambda: find_fmax(passband_transfer, PASSBAND_DOMAIN)) < 16.0
+
+    def test_catalog_oracle_peak(self):
+        p = get_problem("t14")
+        assert traced_peak_mib(lambda: exact_lipschitz_oracle(p)) < 4.0
