@@ -67,7 +67,7 @@ from firstroot import (
     grid_search,
     leftmost_zero,
 )
-from firstroot.curvature import bounds_from
+from firstroot.curvature import iter_bounds
 from firstroot.problems import FILTERS
 
 PARAMS = EstimationParams()
@@ -139,8 +139,8 @@ def test_build_curvature_table(benchmark, trials):
 def test_bounds_from(benchmark, trials):
     table = build_curvature_table(trials, PARAMS)
     v, gaps = list(table.v), list(table.gaps)
-    assert bounds_from(v, gaps, PARAMS) == table.m
-    benchmark(bounds_from, v, gaps, PARAMS)
+    assert tuple(iter_bounds(v, gaps, PARAMS)) == table.m
+    benchmark(lambda: tuple(iter_bounds(v, gaps, PARAMS)))
 
 
 def test_spliced_curvature_update(benchmark):

@@ -13,13 +13,13 @@ locally constant (v = 0 there).
 `iter_bounds` is the only place that applies this formula: it turns the
 estimates v and the interval widths into the bounds m, left to right, in a
 single loop of float comparisons, yielding each bound as it goes.
-`bounds_from` collects all of them, and `build_curvature_table` computes v
-and the widths from scratch and takes m from `bounds_from`.  The adaptive
-search calls `build_curvature_table` once, to seed v and the widths, and from
-then on keeps them up to date as it adds trials; at every step its scan draws
-the bounds from `iter_bounds` one slot at a time and stops drawing where the
-scan stops.  The tests hold `bounds_from` to the formula written column by
-column (`tests/helpers.py`).
+`build_curvature_table` computes v and the widths from scratch and collects
+every bound of `iter_bounds`.  The adaptive search calls
+`build_curvature_table` once, to seed v and the widths, and from then on
+keeps them up to date as it adds trials; at every step its scan draws the
+bounds from `iter_bounds` one slot at a time and stops drawing where the scan
+stops.  The tests hold `iter_bounds` to the formula written column by column
+(`tests/helpers.py`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trial
 
 __all__ = ["EstimationParams", "CurvatureTable", "interval_curvature", "iter_bounds",
-           "bounds_from", "build_curvature_table"]
+           "build_curvature_table"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -111,12 +111,6 @@ def iter_bounds(v: Sequence[float], gaps: Sequence[float],
         left = mid
 
 
-def bounds_from(v: Sequence[float], gaps: Sequence[float],
-                params: EstimationParams) -> tuple[float, ...]:
-    """Every bound of `iter_bounds`, as a tuple."""
-    return tuple(iter_bounds(v, gaps, params))
-
-
 def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -> CurvatureTable:
     """Compute v, the widths and the bounds m for every interval.
 
@@ -131,4 +125,4 @@ def build_curvature_table(trials: Sequence["Trial"], params: EstimationParams) -
         raise ValueError("need at least two trials")
     v = [interval_curvature(trials[p], trials[p + 1]) for p in range(n - 1)]
     gaps = [trials[p + 1].x - trials[p].x for p in range(n - 1)]
-    return CurvatureTable(v=tuple(v), gaps=tuple(gaps), m=bounds_from(v, gaps, params))
+    return CurvatureTable(v=tuple(v), gaps=tuple(gaps), m=tuple(iter_bounds(v, gaps, params)))

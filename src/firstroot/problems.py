@@ -45,7 +45,7 @@ class Problem:
     non-empty [a, b].
 
     reference_frl is the known first root from the left (None when f has no
-    root), root_count / reference_extrema are catalog metadata, lipschitz_K an
+    root), root_count is catalog metadata, lipschitz_K an
     optional externally supplied bound on the Lipschitz constant of df.
     """
 
@@ -57,7 +57,6 @@ class Problem:
     df: Callable = field(repr=False)
     reference_frl: float | None = None
     root_count: int | None = None
-    reference_extrema: int | None = None
     lipschitz_K: float | None = None
 
     def __post_init__(self) -> None:
@@ -80,85 +79,85 @@ def _df14(x):
     return -sum(k * (k + 1) * np.sin((k + 1) * x + k) for k in range(1, 6))
 
 
-# id, expression, f, df, FRL, roots, extrema
+# id, expression, f, df, FRL, roots
 _TESTBED = [
     ("t01", "-0.5*x^2*ln(x) + 5",
      lambda x: -0.5 * x**2 * np.log(x) + 5.0,
      lambda x: -x * np.log(x) - 0.5 * x,
-     3.0117, 1, 3),
+     3.0117, 1),
     ("t02", "-exp(-x)*sin(2*pi*x) + 1",
      lambda x: -np.exp(-x) * np.sin(2 * np.pi * x) + 1.0,
      lambda x: np.exp(-x) * (np.sin(2 * np.pi * x) - 2 * np.pi * np.cos(2 * np.pi * x)),
-     None, None, 13),
+     None, None),
     ("t03", "-sqrt(x)*sin(x) + 1",
      lambda x: -np.sqrt(x) * np.sin(x) + 1.0,
      lambda x: -np.sin(x) / (2 * np.sqrt(x)) - np.sqrt(x) * np.cos(x),
-     1.17479, 3, 4),
+     1.17479, 3),
     ("t04", "x*sin(x) + sin(10*x/3) + ln(x) - 0.84*x + 1.3",
      lambda x: x * np.sin(x) + np.sin(10 * x / 3.0) + np.log(x) - 0.84 * x + 1.3,
      lambda x: np.sin(x) + x * np.cos(x) + (10.0 / 3.0) * np.cos(10 * x / 3.0) + 1.0 / x - 0.84,
-     2.96091, 2, 6),
+     2.96091, 2),
     ("t05", "x + sin(5*x)",
      lambda x: x + np.sin(5 * x),
      lambda x: 1.0 + 5 * np.cos(5 * x),
-     0.82092, 2, 13),
+     0.82092, 2),
     ("t06", "-x*sin(x) + 5",
      lambda x: -x * np.sin(x) + 5.0,
      lambda x: -np.sin(x) - x * np.cos(x),
-     None, None, 4),
+     None, None),
     ("t07", "sin(x)*cos(x) - 1.5*sin(x)^2 + 1.2",
      lambda x: np.sin(x) * np.cos(x) - 1.5 * np.sin(x)**2 + 1.2,
      lambda x: np.cos(2 * x) - 1.5 * np.sin(2 * x),
-     1.34075, 4, 7),
+     1.34075, 4),
     ("t08", "2*cos(x) + cos(2*x) + 5",
      lambda x: 2 * np.cos(x) + np.cos(2 * x) + 5.0,
      lambda x: -2 * np.sin(x) - 2 * np.sin(2 * x),
-     None, None, 6),
+     None, None),
     ("t09", "2*sin(x)*exp(-x)",
      lambda x: 2 * np.sin(x) * np.exp(-x),
      lambda x: 2 * np.exp(-x) * (np.cos(x) - np.sin(x)),
-     3.1416, 2, 4),
+     3.1416, 2),
     ("t10", "(3*x - 1.4)*sin(18*x) + 1.7",
      lambda x: (3 * x - 1.4) * np.sin(18 * x) + 1.7,
      lambda x: 3 * np.sin(18 * x) + 18 * (3 * x - 1.4) * np.cos(18 * x),
-     1.26554, 34, 42),
+     1.26554, 34),
     ("t11", "(x + 1)^3/x^2 - 7.1",
      lambda x: (x + 1)**3 / x**2 - 7.1,
      lambda x: 3 * (x + 1)**2 / x**2 - 2 * (x + 1)**3 / x**3,
-     1.36465, 2, 3),
+     1.36465, 2),
     ("t12", "sin(5*x) + 2 if x <= pi else 5*sin(x) + 2",
      lambda x: np.where(x <= np.pi, np.sin(5 * x) + 2.0, 5 * np.sin(x) + 2.0),
      lambda x: np.where(x <= np.pi, 5 * np.cos(5 * x), 5 * np.cos(x)),
-     3.55311, 2, 8),
+     3.55311, 2),
     ("t13", "exp(sin(3*x))",
      lambda x: np.exp(np.sin(3 * x)),
      lambda x: 3 * np.cos(3 * x) * np.exp(np.sin(3 * x)),
-     None, None, 9),
-    ("t14", "sum_{k=0..5} k*cos((k+1)*x + k) + 12", _f14, _df14, 4.78308, 2, 15),
+     None, None),
+    ("t14", "sum_{k=0..5} k*cos((k+1)*x + k) + 12", _f14, _df14, 4.78308, 2),
     ("t15", "2*(x - 3)^2 - exp(x/2) + 5",
      lambda x: 2 * (x - 3)**2 - np.exp(0.5 * x) + 5.0,
      lambda x: 4 * (x - 3) - 0.5 * np.exp(0.5 * x),
-     3.281119, 2, 4),
+     3.281119, 2),
     ("t16", "-exp(sin(x)) + 4",
      lambda x: -np.exp(np.sin(x)) + 4.0,
      lambda x: -np.cos(x) * np.exp(np.sin(x)),
-     None, None, 4),
+     None, None),
     ("t17", "sqrt(x)*sin(x)^2",
      lambda x: np.sqrt(x) * np.sin(x)**2,
      lambda x: np.sin(x)**2 / (2 * np.sqrt(x)) + 2 * np.sqrt(x) * np.sin(x) * np.cos(x),
-     3.141128, 4, 6),
+     3.141128, 4),
     ("t18", "cos(x) - sin(5*x) + 1",
      lambda x: np.cos(x) - np.sin(5 * x) + 1.0,
      lambda x: -np.sin(x) - 5 * np.cos(5 * x),
-     1.57079, 6, 13),
+     1.57079, 6),
     ("t19", "-x - sin(3*x) + 1.6",
      lambda x: -x - np.sin(3 * x) + 1.6,
      lambda x: -1.0 - 3 * np.cos(3 * x),
-     1.96857, 3, 9),
+     1.96857, 3),
     ("t20", "cos(x) + 2*cos(2*x)*exp(-x)",
      lambda x: np.cos(x) + 2 * np.cos(2 * x) * np.exp(-x),
      lambda x: -np.sin(x) - 2 * np.exp(-x) * (2 * np.sin(2 * x) + np.cos(2 * x)),
-     1.14071, 2, 4),
+     1.14071, 2),
 ]
 
 TESTBED_DOMAIN = (0.2, 7.0)
@@ -169,8 +168,8 @@ def registry() -> list[Problem]:
     a, b = TESTBED_DOMAIN
     return [
         Problem(id=pid, name=name, a=a, b=b, f=f, df=df,
-                reference_frl=frl, root_count=roots, reference_extrema=extrema)
-        for pid, name, f, df, frl, roots, extrema in _TESTBED
+                reference_frl=frl, root_count=roots)
+        for pid, name, f, df, frl, roots in _TESTBED
     ]
 
 

@@ -80,10 +80,6 @@ class IntervalData(_IntervalFields):
             raise ValueError(f"curvature bound m={m} must be positive")
         return tuple.__new__(cls, (x_left, x_right, z_left, z_right, dz_left, dz_right, m))
 
-    @property
-    def width(self) -> float:
-        return self.x_right - self.x_left
-
 
 class Characteristic(NamedTuple):
     """Minimum of the support function over its interval.
@@ -286,60 +282,22 @@ def characteristic(s: SupportFunction) -> Characteristic:
     return s.char
 
 
-def _clamped_sqrt(disc: float, scale: float) -> float:
+def _smaller_root(m: float, B: float, C: float) -> float:
+    # Smaller root t of 0.5*m*t^2 + B*t + C = 0, written to avoid
+    # cancellation for either sign of B.  A discriminant that rounds slightly
+    # below zero counts as zero; where it and B both vanish, the double root
+    # is t = 0.
+    disc = B ** 2 - 2.0 * m * C
     if disc < 0.0:
-        if disc < -_DISC_SLACK * scale:
-            raise NumericalDiscriminant(f"discriminant {disc} below -{_DISC_SLACK}*{scale}")
-        disc = 0.0
-    return math.sqrt(disc)
-
-
-def _right_root_left_cap(s: SupportFunction) -> float:
-    # Larger root of z_left + dz_left*u - 0.5*m*u^2 = 0, u = x - x_left,
-    # written to avoid cancellation for either sign of dz_left.  The
-    # discriminant and the root are clamped as _clamped_sqrt and _clamp do.
-    x_left, x_right, z_left, _, dz_left, _, m = s.data
-    disc = dz_left ** 2 + 2.0 * m * z_left
-    if disc < 0.0:
-        scale = max(1.0, dz_left ** 2, 2.0 * m * abs(z_left))
+        scale = max(1.0, B ** 2, 2.0 * m * abs(C))
         if disc < -_DISC_SLACK * scale:
             raise NumericalDiscriminant(f"discriminant {disc} below -{_DISC_SLACK}*{scale}")
         disc = 0.0
     root = math.sqrt(disc)
-    if dz_left > 0.0:
-        u = (dz_left + root) / m
-    else:
-        denom = root - dz_left
-        u = 2.0 * z_left / denom if denom > 0.0 else 0.0
-    x = x_left + u
-    x = x_left if x_left > x else x
-    return x_right if x_right < x else x
-
-
-def _right_root_right_cap(s: SupportFunction) -> float:
-    # Smaller root in w = x_right - x of z_right - dz_right*w - 0.5*m*w^2 = 0,
-    # i.e. the zero closest to x_right from the left.
-    d = s.data
-    disc = d.dz_right ** 2 + 2.0 * d.m * d.z_right
-    root = _clamped_sqrt(disc, max(1.0, d.dz_right ** 2, 2.0 * d.m * abs(d.z_right)))
-    if d.dz_right < 0.0:
-        w = 2.0 * d.z_right / (d.dz_right - root)
-    else:
-        w = (-d.dz_right - root) / d.m
-    return min(max(d.x_right - w, d.x_left), d.x_right)
-
-
-def _left_root_middle(s: SupportFunction) -> float:
-    # Smaller root of 0.5*m*x^2 + b*x + c = 0.
-    d = s.data
-    disc = s.b ** 2 - 2.0 * d.m * s.c
-    root = _clamped_sqrt(disc, max(1.0, s.b ** 2, 2.0 * d.m * abs(s.c)))
-    if s.b <= 0.0:
-        denom = -s.b + root
-        x = 2.0 * s.c / denom if denom > 0.0 else 0.0
-    else:
-        x = (-s.b - root) / d.m
-    return min(max(x, d.x_left), d.x_right)
+    if B > 0.0:
+        return (-B - root) / m
+    denom = root - B
+    return 2.0 * C / denom if denom > 0.0 else 0.0
 
 
 def leftmost_zero(s: SupportFunction) -> float:
@@ -350,7 +308,9 @@ def leftmost_zero(s: SupportFunction) -> float:
     characteristic(s).R <= 0 (raises NoZero otherwise).  The zero is located
     in whichever piece crosses first: the left cap if phi(y') <= 0, otherwise
     the middle piece or the right cap depending on where the middle piece
-    bottoms out.
+    bottoms out.  That piece crosses zero at the smaller root t of one
+    quadratic, in t = x_left - x (left cap), t = x (middle piece) or
+    t = x_right - x (right cap); the crossing is clamped into the interval.
     """
     data, y_prime, y, b, c, x_hat, char = s
     x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
@@ -368,11 +328,10 @@ def leftmost_zero(s: SupportFunction) -> float:
     else:
         phi = z_right - dz_right * (x_right - x) - 0.5 * m * (x_right - x) ** 2
     if phi <= 0.0:
-        return _right_root_left_cap(s)
-    if x_hat is not None:
-        if _middle_value(s, x_hat) > 0.0:
-            return _right_root_right_cap(s)
-        return _left_root_middle(s)
-    if _phi(s, _clamp(s, y)) > 0.0:
-        return _right_root_right_cap(s)
-    return _left_root_middle(s)
+        x = x_left - _smaller_root(m, dz_left, -z_left)
+    elif (_middle_value(s, x_hat) if x_hat is not None else _phi(s, _clamp(s, y))) > 0.0:
+        x = x_right - _smaller_root(m, dz_right, -z_right)
+    else:
+        x = _smaller_root(m, b, c)
+    x = x_left if x_left > x else x
+    return x_right if x_right < x else x

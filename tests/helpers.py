@@ -12,7 +12,9 @@ import numpy as np
 from firstroot import (
     EstimationParams,
     IntervalData,
+    NumericalDiscriminant,
     Problem,
+    SupportFunction,
     Trial,
     build_curvature_table,
     build_support,
@@ -62,8 +64,8 @@ class ReferenceTable(NamedTuple):
 
 def table_from(v, gaps, params) -> ReferenceTable:
     """The adaptive bounds m_p = r * max(lambda_p, gamma_p, xi), written
-    column by column: the reference that `curvature.bounds_from` must equal
-    with `==`.
+    column by column: the reference that the bounds `curvature.iter_bounds`
+    yields must equal with `==`.
 
     lambda_p is the largest v over intervals p-1 .. p+1, gamma_p the global
     estimate max(v) scaled by the width relative to the widest interval.
@@ -77,6 +79,70 @@ def table_from(v, gaps, params) -> ReferenceTable:
     m = [params.r * bound for bound in map(max, lam, gamma, repeat(params.xi))]
     return ReferenceTable(v=tuple(v), gaps=tuple(gaps), m_global=m_global, lam=tuple(lam),
                           gamma=tuple(gamma), m=tuple(m))
+
+
+# The crossing of each minorant piece as three hand-written root formulas, one
+# per piece, with the discriminant clamp of their time: the references that
+# `support.leftmost_zero`'s one root must equal with `==`.  They read the
+# interval data and the middle coefficients b, c of `s` and nothing else.
+
+_DISC_SLACK = 1e-12
+
+
+def _clamped_sqrt(disc: float, scale: float) -> float:
+    if disc < 0.0:
+        if disc < -_DISC_SLACK * scale:
+            raise NumericalDiscriminant(f"discriminant {disc} below -{_DISC_SLACK}*{scale}")
+        disc = 0.0
+    return math.sqrt(disc)
+
+
+def right_root_left_cap(s: SupportFunction) -> float:
+    # Larger root of z_left + dz_left*u - 0.5*m*u^2 = 0, u = x - x_left,
+    # written to avoid cancellation for either sign of dz_left.  The
+    # discriminant and the root are clamped as _clamped_sqrt and _clamp do.
+    x_left, x_right, z_left, _, dz_left, _, m = s.data
+    disc = dz_left ** 2 + 2.0 * m * z_left
+    if disc < 0.0:
+        scale = max(1.0, dz_left ** 2, 2.0 * m * abs(z_left))
+        if disc < -_DISC_SLACK * scale:
+            raise NumericalDiscriminant(f"discriminant {disc} below -{_DISC_SLACK}*{scale}")
+        disc = 0.0
+    root = math.sqrt(disc)
+    if dz_left > 0.0:
+        u = (dz_left + root) / m
+    else:
+        denom = root - dz_left
+        u = 2.0 * z_left / denom if denom > 0.0 else 0.0
+    x = x_left + u
+    x = x_left if x_left > x else x
+    return x_right if x_right < x else x
+
+
+def right_root_right_cap(s: SupportFunction) -> float:
+    # Smaller root in w = x_right - x of z_right - dz_right*w - 0.5*m*w^2 = 0,
+    # i.e. the zero closest to x_right from the left.
+    d = s.data
+    disc = d.dz_right ** 2 + 2.0 * d.m * d.z_right
+    root = _clamped_sqrt(disc, max(1.0, d.dz_right ** 2, 2.0 * d.m * abs(d.z_right)))
+    if d.dz_right < 0.0:
+        w = 2.0 * d.z_right / (d.dz_right - root)
+    else:
+        w = (-d.dz_right - root) / d.m
+    return min(max(d.x_right - w, d.x_left), d.x_right)
+
+
+def left_root_middle(s: SupportFunction) -> float:
+    # Smaller root of 0.5*m*x^2 + b*x + c = 0.
+    d = s.data
+    disc = s.b ** 2 - 2.0 * d.m * s.c
+    root = _clamped_sqrt(disc, max(1.0, s.b ** 2, 2.0 * d.m * abs(s.c)))
+    if s.b <= 0.0:
+        denom = -s.b + root
+        x = 2.0 * s.c / denom if denom > 0.0 else 0.0
+    else:
+        x = (-s.b - root) / d.m
+    return min(max(x, d.x_left), d.x_right)
 
 
 def one_shot_lipschitz(problem) -> float:
@@ -144,7 +210,7 @@ def cosines_problem(f0, amps, freqs, phases, drift, length):
 
 def data_scale(data) -> float:
     """Magnitude scale of an IntervalData, for relative tolerances on it."""
-    w = data.width
+    w = data.x_right - data.x_left
     return max(1.0, abs(data.z_left), abs(data.z_right),
                abs(data.dz_left) * w, abs(data.dz_right) * w)
 
@@ -223,8 +289,9 @@ def check_endpoint_interpolation(sf, rel_tol=1e-12):
     _, _, p3r = piece_values(sf, d.x_right)
     s1l, _, _ = piece_slopes(sf, d.x_left)
     _, _, s3r = piece_slopes(sf, d.x_right)
+    w = d.x_right - d.x_left
     errs = (abs(p1l - d.z_left), abs(p3r - d.z_right),
-            abs(s1l - d.dz_left) * d.width, abs(s3r - d.dz_right) * d.width)
+            abs(s1l - d.dz_left) * w, abs(s3r - d.dz_right) * w)
     return max(errs) <= rel_tol * scale, max(errs) / scale
 
 
@@ -237,7 +304,7 @@ def check_c1_gluing(sf, rel_tol=1e-9):
         slopes = piece_slopes(sf, knot)
         worst = max(worst,
                     abs(vals[pair[0]] - vals[pair[1]]),
-                    abs(slopes[pair[0]] - slopes[pair[1]]) * d.width)
+                    abs(slopes[pair[0]] - slopes[pair[1]]) * (d.x_right - d.x_left))
     return worst <= rel_tol * scale, worst / scale
 
 

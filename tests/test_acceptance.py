@@ -287,7 +287,7 @@ def test_knot_ordering_under_adaptive_bounds():
     checked = 0
     for problem in registry():
         for sf in eq22_supports(problem, rng):
-            w = sf.data.width
+            w = sf.data.x_right - sf.data.x_left
             assert sf.data.x_left - 1e-9 * w <= sf.y_prime <= sf.y <= sf.data.x_right + 1e-9 * w
             checked += 1
     report("knot ordering under adaptive bounds", True, f"{checked} intervals")

@@ -13,7 +13,7 @@ from firstroot import (
     interval_curvature,
     registry,
 )
-from firstroot.curvature import bounds_from
+from firstroot.curvature import iter_bounds
 
 from helpers import table_from
 
@@ -175,8 +175,8 @@ def curvature_columns(draw):
 
 
 class TestBoundsFrom:
-    """`bounds_from` is the reference `helpers.table_from(...).m` computed in
-    one pass: equal with `==`, for lists and for tuples."""
+    """The bounds of `iter_bounds` are the reference `helpers.table_from(...).m`
+    computed in one pass: equal with `==`, for lists and for tuples."""
 
     # name -> (v, gaps, xi, the term of max(lambda, gamma, xi) that must exceed
     # the other two on some interval; None where lambda and gamma tie)
@@ -194,8 +194,8 @@ class TestBoundsFrom:
     @staticmethod
     def check(v, gaps, params):
         expected = table_from(v, gaps, params).m
-        assert bounds_from(v, gaps, params) == expected
-        assert bounds_from(tuple(v), tuple(gaps), params) == expected
+        assert tuple(iter_bounds(v, gaps, params)) == expected
+        assert tuple(iter_bounds(tuple(v), tuple(gaps), params)) == expected
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_named_cases(self, name):

@@ -630,6 +630,15 @@ class TestSolveOutcomes:
         assert isinstance(res.outcome, BudgetExhausted)
         assert res.outcome.trials_used == 3
 
+    def test_budget_stop_after_a_bracket(self):
+        # trials 0.2, 2.11 and 7.0, where f = -42.7: the best point so far is
+        # the trial left of the first negative one, not the lowest trial
+        p = get_problem("t01")
+        res = solve(p, SolverConfig(method="a1", lipschitz=exact_lipschitz_oracle(p),
+                                    max_trials=3))
+        assert res.outcome == BudgetExhausted(trials_used=3, best_so_far=2.1099732190316)
+        assert res.trace[1].x == 7.0 and res.trace[1].f < 0.0
+
     def test_a1_requires_bound(self):
         with pytest.raises(ValueError):
             solve(get_problem("t01"), SolverConfig(method="a1"))

@@ -1,4 +1,6 @@
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from firstroot import (
     IntervalData,
     NonFinite,
     NoZero,
+    NumericalDiscriminant,
     OutOfInterval,
     SupportFunction,
     build_support,
@@ -21,25 +24,19 @@ from firstroot import (
     leftmost_zero,
     registry,
 )
-from firstroot.support import (
-    INTERIOR,
-    LEFT_END,
-    RIGHT_END,
-    _left_root_middle,
-    _middle_value,
-    _phi,
-    _right_root_left_cap,
-    _right_root_right_cap,
-)
+from firstroot.support import INTERIOR, LEFT_END, RIGHT_END, _phi, _smaller_root
 
 from helpers import (
     check_c1_gluing,
     check_endpoint_interpolation,
     data_scale,
     eq22_supports,
+    left_root_middle,
     piece_values,
     random_interval_data,
     interval_from_testbed,
+    right_root_left_cap,
+    right_root_right_cap,
 )
 
 
@@ -48,8 +45,9 @@ def _clamped(sf, x):
 
 
 # interior_stationary_point and leftmost_zero as they read with phi and phi'
-# taken from the numpy path of eval_support / eval_support_derivative: the
-# reference the float kernels must reproduce bit for bit.
+# taken from the numpy path of eval_support / eval_support_derivative, and
+# leftmost_zero's crossing from the three per-piece root formulas of
+# tests/helpers.py: the reference the float kernels must reproduce bit for bit.
 
 def numpy_stationary_point(sf):
     slope_lo = eval_support_derivative(sf, _clamped(sf, sf.y_prime))
@@ -72,15 +70,15 @@ def numpy_characteristic(sf):
 
 def numpy_leftmost_zero(sf):
     if eval_support(sf, _clamped(sf, sf.y_prime)) <= 0.0:
-        return _right_root_left_cap(sf)
+        return right_root_left_cap(sf)
     x_hat = numpy_stationary_point(sf)
     if x_hat is not None:
-        if _middle_value(sf, x_hat) > 0.0:
-            return _right_root_right_cap(sf)
-        return _left_root_middle(sf)
+        if piece_values(sf, x_hat)[1] > 0.0:
+            return right_root_right_cap(sf)
+        return left_root_middle(sf)
     if eval_support(sf, _clamped(sf, sf.y)) > 0.0:
-        return _right_root_right_cap(sf)
-    return _left_root_middle(sf)
+        return right_root_right_cap(sf)
+    return left_root_middle(sf)
 
 
 def assert_kernels_match_numpy(sf):
@@ -90,8 +88,9 @@ def assert_kernels_match_numpy(sf):
     elements by multiplication but a scalar with pow, and the two can differ
     in the last bit."""
     d = sf.data
+    w = d.x_right - d.x_left
     xs = [d.x_left, d.x_right, sf.y_prime, sf.y,
-          d.x_left + 0.3 * d.width, d.x_left + 0.5 * d.width, d.x_left + 0.9 * d.width]
+          d.x_left + 0.3 * w, d.x_left + 0.5 * w, d.x_left + 0.9 * w]
     for x in (_clamped(sf, x) for x in xs):
         assert _phi(sf, x) == eval_support(sf, x)
     assert interior_stationary_point(sf) == numpy_stationary_point(sf)
@@ -133,6 +132,13 @@ class TestBuild:
         with pytest.raises(DegenerateSlope):
             build_support(IntervalData(x_left=0.0, x_right=1.0, z_left=1.0, z_right=1.0,
                                        dz_left=1.0, dz_right=-2.0, m=0.5))
+
+    def test_right_knot_alone_leaving_the_interval_raises(self):
+        # m*w + dz_right - dz_left = 3 > 0 passes the slope test, but f' rises
+        # by 2 over a width of 1 under m = 1: y' = 5/12 is inside, y = 23/12 not
+        with pytest.raises(DegenerateSlope, match="leave the interval"):
+            build_support(IntervalData(x_left=0.0, x_right=1.0, z_left=1.0, z_right=-2.0,
+                                       dz_left=-2.0, dz_right=0.0, m=1.0))
 
     @pytest.mark.parametrize("m", [math.inf, 1.2e308])
     def test_overflowing_bound_raises(self, m):
@@ -285,6 +291,12 @@ class TestKnotsAtTheEnds:
         "vertex_an_ulp_left_of_zero": (3.7, -3.7 * -5e-324, 1.0, 0.0, 1.0, LEFT_END),
         "vertex_within_tol_of_right_end": (0.3, -1.049999998767133, 1.0, 1.0, 3.5, RIGHT_END),
         "vertex_on_right_end": (7.3, -7.3 * 1.7, 5.0, 1.0, 1.0 + 0.7, RIGHT_END),
+        # z_left > 0 and R <= 0: leftmost_zero takes phi(y') at the clamped
+        # knot y' = x_left from the middle piece.  In the first two phi(y')
+        # is 0.01, the sum of terms of 8 to 20 in size.
+        "root_just_right_of_x_left_below_zero": (4.0, -4.0, -15.99, -2.0, 2.0, INTERIOR),
+        "root_just_right_of_x_left_above_zero": (4.0, -10.0, 12.01, 2.0, 3.5, INTERIOR),
+        "root_before_a_negative_right_end": (2.6, -3.1, 0.4, -0.3, 1.1, RIGHT_END),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -335,6 +347,28 @@ class TestKnotsAtTheEnds:
                     continue
                 assert interior_stationary_point(sf) == numpy_stationary_point(sf)
                 assert characteristic(sf) == numpy_characteristic(sf), (M, vertex, m)
+
+    @pytest.mark.parametrize("dz_right, z_right", [(-3.1, -2.15), (-2.9, -2.35)])
+    def test_both_knots_left_of_the_interval(self, dz_right, z_right):
+        # phi is the right cap on the whole interval: phi(x_left) = 0.25 with
+        # phi'(x_left) = -0.1, or -0.25 with 0.1.  The left cap has another
+        # value and slope at x_left, so the two caps cross zero at different
+        # points.
+        data = IntervalData(x_left=0.5, x_right=2.0, z_left=1.0, z_right=z_right,
+                            dz_left=0.5, dz_right=dz_right, m=2.0)
+        sf = SupportFunction(data, 0.2, 0.4, 0.3, 0.7)
+        assert sf.x_hat is None and characteristic(sf).kind == RIGHT_END
+        assert leftmost_zero(sf) == numpy_leftmost_zero(sf)
+        assert_kernels_match_numpy(sf)
+
+    @pytest.mark.parametrize("dz_left", [3.1, 2.9])
+    def test_both_knots_right_of_the_interval(self, dz_left):
+        # phi is the left cap on the whole interval, phi'(x_right) = 0.1 or -0.1
+        data = IntervalData(x_left=0.5, x_right=2.0, z_left=1.0, z_right=1.5 * dz_left - 1.25,
+                            dz_left=dz_left, dz_right=dz_left - 3.0, m=2.0)
+        sf = SupportFunction(data, 2.2, 2.4, 0.3, 0.7)
+        assert sf.x_hat is None
+        assert_kernels_match_numpy(sf)
 
     def test_negative_zero_knot_on_a_zero_left_end(self):
         sf = build_support(quadratic_interval(*self.CASES["unit"][:5], 4.0))
@@ -408,6 +442,81 @@ class TestLeftmostZero:
                     assert np.all(vals >= -1e-12 * scale)
 
 
+# Inputs of the root formulas: half of them special values (signed zeros, the
+# smallest subnormal, values near the ends of the float range, +-1), half
+# magnitudes from 1e-20 to 1e20 of either sign.
+SPECIAL = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0)
+
+
+def _draw(rng):
+    if rng.random() < 0.5:
+        return rng.choice(SPECIAL)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20.0, 20.0)
+
+
+def _outcome(f, signed):
+    """f()'s value (with its sign when `signed`), or the type and text of the
+    error it raises."""
+    try:
+        x = f()
+    except (NumericalDiscriminant, OverflowError) as e:
+        return type(e), str(e)
+    if x != x:
+        return ("nan",)
+    return (x, math.copysign(1.0, x)) if signed else (x,)
+
+
+class TestSmallerRoot:
+    """`_smaller_root` is the crossing of every piece of the minorant: the
+    left cap at x_left - t(m, dz_left, -z_left), the right cap at
+    x_right - t(m, dz_right, -z_right) and the middle piece at t(m, b, c),
+    each clamped into the interval."""
+
+    @pytest.mark.parametrize("negative_zero_ends", [False, True])
+    def test_each_piece_equals_its_own_root_formula(self, negative_zero_ends):
+        # With an end at -0.0, a crossing on that end can come out as 0.0 in
+        # one formula and -0.0 in the other; the values are equal.
+        rng = random.Random(19)
+        raised = 0
+        for _ in range(20_000):
+            m = abs(_draw(rng)) or 1.0
+            x_left, x_right = sorted((_draw(rng), _draw(rng)))
+            if not negative_zero_ends:
+                x_left, x_right = x_left + 0.0, x_right + 0.0  # -0.0 becomes 0.0
+            if not x_left < x_right:
+                continue
+            z_left, z_right, dz_left, dz_right, b, c = (_draw(rng) for _ in range(6))
+            s = SimpleNamespace(data=IntervalData(x_left, x_right, z_left, z_right,
+                                                  dz_left, dz_right, m), b=b, c=c)
+            pieces = (
+                (right_root_left_cap, lambda: x_left - _smaller_root(m, dz_left, -z_left)),
+                (right_root_right_cap, lambda: x_right - _smaller_root(m, dz_right, -z_right)),
+                (left_root_middle, lambda: _smaller_root(m, b, c)),
+            )
+            for oracle, crossing in pieces:
+                expected = _outcome(lambda: oracle(s), not negative_zero_ends)
+                assert _outcome(lambda: _clamped(s, crossing()), not negative_zero_ends) \
+                    == expected, (oracle.__name__, s)
+                raised += expected[0] is NumericalDiscriminant
+        assert raised > 1000
+
+    # m = 2: B = 10 puts the slack's scale at B^2 = 100, B = -1e-3 at 1
+    @pytest.mark.parametrize("B", [10.0, -1e-3])
+    def test_discriminant_within_the_slack_is_a_double_root(self, B):
+        m = 2.0
+        C = (B * B + 0.5e-12 * max(1.0, B * B)) / (2.0 * m)
+        assert -1e-12 * max(1.0, B * B) < B ** 2 - 2.0 * m * C < 0.0
+        assert _smaller_root(m, B, C) == pytest.approx(-B / m, rel=1e-6)
+
+    @pytest.mark.parametrize("B", [10.0, -1e-3])
+    def test_discriminant_past_the_slack_raises(self, B):
+        m = 2.0
+        C = (B * B + 1.5e-12 * max(1.0, B * B)) / (2.0 * m)
+        assert B ** 2 - 2.0 * m * C < -1e-12 * max(1.0, B * B)
+        with pytest.raises(NumericalDiscriminant, match="discriminant .* below -1e-12"):
+            _smaller_root(m, B, C)
+
+
 class TestModuleProperties:
     def test_endpoint_interpolation_and_gluing_bulk(self):
         rng = np.random.default_rng(101)
@@ -422,7 +531,7 @@ class TestModuleProperties:
         rng = np.random.default_rng(23)
         for problem in registry():
             for sf in eq22_supports(problem, rng):
-                w = sf.data.width
+                w = sf.data.x_right - sf.data.x_left
                 assert sf.data.x_left - 1e-9 * w <= sf.y_prime <= sf.y <= sf.data.x_right + 1e-9 * w
 
     def test_support_is_minorant_on_testbed(self):
@@ -440,7 +549,7 @@ class TestModuleProperties:
         for _ in range(200):
             data = random_interval_data(rng)
             sf = build_support(data)
-            w = data.width
+            w = data.x_right - data.x_left
             h = 1e-6 * w
             for frac in (0.1, 0.45, 0.9):
                 x = data.x_left + frac * w

@@ -1,0 +1,234 @@
+"""Mutation pass over the engine: which operators does no test pin?
+
+Each mutant changes one operator in one of the target files: a comparison
+`<`, `<=`, `>`, `>=` is negated (`<` becomes `>=`, and so on) and an
+arithmetic `+`, `-`, `*`, `/` is swapped with its counterpart (`+` with `-`,
+`*` with `/`).  The targets are `support.py`, `curvature.py` and `solver.py`
+up to the end of `solve` (the grid search below it is left out).
+
+The checkout's `src`, `tests`, `perfbench` and `pyproject.toml` are copied
+into a temporary directory and every mutant is written there, so an
+interrupted run never leaves a mutant in the checkout.  Mutants run one after
+another, never in parallel.  Each one first meets a fast stage (the golden
+traces, the support, solver and curvature tests) and, if it survives that,
+the whole tier-1 suite with the known filter-cutoff failures deselected.  A
+stage that fails, or runs past TIMEOUT seconds, kills the mutant: some
+mutants of the end-game clamp loop on `nextafter` for ever.
+
+A run writes the survivors to `tools/survivors.tsv`, one per line,
+tab-separated: where (file:line:column, counted from 1), the mutation, the
+source line and a reason.  The reasons are written by hand; a rerun keeps the
+reason of every survivor whose file, column, mutation and source line are
+unchanged and marks new ones UNEXPLAINED.
+
+Run from the root of the checkout (about 35 minutes on one core):
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+import tokenize
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# file under src/firstroot, and the function after whose end mutation stops
+# (None for the whole file)
+TARGETS = (("support.py", None), ("curvature.py", None), ("solver.py", "solve"))
+
+# operator node -> (its symbol, the mutant's symbol)
+NEGATED = {ast.Lt: ("<", ">="), ast.LtE: ("<=", ">"), ast.Gt: (">", "<="), ast.GtE: (">=", "<")}
+SWAPPED = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
+
+FAST = ["tests/test_golden_traces.py", "tests/test_support.py", "tests/test_solver.py",
+        "tests/test_curvature.py"]
+KNOWN_FAILURES = ["tests/test_acceptance.py::test_chebyshev_cutoff_location",
+                  "tests/test_acceptance.py::test_passband_cutoff_location"]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+SURVIVORS = ROOT / "tools" / "survivors.tsv"
+# seconds per stage; the fast stage takes about 5 s, the whole suite about 20
+TIMEOUT = 120.0
+
+
+class Mutant(NamedTuple):
+    target: str
+    line: int
+    col: int
+    old: str
+    new: str
+    start: int  # offset of the operator in the source text
+    text: str   # the stripped source line
+
+    @property
+    def where(self) -> str:
+        return f"{self.target}:{self.line}:{self.col}"
+
+    @property
+    def key(self) -> tuple:
+        return (self.target, self.col, self.old, self.new, self.text)
+
+
+def _operator_offsets(source: str) -> dict[tuple[int, int], tuple[str, int]]:
+    """(line, col) -> (operator, offset in source) of every operator token."""
+    starts = [0]
+    for line in source.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    ops = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.OP:
+            ops[tok.start] = (tok.string, starts[tok.start[0] - 1] + tok.start[1])
+    return ops
+
+
+def _between(ops, after: ast.AST, before: ast.AST, symbol: str) -> tuple[int, int, int]:
+    # the one `symbol` token between the end of `after` and the start of
+    # `before` (parentheses may sit around it)
+    lo = (after.end_lineno, after.end_col_offset)
+    hi = (before.lineno, before.col_offset)
+    found = [(pos, off) for pos, (s, off) in ops.items() if s == symbol and lo <= pos < hi]
+    assert len(found) == 1, (symbol, lo, hi, found)
+    (line, col), off = found[0]
+    return line, col + 1, off
+
+
+def find_mutants(target: str, stop: str | None, source: str) -> list[Mutant]:
+    tree = ast.parse(source)
+    limit = None
+    if stop is not None:
+        limit = next(n.end_lineno for n in tree.body
+                     if isinstance(n, ast.FunctionDef) and n.name == stop)
+    ops = _operator_offsets(source)
+    lines = source.splitlines()
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and type(node.op) in SWAPPED:
+            pairs = [(node.left, node.right, *SWAPPED[type(node.op)])]
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            pairs = [(operands[i], operands[i + 1], *NEGATED[type(op)])
+                     for i, op in enumerate(node.ops) if type(op) in NEGATED]
+        else:
+            continue
+        for after, before, old, new in pairs:
+            line, col, off = _between(ops, after, before, old)
+            if limit is not None and line > limit:
+                continue
+            out.append(Mutant(target, line, col, old, new, off, lines[line - 1].strip()))
+    return sorted(out, key=lambda m: (m.line, m.col))
+
+
+def _run(cmd: list[str], cwd: Path, timeout: float) -> str:
+    """'pass', 'fail' or 'timeout'.  A run still going when this returns or
+    raises (a timeout, an interrupt) is killed with its process group."""
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        return "pass" if proc.wait(timeout=timeout) == 0 else "fail"
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+_PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+STAGES = (_PYTEST + FAST,
+          _PYTEST + ["--continue-on-collection-errors"]
+          + [arg for node in KNOWN_FAILURES for arg in ("--deselect", node)])
+
+
+def _verdict(work: Path) -> str:
+    """'pass' when every stage passes, else the first stage's 'fail' or
+    'timeout'."""
+    for cmd in STAGES:
+        result = _run(cmd, work, TIMEOUT)
+        if result != "pass":
+            return result
+    return "pass"
+
+
+def read_reasons(path: Path) -> dict[tuple, str]:
+    reasons = {}
+    if path.exists():
+        for row in path.read_text().splitlines():
+            if row.startswith("#") or not row.strip():
+                continue
+            where, mutation, text, reason = row.split("\t")
+            target, _, col = where.split(":")
+            old, new = mutation.split(" -> ")
+            reasons[(target, int(col), old, new, text)] = reason
+    return reasons
+
+
+def write_survivors(path: Path, counts: dict, survivors: list[Mutant], reasons: dict) -> None:
+    rows = ["# Mutants no test kills: file:line:col, mutation, source line, reason.",
+            "# Written by tools/mutants.py; the reasons are kept by hand.",
+            *(f"# {target}: {n} mutants, {k} killed ({t} by timeout), {n - k} survived"
+              for target, (n, k, t) in counts.items())]
+    for m in survivors:
+        rows.append("\t".join((m.where, f"{m.old} -> {m.new}", m.text,
+                               reasons.get(m.key, "UNEXPLAINED"))))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def main() -> int:
+    sources, mutants = {}, []
+    for target, stop in TARGETS:
+        sources[target] = (ROOT / "src" / "firstroot" / target).read_text()
+        mutants += find_mutants(target, stop, sources[target])
+    reasons = read_reasons(SURVIVORS)
+    # on SIGTERM too, unwind: kill the running stage, remove the copy
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+    counts = {target: [0, 0, 0] for target in sources}
+    survivors = []
+    began = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, work / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, work / name)
+        if _verdict(work) != "pass":
+            print("the unmutated checkout fails its tests; no mutant run", file=sys.stderr)
+            return 1
+        for i, m in enumerate(mutants, 1):
+            path = work / "src" / "firstroot" / m.target
+            source = sources[m.target]
+            path.write_text(source[:m.start] + m.new + source[m.start + len(m.old):])
+            result = _verdict(work)
+            path.write_text(source)
+            counts[m.target][0] += 1
+            if result == "pass":
+                survivors.append(m)
+            else:
+                counts[m.target][1] += 1
+                counts[m.target][2] += result == "timeout"
+            print(f"[{i}/{len(mutants)} {time.monotonic() - began:.0f}s] {m.where} "
+                  f"{m.old} -> {m.new}: {'SURVIVED' if result == 'pass' else result}",
+                  flush=True)
+    for m in survivors:
+        print(f"survived: {m.where}\t{m.old} -> {m.new}\t{m.text}")
+    print(f"{len(survivors)} of {len(mutants)} mutants survived")
+    write_survivors(SURVIVORS, counts, survivors, reasons)
+    print(f"list written to {SURVIVORS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
