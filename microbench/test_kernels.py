@@ -31,10 +31,13 @@ moved), the choice of interval, the candidate, one f/f' evaluation and the
 insertion.  Each round starts from a fresh state that one step has seeded
 from 31 evenly spaced trials.
 
-`test_grid_search` and `test_grid_search_trace_read` time the 4135-step grid
-scan of t01, the first with its trace left unread, the second reading it in
-full: the trace builds its records on first read, so the difference is the
-cost of that build.
+`test_grid_search[t01]` and `test_grid_search_trace_read` time the 4135-step
+grid scan of t01, the first with its trace left unread, the second reading it
+in full: the trace builds its records on first read, so the difference is the
+cost of that build.  `test_grid_search[passband]` times a scan that stops at
+step 57, inside its first 4096-point chunk: f on the whole chunk, and f' (a
+central difference, two f values per point) only up to the first negative f,
+at 58 points.
 
 `test_find_fmax[chebyshev]` and `test_find_fmax[passband]` time the one-off
 F_max of a filter: the block-wise scan of its 1 000 000-point mesh and the
@@ -188,18 +191,19 @@ def test_one_step(benchmark, method):
     benchmark.pedantic(solver.step, setup=seeded, rounds=2000)
 
 
-def _grid_t01():
-    problem = get_problem("t01")
+def _grid(pid):
+    problem = get_problem(pid)
     return problem, 1e-4 * (problem.b - problem.a)
 
 
-def test_grid_search(benchmark):
-    problem, sigma = _grid_t01()
-    assert benchmark(grid_search, problem, sigma).outcome.trials_used == 4135
+@pytest.mark.parametrize("pid, steps", [("t01", 4135), ("passband", 57)])
+def test_grid_search(benchmark, pid, steps):
+    problem, sigma = _grid(pid)
+    assert benchmark(grid_search, problem, sigma).outcome.trials_used == steps
 
 
 def test_grid_search_trace_read(benchmark):
-    problem, sigma = _grid_t01()
+    problem, sigma = _grid("t01")
     assert benchmark(lambda: list(grid_search(problem, sigma).trace))[-1].iter == 4135
 
 

@@ -305,10 +305,12 @@ def cutoff_objective(transfer: Callable, f_max: float, negate: bool, *,
 
 
 def on_mesh(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """fn evaluated on the array x in one vectorized call, as a read-only float
-    array of x's shape: a scalar result, such as a constant derivative
-    written `lambda x: -1.0`, is broadcast to every point."""
-    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+    """fn evaluated on the array x in one vectorized call, as a float array of
+    x's shape.  A result of x's shape is returned as fn gave it (converted to
+    float); any other, such as the scalar of a constant derivative written
+    `lambda x: -1.0`, is broadcast to every point as a read-only view."""
+    y = np.asarray(fn(x), dtype=float)
+    return y if y.shape == x.shape else np.broadcast_to(y, x.shape)
 
 
 def exact_lipschitz_oracle(problem: Problem) -> float:

@@ -55,9 +55,10 @@ method runs, with which bound, is resolved by `bench.run_method` for the
 command line and the benchmark alike.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
-the geometric methods are benchmarked against.  It keeps the trace as the
-arrays of x, f and f' it evaluated and builds the records the first time the
-trace is read.
+the geometric methods are benchmarked against.  It takes f on whole chunks of
+the mesh but f' only up to the first negative f of a chunk, since the scan
+stops there at the latest.  It keeps the trace as the chunks of x, f and f'
+it evaluated, and joins them into records the first time the trace is read.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from typing import Iterable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .curvature import EstimationParams, build_curvature_table, interval_curvature, iter_bounds
-from .errors import BadInitialCondition, NonFinite
+from .errors import BadInitialCondition, DegenerateSlope, NonFinite
 from .problems import Problem, on_mesh
 from .support import (
     RIGHT_END,
@@ -474,8 +475,15 @@ def _finish(state: SearchState, config: SolverConfig) -> Outcome:
 
 def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | Trial:
     """One iteration: the Outcome when the search terminates, else the trial
-    it added."""
-    scan_characteristics(state, _walk(state, config))
+    it added.  Under a1, a DegenerateSlope from the scan means the bound K is
+    below the curvature of f, and is raised again naming config.lipschitz."""
+    try:
+        scan_characteristics(state, _walk(state, config))
+    except DegenerateSlope as exc:
+        if config.method != "a1":
+            raise
+        raise DegenerateSlope(f"config.lipschitz = {config.lipschitz} is below the "
+                              f"curvature of f: {exc}") from exc
     chosen = _select_interval(state)
     trials = state.trials
     lo, hi = trials[chosen].x, trials[chosen + 1].x
@@ -576,23 +584,26 @@ def _grid_cap(a: float, b: float, sigma: float) -> int:
 
 
 class _GridTrace(Sequence[TraceRecord]):
-    """The trace of a grid scan, kept as the arrays of x, f and f' the scan
-    evaluated at mesh steps 1, 2, ...  The records (iter = k = the step,
-    b_n = x) are built once, the first time anything but the length is read,
-    and then serve every read; they equal a list of the same records."""
+    """The trace of a grid scan, kept as the list of (x, f, f') array triples
+    the scan evaluated, chunk by chunk, at mesh steps 1 .. length.  The
+    length is stored, so `len` reads no array.  The records (iter = k = the
+    step, b_n = x) are built from the joined arrays once, the first time
+    anything but the length is read, and then serve every read; they equal a
+    list of the same records."""
 
-    def __init__(self, chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-        self._x, self._f, self._fprime = map(np.concatenate, zip(*chunks))
+    def __init__(self, chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 length: int) -> None:
+        self._chunks = chunks
+        self._length = length
 
     @cached_property
     def _records(self) -> list[TraceRecord]:
-        x = self._x.tolist()
+        x, f, fprime = (np.concatenate(arrays).tolist() for arrays in zip(*self._chunks))
         steps = range(1, len(x) + 1)
-        return list(map(tuple.__new__, repeat(TraceRecord),
-                        zip(steps, x, self._f.tolist(), self._fprime.tolist(), steps, x)))
+        return list(map(tuple.__new__, repeat(TraceRecord), zip(steps, x, f, fprime, steps, x)))
 
     def __len__(self) -> int:
-        return len(self._x)
+        return self._length
 
     def __getitem__(self, i):
         return self._records[i]
@@ -637,15 +648,22 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     covered the whole interval, else as BudgetExhausted, since f was never
     looked at beyond the last mesh point.  `cap` defaults to, and is clamped
     to, the number of steps that covers the interval, which is at least one:
-    a sigma wider than the interval takes a single step, to b.  Evaluations
-    are performed in vectorized chunks of _GRID_CHUNK points (`on_mesh`, so an
-    f or f' that returns a scalar is broadcast).  Like `solve`, the scan raises
-    NonFinite when f or f' is not finite at a mesh point it evaluated, up to
-    and including the one it stops at.
+    a sigma wider than the interval takes a single step, to b.
 
-    The trace keeps the evaluated x, f and f' arrays and builds its records,
-    one per step with k = iter and b_n = x, the first time it is read: a
-    caller that reads only the outcome never pays for them.
+    f is evaluated in vectorized chunks of _GRID_CHUNK mesh points (`on_mesh`,
+    so an f or f' that returns a scalar is broadcast), every point of the
+    chunk at once.  f' is evaluated, in one call per chunk, only at the points
+    up to and including the chunk's first negative f (all of them when there
+    is none), since the stop lies there or before it: the tangent test needs
+    f' at every point before the stop and the trace records it at the stop,
+    so an f' that is undefined or raises past the first negative f does no
+    harm.  Like `solve`, the scan raises NonFinite when f or f' is not finite
+    at a mesh point up to and including the one it stops at.
+
+    The trace keeps the chunks of x, f and f' up to the stop and builds its
+    records, one per step with k = iter and b_n = x, the first time it is
+    read: a caller that reads only the outcome or the length never pays for
+    them.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
@@ -662,23 +680,28 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
         # the last step of the mesh may reach past b; its point is b itself
         xs = np.minimum(a + np.arange(j, hi + 1, dtype=float) * sigma, b)
         fs = on_mesh(problem.f, xs)
-        dfs = on_mesh(problem.df, xs)
-        stops = np.flatnonzero((fs < 0.0) | (fs <= -0.5 * sigma * dfs))
-        n = int(stops[0]) + 1 if len(stops) else len(xs)
-        if not (np.isfinite(fs[:n]).all() and np.isfinite(dfs[:n]).all()):
-            bad = int(np.flatnonzero(~(np.isfinite(fs[:n]) & np.isfinite(dfs[:n])))[0])
+        # the stop is the first tangent hit or the first negative f, whichever
+        # comes first, so f' is taken up to the first negative f and no further
+        below = np.flatnonzero(fs < 0.0)
+        n = int(below[0]) + 1 if len(below) else len(xs)
+        dfs = on_mesh(problem.df, xs[:n])
+        hits = np.flatnonzero(fs[:n] <= -0.5 * sigma * dfs)
+        if len(hits):
+            n = int(hits[0]) + 1
+        xs, fs, dfs = xs[:n], fs[:n], dfs[:n]
+        if not (np.isfinite(fs).all() and np.isfinite(dfs).all()):
+            bad = int(np.flatnonzero(~(np.isfinite(fs) & np.isfinite(dfs)))[0])
             raise NonFinite(f"non-finite evaluation at x={float(xs[bad])}: "
                             f"f={float(fs[bad])}, f'={float(dfs[bad])}")
-        if len(stops):
-            chunks.append((xs[:n], fs[:n], dfs[:n]))
+        chunks.append((xs, fs, dfs))
+        if len(hits) or len(below):
             j_stop = j + n - 1
             if fs[n - 1] >= 0.0:
                 x_sigma = float(xs[n - 1])
             else:  # the mesh point before the stop; a itself before step 1
                 x_sigma = a + (j_stop - 1) * sigma if j_stop > 1 else a
             return SolveResult(outcome=FirstRootFound(trials_used=j_stop, x_sigma=x_sigma),
-                               trace=_GridTrace(chunks))
-        chunks.append((xs, fs, dfs))
+                               trace=_GridTrace(chunks, j_stop))
         block_min = int(np.argmin(fs))
         if fs[block_min] < best_f:
             best_f = float(fs[block_min])
@@ -688,4 +711,4 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
         outcome = BudgetExhausted(trials_used=cap, best_so_far=best_x)
     else:
         outcome = NoRootGlobalMin(trials_used=cap, x_best=best_x, f_best=best_f)
-    return SolveResult(outcome=outcome, trace=_GridTrace(chunks))
+    return SolveResult(outcome=outcome, trace=_GridTrace(chunks, cap))

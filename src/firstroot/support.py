@@ -305,7 +305,8 @@ def leftmost_zero(s: SupportFunction) -> float:
 
     Requires z_left >= 0 (raises ValueError otherwise; the search asks only
     about intervals whose left end precedes the first negative trial) and
-    characteristic(s).R <= 0 (raises NoZero otherwise).  The zero is located
+    characteristic(s).R <= 0 (raises NoZero otherwise).  With z_left = 0 the
+    zero is x_left itself, where phi = z_left.  Otherwise it is located
     in whichever piece crosses first: the left cap if phi(y') <= 0, otherwise
     the middle piece or the right cap depending on where the middle piece
     bottoms out.  That piece crosses zero at the smaller root t of one
@@ -318,6 +319,8 @@ def leftmost_zero(s: SupportFunction) -> float:
         raise ValueError(f"leftmost_zero requires z_left >= 0, got {z_left}")
     if char.R > 0.0:
         raise NoZero("support function is strictly positive on the interval")
+    if z_left == 0.0:
+        return x_left
     # _phi(s, _clamp(s, y')), written out
     x = x_left if x_left > y_prime else y_prime
     x = x_right if x_right < x else x

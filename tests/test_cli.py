@@ -47,6 +47,13 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error:") and "lipschitz" in err
 
+    def test_a1_bound_below_the_curvature(self, capsys):
+        code, out, err = run(capsys, "solve", "--problem", "t01", "--method", "a1",
+                             "--lipschitz", "1.0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: config.lipschitz = 1.0 is below the curvature of f: "
+                              "m=1.0 too small on [0.2, 7.0]")
+
     def test_unknown_problem(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "t99")
         assert code == 1

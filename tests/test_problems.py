@@ -31,6 +31,7 @@ from firstroot.problems import (
     CHEBYSHEV_DOMAIN,
     FILTERS,
     PASSBAND_DOMAIN,
+    on_mesh,
 )
 
 from helpers import cosines_problem, one_shot_fmax, one_shot_lipschitz
@@ -236,6 +237,25 @@ class TestNumericDerivative:
         xs = np.array([1.0, 2.0, 3.0])
         out = numeric_derivative(lambda x: np.asarray(x) ** 2, xs)
         assert np.allclose(out, 2 * xs, rtol=1e-6)
+
+
+class TestOnMesh:
+    @pytest.mark.parametrize("value", [-1.0, 2, np.float64(0.5), np.array(3.0), np.array([4.0])],
+                             ids=["float", "int", "float64", "0-d", "1-element"])
+    def test_other_shapes_are_broadcast_read_only(self, value):
+        x = np.linspace(0.0, 1.0, 5)
+        y = on_mesh(lambda _: value, x)
+        assert y.shape == x.shape and y.dtype == float
+        assert (y == float(np.ravel(value)[0])).all()
+        assert not y.flags.writeable
+
+    def test_an_x_shaped_result_is_passed_through(self):
+        x = np.linspace(0.0, 1.0, 5)
+        out = 2.0 * x
+        y = on_mesh(lambda _: out, x)
+        assert y is out and y.flags.writeable
+        ints = on_mesh(lambda v: np.arange(len(v)), x)
+        assert ints.dtype == float and ints.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 class TestLipschitzOracle:

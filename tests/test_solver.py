@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -643,6 +644,17 @@ class TestSolveOutcomes:
         with pytest.raises(ValueError):
             solve(get_problem("t01"), SolverConfig(method="a1"))
 
+    def test_a1_bound_below_the_curvature_is_named(self):
+        # K is a tenth of sum a_j w_j^2 + 2*drift, and the first minorant,
+        # over the whole domain, cannot be built with it
+        p = cosines_problem(3.0, (0.5, 0.3), (1.0, 2.1), (0.0, 1.0), 1.0, 20.0)
+        with pytest.raises(DegenerateSlope, match=r"^config\.lipschitz = 0\.3823 is below "
+                                                  r"the curvature of f: m=0\.3823 too small "
+                                                  r"on \[0\.0, 20\.0\]") as info:
+            solve(p, SolverConfig(method="a1", lipschitz=0.3823))
+        assert type(info.value.__cause__) is DegenerateSlope
+        assert str(info.value).endswith(str(info.value.__cause__))
+
     def test_point_of_each_outcome(self):
         assert FirstRootFound(trials_used=5, x_sigma=1.5).point == 1.5
         assert NoRootGlobalMin(trials_used=5, x_best=2.5, f_best=0.1).point == 2.5
@@ -805,6 +817,18 @@ class TestGridSearch:
         assert isinstance(res.outcome, NoRootGlobalMin)
         assert res.outcome.trials_used == len(res.trace) == trials
 
+    @pytest.mark.parametrize("excess, steps, last", [(1e-7, 1000, 0.9999999998999999),
+                                                     (1e-5, 1001, 1.0)])
+    def test_mesh_short_of_b_by_rounding_covers_it(self, excess, steps, last):
+        # (b - a)/sigma = 1000 + excess: a mesh that stops short of b by no
+        # more than 1e-9 of its steps covers [a, b]; one that stops shorter
+        # takes one more step, to b
+        p = Problem(id="rise", name="1 + x", a=0.0, b=1.0, f=lambda x: 1.0 + x,
+                    df=lambda x: 1.0)
+        res = grid_search(p, 1.0 / (1000.0 + excess))
+        assert type(res.outcome) is NoRootGlobalMin and res.outcome.trials_used == steps
+        assert res.trace[-1].x == last
+
     def test_stop_on_the_clamped_point_reports_b(self):
         # the last step of sigma = 0.3 from 0 would land on 1.2, where f < 0;
         # at b = 1, f = 0.1 and its tangent reaches zero within sigma/2, so the
@@ -888,6 +912,58 @@ class TestGridSearch:
         else:
             assert grid_search(p, 0.05).outcome == FirstRootFound(trials_used=10,
                                                                  x_sigma=0.45)
+
+    @pytest.mark.parametrize("pid, steps, points", [("t05", 913, 914), ("passband", 57, 58)])
+    def test_derivative_taken_up_to_the_first_negative_value(self, pid, steps, points):
+        # both stop on the tangent test one step before f first turns
+        # negative; f is taken on the whole first chunk, f' up to that first
+        # negative f and no further
+        p = get_problem(pid)
+        f_sizes, df_sizes = [], []
+
+        def f(x):
+            f_sizes.append(len(x))
+            return p.f(x)
+
+        def df(x):
+            df_sizes.append(len(x))
+            return p.df(x)
+
+        res = grid_search(dataclasses.replace(p, f=f, df=df), 1e-4 * (p.b - p.a))
+        assert res == grid_search(p, 1e-4 * (p.b - p.a))
+        assert res.outcome.trials_used == steps and res.trace[-1].f >= 0.0
+        assert f_sizes == [solver_module._GRID_CHUNK] == [4096]
+        assert df_sizes == [points]
+        assert float(p.f(np.minimum(p.a + points * 1e-4 * (p.b - p.a), p.b))) < 0.0
+
+    def test_derivative_past_the_first_negative_value_is_not_taken(self):
+        # f steps from 1 to -1 at 0.5, so the scan with sigma = 0.05 stops at
+        # step 10, x = 0.5, its first negative f; f' raises past it
+        def df(x):
+            x = np.asarray(x, dtype=float)
+            if (x > 0.5).any():
+                raise ArithmeticError("f' past the first negative f")
+            return np.zeros_like(x)
+
+        p = Problem(id="step", name="step down at 0.5", a=0.0, b=1.0,
+                    f=lambda x: np.where(np.asarray(x, dtype=float) < 0.5, 1.0, -1.0), df=df)
+        res = grid_search(p, 0.05)
+        assert res.outcome == FirstRootFound(trials_used=10, x_sigma=0.45)
+        assert [rec.fprime for rec in res.trace] == [0.0] * 10
+
+    def test_scan_and_length_join_no_array(self, monkeypatch):
+        # t02 is rootless: three chunks, none cut short
+        p = get_problem("t02")
+
+        def join(*args, **kwargs):
+            raise AssertionError("the trace joined its arrays")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "concatenate", join)
+            res = grid_search(p, 1e-4 * (p.b - p.a))
+            assert len(res.trace) == res.outcome.trials_used == 10_000
+        assert "_records" not in vars(res.trace)
+        assert res.trace[-1].x == p.b and "_records" in vars(res.trace)
 
     def test_immediate_sign_change(self):
         res = grid_search(linear_problem(), sigma=0.6)

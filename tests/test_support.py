@@ -396,6 +396,18 @@ class TestLeftmostZero:
                                         dz_left=-1.0, dz_right=-1.0, m=1.0))
         assert leftmost_zero(sf) == 0.0
 
+    @pytest.mark.parametrize("x_left", [0.0, -0.0, 2.5, -3.0])
+    def test_zero_value_at_a_rising_left_end(self, x_left):
+        # phi rises from phi(x_left) = z_left = 0, so R = 0 at the left end
+        # while phi(y') and the middle minimum are positive: the zero is
+        # x_left, not the right cap's crossing clamped to x_right
+        sf = build_support(IntervalData(x_left, x_left + 1.0, 0.0, 1.0, 1.0, 1.0, 1.0))
+        assert characteristic(sf) == Characteristic(h=x_left, R=0.0, kind=LEFT_END)
+        assert eval_support(sf, sf.y_prime) > 0.0
+        x0 = leftmost_zero(sf)
+        assert x0 == x_left and math.copysign(1.0, x0) == math.copysign(1.0, x_left)
+        assert eval_support(sf, x0) == 0.0
+
     def test_symmetric_shifted_down(self):
         sf = build_support(IntervalData(x_left=0.0, x_right=1.0, z_left=0.0, z_right=0.0,
                                         dz_left=0.0, dz_right=0.0, m=4.0))

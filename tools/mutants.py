@@ -3,8 +3,8 @@
 Each mutant changes one operator in one of the target files: a comparison
 `<`, `<=`, `>`, `>=` is negated (`<` becomes `>=`, and so on) and an
 arithmetic `+`, `-`, `*`, `/` is swapped with its counterpart (`+` with `-`,
-`*` with `/`).  The targets are `support.py`, `curvature.py` and `solver.py`
-up to the end of `solve` (the grid search below it is left out).
+`*` with `/`).  The targets are the whole of `support.py`, `curvature.py` and
+`solver.py`, the grid search included.
 
 The checkout's `src`, `tests`, `perfbench` and `pyproject.toml` are copied
 into a temporary directory and every mutant is written there, so an
@@ -21,7 +21,7 @@ source line and a reason.  The reasons are written by hand; a rerun keeps the
 reason of every survivor whose file, column, mutation and source line are
 unchanged and marks new ones UNEXPLAINED.
 
-Run from the root of the checkout (about 35 minutes on one core):
+Run from the root of the checkout (about 40 minutes on one core):
 
     python tools/mutants.py
 """
@@ -43,9 +43,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# file under src/firstroot, and the function after whose end mutation stops
-# (None for the whole file)
-TARGETS = (("support.py", None), ("curvature.py", None), ("solver.py", "solve"))
+# files under src/firstroot, mutated whole
+TARGETS = ("support.py", "curvature.py", "solver.py")
 
 # operator node -> (its symbol, the mutant's symbol)
 NEGATED = {ast.Lt: ("<", ">="), ast.LtE: ("<=", ">"), ast.Gt: (">", "<="), ast.GtE: (">=", "<")}
@@ -102,12 +101,8 @@ def _between(ops, after: ast.AST, before: ast.AST, symbol: str) -> tuple[int, in
     return line, col + 1, off
 
 
-def find_mutants(target: str, stop: str | None, source: str) -> list[Mutant]:
+def find_mutants(target: str, source: str) -> list[Mutant]:
     tree = ast.parse(source)
-    limit = None
-    if stop is not None:
-        limit = next(n.end_lineno for n in tree.body
-                     if isinstance(n, ast.FunctionDef) and n.name == stop)
     ops = _operator_offsets(source)
     lines = source.splitlines()
     out = []
@@ -122,8 +117,6 @@ def find_mutants(target: str, stop: str | None, source: str) -> list[Mutant]:
             continue
         for after, before, old, new in pairs:
             line, col, off = _between(ops, after, before, old)
-            if limit is not None and line > limit:
-                continue
             out.append(Mutant(target, line, col, old, new, off, lines[line - 1].strip()))
     return sorted(out, key=lambda m: (m.line, m.col))
 
@@ -186,9 +179,9 @@ def write_survivors(path: Path, counts: dict, survivors: list[Mutant], reasons: 
 
 def main() -> int:
     sources, mutants = {}, []
-    for target, stop in TARGETS:
+    for target in TARGETS:
         sources[target] = (ROOT / "src" / "firstroot" / target).read_text()
-        mutants += find_mutants(target, stop, sources[target])
+        mutants += find_mutants(target, sources[target])
     reasons = read_reasons(SURVIVORS)
     # on SIGTERM too, unwind: kill the running stage, remove the copy
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
