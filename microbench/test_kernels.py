@@ -39,6 +39,11 @@ step 57, inside its first 4096-point chunk: f on the whole chunk, and f' (a
 central difference, two f values per point) only up to the first negative f,
 at 58 points.
 
+`test_filter_objective[chebyshev]` and `test_filter_objective[passband]`
+time what one trial of a filter problem costs in evaluation: one scalar f and
+one scalar f' (a central difference, two more f values) at the middle of the
+search window, all in np.float64 scalar arithmetic.
+
 `test_find_fmax[chebyshev]` and `test_find_fmax[passband]` time the one-off
 F_max of a filter: the block-wise scan of its 1 000 000-point mesh and the
 golden-section refinement.  `test_lipschitz_oracle` times the one-off a1
@@ -205,6 +210,14 @@ def test_grid_search(benchmark, pid, steps):
 def test_grid_search_trace_read(benchmark):
     problem, sigma = _grid("t01")
     assert benchmark(lambda: list(grid_search(problem, sigma).trace))[-1].iter == 4135
+
+
+@pytest.mark.parametrize("pid", ["chebyshev", "passband"])
+def test_filter_objective(benchmark, pid):
+    problem = get_problem(pid)
+    x = 0.5 * (problem.a + problem.b)
+    z, dz = benchmark(lambda: (problem.f(x), problem.df(x)))
+    assert type(z) is float and type(dz) is float
 
 
 @pytest.mark.parametrize("pid", ["chebyshev", "passband"])

@@ -8,6 +8,30 @@ through `on_mesh`, which also accepts a scalar result for an array.  The
 dense-grid oracles (`find_fmax`, `exact_lipschitz_oracle`) call `on_mesh` on
 one block of their mesh at a time, so their temporaries stay block-sized
 while their results equal those of one pass over the whole mesh.
+
+Scalar and array evaluation of the filter models.  A solver trial calls a
+filter objective on one point, and its f' (`numeric_derivative`) calls f
+twice more.  On a scalar, the transfer functions and `numeric_derivative`
+compute in np.float64 scalars, not in 0-d arrays, whose every operation
+costs a ufunc dispatch; an ndarray takes the same formula on the array.
+The scalar path keeps the values that 0-d arrays gave, bit for bit, by four
+rules:
+
+- The square of omega is written `w * w`.  On a 0-d array (and on an
+  ndarray) `w**2` is numpy's square, an exact product; on an np.float64 it
+  would be libm's pow, which can differ in the last bit.
+- The cube stays `np.power(w, 3)`: numpy's power loop, on a scalar as on an
+  array, differs from libm's pow (Python's `**`) at about 5% of points.
+- The squares of intermediates (`(w * _L1)**2`, `z1**2`, ...) keep `**2`:
+  a ufunc on 0-d arrays returns np.float64 scalars, so these were libm's pow
+  on the scalar path already, and `x * x` would move some values.
+- omega becomes an np.float64, not a Python float: a float's `**` raises
+  OverflowError where np.float64 gives inf, so a huge omega still gives 0.0.
+
+`numeric_derivative` keeps its step h and samples f under `np.errstate` on
+both paths; the objective of `cutoff_objective` squares a float transfer
+value as a float.  The array path is the formula it was, so the grid scan
+and the oracles compute what they did.
 """
 
 from __future__ import annotations
@@ -45,8 +69,9 @@ class Problem:
     non-empty [a, b].
 
     reference_frl is the known first root from the left (None when f has no
-    root), root_count is catalog metadata, lipschitz_K an
-    optional externally supplied bound on the Lipschitz constant of df.
+    root), root_count the catalog's number of roots in [a, b] counted with
+    multiplicity (None when f has none), and lipschitz_K an optional
+    externally supplied bound on the Lipschitz constant of df.
     """
 
     id: str
@@ -142,6 +167,7 @@ _TESTBED = [
      lambda x: -np.exp(np.sin(x)) + 4.0,
      lambda x: -np.cos(x) * np.exp(np.sin(x)),
      None, None),
+    # roots pi and 2*pi, each of multiplicity two: f touches zero there
     ("t17", "sqrt(x)*sin(x)^2",
      lambda x: np.sqrt(x) * np.sin(x)**2,
      lambda x: np.sin(x)**2 / (2 * np.sqrt(x)) + 2 * np.sqrt(x) * np.sin(x) * np.cos(x),
@@ -150,6 +176,7 @@ _TESTBED = [
      lambda x: np.cos(x) - np.sin(5 * x) + 1.0,
      lambda x: -np.sin(x) - 5 * np.cos(5 * x),
      1.57079, 6),
+    # the catalog's 3 roots are one: f changes sign once on [0.2, 7]
     ("t19", "-x - sin(3*x) + 1.6",
      lambda x: -x - np.sin(3 * x) + 1.6,
      lambda x: -1.0 - 3 * np.cos(3 * x),
@@ -194,24 +221,44 @@ _ORACLE_GRID = 200_000
 _MESH_BLOCK = 32_768
 
 
+def _scalar_or_array(x):
+    """x as an np.float64 when it is a scalar or a 0-d array, else as a float
+    ndarray (see the module docstring for why not a Python float)."""
+    if isinstance(x, (float, int)):
+        return np.float64(x)
+    return np.asarray(x, dtype=float)[()]
+
+
 def chebyshev_transfer(omega):
-    """|Vout/Vin| of the lowpass ladder at angular frequency omega >= 0."""
-    w = np.asarray(omega, dtype=float)
-    out = (1.0 / np.sqrt(1.0 + _R**2 * _C**2 * w**2)
-           / np.sqrt((2.0 - w**2 * _L * _C)**2 + w**2 * _L**2 / _R**2))
+    """|Vout/Vin| of the lowpass ladder at angular frequency omega >= 0.
+
+    A scalar or 0-d omega gives a Python float, an ndarray an ndarray of its
+    shape; both are evaluated by the one formula below, on an np.float64 or
+    on the array.
+    """
+    w = _scalar_or_array(omega)
+    out = (1.0 / np.sqrt(1.0 + _R**2 * _C**2 * (w * w))
+           / np.sqrt((2.0 - w * w * _L * _C)**2 + w * w * _L**2 / _R**2))
     return float(out) if out.ndim == 0 else out
 
 
 def passband_transfer(omega):
-    """|Vout/Iin| of the bandpass circuit at angular frequency omega > 0."""
-    w = np.asarray(omega, dtype=float)
-    if (w <= 0.0).any():
+    """|Vout/Iin| of the bandpass circuit at angular frequency omega > 0.
+
+    Scalars and arrays are evaluated as in `chebyshev_transfer`; an omega
+    <= 0 anywhere raises DomainError.  A huge omega such as 1e200 gives 0.0:
+    the squares of the np.float64 intermediates overflow to inf, with no
+    OverflowError.
+    """
+    w = _scalar_or_array(omega)
+    # np.bool_.any() would cost a quarter of a scalar call: compare directly
+    if (w <= 0.0).any() if w.ndim else w <= 0.0:
         raise DomainError("passband transfer function requires omega > 0")
-    z1 = (-w**3 * _R1 * _L1 * _L2 + w * _R1 * _L2 + w * _R1 * _L1 * _C1 / _C2
+    z1 = (-np.power(w, 3) * _R1 * _L1 * _L2 + w * _R1 * _L2 + w * _R1 * _L1 * _C1 / _C2
           - _R1 / (w * _C2) + 2 * w * _L1 * _R1 + w * _L1 * _R2)
-    z2 = (w**2 * _L1 * _L2 + w**2 * _R1 * _R2 * _L1 * _C1
+    z2 = (w * w * _L1 * _L2 + w * w * _R1 * _R2 * _L1 * _C1
           - _R1 * _R2 - _L1 / _C2)
-    z3 = (w * _L1)**2 + (w**2 * _R1 * _L1 * _C1 - _R1)**2
+    z3 = (w * _L1)**2 + (w * w * _R1 * _L1 * _C1 - _R1)**2
     out = w * _L1 * _R1 / np.sqrt((z1**2 + z2**2)**2 * z3)
     return float(out) if out.ndim == 0 else out
 
@@ -267,10 +314,24 @@ def find_fmax(transfer: Callable, omega_range: tuple[float, float]) -> tuple[flo
 def numeric_derivative(f: Callable, x):
     """Central-difference derivative with step h = cbrt(eps)*max(1, |x|).
 
-    Accepts a float or an ndarray; raises NonFinite when f is not finite at
-    the sample points.
+    Accepts a float or an ndarray: a scalar or 0-d x gives a Python float,
+    computed by the same formula in np.float64 scalars, an ndarray an ndarray.
+    f is called on np.float64 samples (or arrays) with floating-point warnings
+    silenced; raises NonFinite when f is not finite at the sample points.
     """
-    xa = np.asarray(x, dtype=float)
+    xa = _scalar_or_array(x)
+    if not isinstance(xa, np.ndarray):
+        # max(1.0, nan) is 1.0, not nan as in np.maximum, but the samples
+        # xa +- h are nan either way
+        h = _CBRT_EPS * max(1.0, abs(xa))
+        xp = xa + h
+        xm = xa - h
+        with np.errstate(all="ignore"):
+            fp = float(f(xp))
+            fm = float(f(xm))
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise NonFinite(f"f not finite near x={x}")
+        return float((fp - fm) / (xp - xm))
     h = _CBRT_EPS * np.maximum(1.0, np.abs(xa))
     xp = xa + h
     xm = xa - h
@@ -279,8 +340,7 @@ def numeric_derivative(f: Callable, x):
         fm = np.asarray(f(xm), dtype=float)
     if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
         raise NonFinite(f"f not finite near x={x}")
-    out = (fp - fm) / (xp - xm)
-    return float(out) if out.ndim == 0 else out
+    return (fp - fm) / (xp - xm)
 
 
 def cutoff_objective(transfer: Callable, f_max: float, negate: bool, *,
@@ -294,9 +354,11 @@ def cutoff_objective(transfer: Callable, f_max: float, negate: bool, *,
     half = 0.5 * f_max * f_max
 
     def f(omega):
-        t = np.asarray(transfer(omega), dtype=float)
+        t = transfer(omega)
+        if not isinstance(t, float):  # an array, or a scalar of another type
+            t = np.asarray(t, dtype=float)
         out = sign * (t * t - half)
-        return float(out) if out.ndim == 0 else out
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def df(omega):
         return numeric_derivative(f, omega)

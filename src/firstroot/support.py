@@ -137,9 +137,16 @@ def build_support(data: IntervalData) -> SupportFunction:
             f"m={m} too small on [{x_left}, {x_right}]: "
             f"denominator {denom} <= 0; raise the curvature bound"
         )
+    try:
+        squares = x_right ** 2 - x_left ** 2
+    except OverflowError as exc:  # float ** raises where * would give inf
+        raise NonFinite(
+            f"m={m} on [{x_left}, {x_right}]: the squares of the ends overflow; "
+            f"the interval lies too far from zero"
+        ) from exc
     ratio = (
         z_left - z_right + dz_right * x_right - dz_left * x_left
-        + 0.5 * m * (x_right ** 2 - x_left ** 2)
+        + 0.5 * m * squares
     ) / denom
     half_span = width / 4.0 + (dz_right - dz_left) / (4.0 * m)
     y = half_span + ratio

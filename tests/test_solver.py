@@ -655,6 +655,19 @@ class TestSolveOutcomes:
         assert type(info.value.__cause__) is DegenerateSlope
         assert str(info.value).endswith(str(info.value.__cause__))
 
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    def test_a_domain_whose_squares_overflow_raises_non_finite(self, method):
+        # x**2 of the ends overflows in the first minorant's coefficients; the
+        # error names the interval and m and chains the OverflowError
+        far = Problem(id="far", name="far line", a=1e200, b=2e200,
+                      f=lambda x: 1.5e200 - x, df=lambda x: -1.0 + 0 * x)
+        cfg = SolverConfig(method=method, lipschitz=1.0 if method == "a1" else None)
+        m = "1.0" if method == "a1" else "1.2e-06"
+        with pytest.raises(NonFinite, match=rf"^m={m} on \[1e\+200, 2e\+200\]: the squares "
+                                            r"of the ends overflow") as info:
+            solve(far, cfg)
+        assert type(info.value.__cause__) is OverflowError
+
     def test_point_of_each_outcome(self):
         assert FirstRootFound(trials_used=5, x_sigma=1.5).point == 1.5
         assert NoRootGlobalMin(trials_used=5, x_best=2.5, f_best=0.1).point == 2.5
@@ -677,17 +690,53 @@ def scaled_problem(problem, c):
                    f=lambda x: c * problem.f(x), df=lambda x: c * problem.df(x))
 
 
+def t10_right():
+    """t10's f and f' on [2.78, 7.0], where f(2.78) = 0.148, and the mesh
+    points (400 001 of them) on either side of f's first sign change."""
+    t10 = get_problem("t10")
+    p = Problem(id="t10r", name="t10 right", a=2.78, b=7.0, f=t10.f, df=t10.df)
+    xs = np.linspace(p.a, p.b, 400_001)
+    i = int(np.argmax(p.f(xs) < 0.0))
+    return p, (float(xs[i - 1]), float(xs[i]))
+
+
 class TestKnownDefects:
     """Valid inputs on which the solver is not yet invariant to where f sits
-    or how large it is.  Two end in an internal exception rather than an
-    Outcome: `build_support` places its knots in absolute x, and the
-    cancellation in its coefficients grows with |x|**2, so on an interval that
-    is narrow against |x| the knots land outside it and the build raises
-    DegenerateSlope.  Two return an Outcome that differs from the unscaled
-    one: a2's curvature floor r*xi is absolute, so when f is scaled down far
-    enough the floor, not the data, sets the bounds.  Each test states what a
-    fixed solver must return; the xfail is strict, so a fix turns it into a
-    failure until the mark goes."""
+    or how large it is, or on which a2 gives a wrong answer.  Two end in an
+    internal exception rather than an Outcome: `build_support` places its
+    knots in absolute x, and the cancellation in its coefficients grows with
+    |x|**2, so on an interval that is narrow against |x| the knots land
+    outside it and the build raises DegenerateSlope.  Two return an Outcome
+    that differs from the unscaled one: a2's curvature floor r*xi is
+    absolute, so when f is scaled down far enough the floor, not the data,
+    sets the bounds.  One is a first root that a2 reports right of four sign
+    changes of t10's f: the paper's a2 estimates its curvature bounds from
+    the trials, there the estimates fall below the curvature of f, and a
+    minorant stays positive over roots (a1 with the oracle K finds the
+    first root).
+    Each test states what a fixed solver must return; the xfail is strict, so
+    a fix turns it into a failure until the mark goes."""
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="the paper's a2 estimates the curvature from the trials; on "
+                              "t10 right of 2.78 the estimates fall below it after 5 trials "
+                              "and a2 reports a first root at 3.675, past the sign changes "
+                              "at 2.98, 3.13, 3.33 and 3.48")
+    def test_a2_finds_the_first_root_of_t10_right_of_2_78(self):
+        p, (lo, hi) = t10_right()
+        cfg = SolverConfig(method="a2")
+        out = solve(p, cfg).outcome
+        assert isinstance(out, FirstRootFound)
+        assert lo - cfg.resolve_sigma(p.a, p.b) <= out.x_sigma <= hi
+
+    def test_a1_finds_the_first_root_of_t10_right_of_2_78(self):
+        # the twin of the a2 miss above: a1 with the oracle K brackets the
+        # root between mesh points 2.9796904 and 2.97970095 in 9 trials
+        p, (lo, hi) = t10_right()
+        cfg = SolverConfig(method="a1", lipschitz=curvature_bound(p))
+        out = solve(p, cfg).outcome
+        assert isinstance(out, FirstRootFound) and out.trials_used == 9
+        assert lo - cfg.resolve_sigma(p.a, p.b) <= out.x_sigma <= hi
 
     @pytest.mark.xfail(raises=DegenerateSlope, strict=True)
     def test_a2_at_a_small_absolute_sigma(self):
