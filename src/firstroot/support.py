@@ -5,14 +5,24 @@ Given function values and derivatives at the two ends of an interval
 there, a three-piece C^1 quadratic support function phi is constructed:
 
     phi(x) = z_left + dz_left*(x - x_left) - 0.5*m*(x - x_left)^2   on [x_left, y']
-    phi(x) = 0.5*m*x^2 + b*x + c                                    on (y', y]
+    phi(x) = 0.5*m*(x - vertex)^2 + q                               on (y', y]
     phi(x) = z_right - dz_right*(x_right - x) - 0.5*m*(x_right - x)^2  on (y, x_right]
 
 The outer pieces are Taylor-form caps anchored at the endpoints, the middle
-piece is the upward parabola that glues them with matching value and slope.
-Whenever m is a valid bound, phi(x) <= f(x) on the whole interval, so the
-minimum of phi (its "characteristic") certifies the absence of a zero when
-positive and locates a candidate zero when non-positive.
+piece is the upward parabola that glues them with matching value and slope,
+stored in vertex form: its minimum q sits at x = vertex.  Whenever m is a
+valid bound, phi(x) <= f(x) on the whole interval, so the minimum of phi (its
+"characteristic") certifies the absence of a zero when positive and locates a
+candidate zero when non-positive.
+
+The knots, the vertex and q are computed in u = x - x_left, with the width
+w = x_right - x_left, and only then moved to x by adding x_left.  Every term
+is then of the size of the interval and its data, not of |x|, so an interval
+far from zero and narrow against |x| gets the minorant that it gets at zero.
+For the same reason the middle piece is evaluated as the left cap plus
+m*(x - y')^2, which equals the vertex form: where the slope is steep against
+m the vertex lies far outside the interval, and 0.5*m*(x - vertex)^2 and q
+would cancel.
 
 A SupportFunction derives its interior stationary point and its
 characteristic once, when it is constructed; `interior_stationary_point`,
@@ -97,29 +107,33 @@ class _SupportFields(NamedTuple):
     data: IntervalData
     y_prime: float
     y: float
-    b: float
-    c: float
+    vertex: float
+    q: float
     x_hat: float | None
     char: Characteristic
 
 
 class SupportFunction(_SupportFields):
-    """A built minorant: interval data plus knots y' <= y and middle-piece
-    coefficients b, c.
+    """A built minorant: interval data, knots y' <= y and the middle piece
+    0.5*m*(x - vertex)^2 + q.
 
-    The constructor takes those five and derives the rest once, through the
-    same pass as `build_support`: x_hat, the zero of phi' in [y', y] when the
-    slope changes sign there (else None), and char, the minimum of phi over
-    the interval.  `interior_stationary_point` and `characteristic` return
-    these two.  The named-tuple methods `_make` and `_replace` skip the
-    constructor and so the derivation: build a new SupportFunction instead.
+    The constructor takes those five, raises ValueError unless
+    x_left <= y' <= y <= x_right, and derives the rest once, through the same
+    pass as `build_support`: x_hat, the vertex when it lies strictly between
+    the knots (else None), and char, the minimum of phi over the interval.
+    `interior_stationary_point` and `characteristic` return these two.  The
+    named-tuple methods `_make` and `_replace` skip the constructor and so the
+    check and the derivation: build a new SupportFunction instead.
     """
 
     __slots__ = ()
 
-    def __new__(cls, data: IntervalData, y_prime: float, y: float, b: float,
-                c: float) -> "SupportFunction":
-        return _derive(cls, data, y_prime, y, b, c)
+    def __new__(cls, data: IntervalData, y_prime: float, y: float, vertex: float,
+                q: float) -> "SupportFunction":
+        if not data.x_left <= y_prime <= y <= data.x_right:
+            raise ValueError(f"knots y'={y_prime}, y={y} must satisfy "
+                             f"{data.x_left} <= y' <= y <= {data.x_right}")
+        return _derive(cls, data, y_prime, y, vertex, q)
 
 
 def build_support(data: IntervalData) -> SupportFunction:
@@ -127,91 +141,58 @@ def build_support(data: IntervalData) -> SupportFunction:
 
     Raises DegenerateSlope when m*(x_right - x_left) + dz_right - dz_left <= 0,
     which signals that m is below the derivative variation on the interval,
-    and NonFinite when a knot is not finite, as when m overflows.
+    or when a knot leaves the interval by more than 1e-9*max(1, width); knots
+    within that tolerance are clamped onto the ends.  Raises NonFinite when a
+    knot is not finite, as when m, or m times the squared width, overflows.
     """
     x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
-    width = x_right - x_left
-    denom = m * width + dz_right - dz_left
+    w = x_right - x_left
+    denom = m * w + dz_right - dz_left
     if denom <= 0.0:
         raise DegenerateSlope(
             f"m={m} too small on [{x_left}, {x_right}]: "
             f"denominator {denom} <= 0; raise the curvature bound"
         )
-    try:
-        squares = x_right ** 2 - x_left ** 2
-    except OverflowError as exc:  # float ** raises where * would give inf
-        raise NonFinite(
-            f"m={m} on [{x_left}, {x_right}]: the squares of the ends overflow; "
-            f"the interval lies too far from zero"
-        ) from exc
-    ratio = (
-        z_left - z_right + dz_right * x_right - dz_left * x_left
-        + 0.5 * m * squares
-    ) / denom
-    half_span = width / 4.0 + (dz_right - dz_left) / (4.0 * m)
-    y = half_span + ratio
-    y_prime = -half_span + ratio
-    # a knot outside the interval fails this test, and so does a NaN knot
-    # (its comparisons are false)
-    if not (x_left <= y_prime and y <= x_right):
-        if not (math.isfinite(y_prime) and math.isfinite(y)):
+    ratio = (z_left - z_right + dz_right * w + 0.5 * m * w * w) / denom
+    half_span = w / 4.0 + (dz_right - dz_left) / (4.0 * m)
+    u = half_span + ratio
+    u_prime = -half_span + ratio
+    # a knot outside [0, w] fails this test, and so does a NaN knot (its
+    # comparisons are false)
+    if not (0.0 <= u_prime and u <= w):
+        knots = (x_left + u_prime, x_left + u)
+        if not (math.isfinite(u_prime) and math.isfinite(u)):
             raise NonFinite(
-                f"m={m} on [{x_left}, {x_right}]: knots y'={y_prime}, y={y} are not "
-                f"finite; the curvature bound overflows, lower r or xi (a2) or K (a1)"
+                f"m={m} on [{x_left}, {x_right}]: knots y'={knots[0]}, y={knots[1]} are "
+                f"not finite; the curvature bound overflows, lower r or xi (a2) or K (a1), "
+                f"or the domain is too wide for m*w**2"
             )
-        tol = 1e-9 * max(1.0, width, abs(x_left), abs(x_right))
-        if not (x_left - tol <= y_prime and y <= x_right + tol):
+        tol = 1e-9 * max(1.0, w)
+        if not (-tol <= u_prime and u <= w + tol):
             raise DegenerateSlope(
-                f"m={m} too small on [{x_left}, {x_right}]: knots "
-                f"y'={y_prime}, y={y} leave the interval; raise the curvature bound"
+                f"m={m} too small on [{x_left}, {x_right}]: knots y'={knots[0]}, "
+                f"y={knots[1]} leave the interval; raise the curvature bound"
             )
-    b = dz_right - 2.0 * m * y + m * x_right
-    c = z_right - dz_right * x_right - 0.5 * m * x_right ** 2 + m * y * y
-    return _derive(SupportFunction, data, y_prime, y, b, c)
+        u_prime = min(max(u_prime, 0.0), w)
+        u = min(max(u, 0.0), w)
+    v = 2.0 * u_prime - dz_left / m
+    q = z_left + dz_left * u_prime - 0.5 * m * u_prime ** 2 - 0.5 * m * (u_prime - v) ** 2
+    return _derive(SupportFunction, data, x_left + u_prime, x_left + u, x_left + v, q)
 
 
-def _derive(cls: type, data: IntervalData, y_prime: float, y: float, b: float,
-            c: float) -> SupportFunction:
-    # x_hat and char in one flat pass.  Each knot is clamped into the interval
-    # by comparisons that return what min(max(v, x_left), x_right) returns,
-    # ties and signed zeros included; phi' at the clamped knot, and phi at
-    # x_hat, take the arm of eval_support_derivative and eval_support that the
-    # point falls in (see the float kernels below).
-    x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
-    x = x_left if x_left > y_prime else y_prime
-    x = x_right if x_right < x else x
-    if x <= y_prime:
-        slope_lo = dz_left - m * (x - x_left)
-    elif x <= y:
-        slope_lo = m * x + b
-    else:
-        slope_lo = dz_right + m * (x_right - x)
-    x = x_left if x_left > y else y
-    x = x_right if x_right < x else x
-    if x <= y_prime:
-        slope_hi = dz_left - m * (x - x_left)
-    elif x <= y:
-        slope_hi = m * x + b
-    else:
-        slope_hi = dz_right + m * (x_right - x)
-    # candidates left end, x_hat, right end; the leftmost wins a tie
+def _derive(cls: type, data: IntervalData, y_prime: float, y: float, vertex: float,
+            q: float) -> SupportFunction:
+    # x_hat and char in one pass: phi is smallest at the left end, the vertex
+    # (where phi = q) when it lies between the knots, or the right end; the
+    # leftmost wins a tie.
+    x_left, z_left, z_right = data.x_left, data.z_left, data.z_right
+    x_hat = vertex if y_prime < vertex < y else None
     h, R, kind = x_left, z_left, LEFT_END
-    x_hat = None
-    if slope_lo * slope_hi < 0.0:
-        # x_hat can round outside [y', y]; phi there comes from the piece it
-        # falls in, as in _phi
-        x_hat = -b / m
-        if x_hat <= y_prime:
-            value = z_left + dz_left * (x_hat - x_left) - 0.5 * m * (x_hat - x_left) ** 2
-        elif x_hat <= y:
-            value = 0.5 * m * x_hat * x_hat + b * x_hat + c
-        else:
-            value = z_right - dz_right * (x_right - x_hat) - 0.5 * m * (x_right - x_hat) ** 2
-        if value < R:
-            h, R, kind = x_hat, value, INTERIOR
+    if x_hat is not None and q < R:
+        h, R, kind = x_hat, q, INTERIOR
     if z_right < R:
-        h, R, kind = x_right, z_right, RIGHT_END
-    return tuple.__new__(cls, (data, y_prime, y, b, c, x_hat,
+        h, R, kind = data.x_right, z_right, RIGHT_END
+    return tuple.__new__(cls, (data, y_prime, y, vertex, q, x_hat,
                                tuple.__new__(Characteristic, (h, R, kind))))
 
 
@@ -232,7 +213,7 @@ def eval_support(s: SupportFunction, x):
     d = s.data
     xa = np.asarray(x, dtype=float)
     p1 = d.z_left + d.dz_left * (xa - d.x_left) - 0.5 * d.m * (xa - d.x_left) ** 2
-    p2 = 0.5 * d.m * xa * xa + s.b * xa + s.c
+    p2 = p1 + d.m * (xa - s.y_prime) ** 2
     p3 = d.z_right - d.dz_right * (d.x_right - xa) - 0.5 * d.m * (d.x_right - xa) ** 2
     out = np.where(xa <= s.y_prime, p1, np.where(xa <= s.y, p2, p3))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
@@ -244,42 +225,29 @@ def eval_support_derivative(s: SupportFunction, x):
     d = s.data
     xa = np.asarray(x, dtype=float)
     p1 = d.dz_left - d.m * (xa - d.x_left)
-    p2 = d.m * xa + s.b
+    p2 = d.m * (xa - s.vertex)
     p3 = d.dz_right + d.m * (d.x_right - xa)
     out = np.where(xa <= s.y_prime, p1, np.where(xa <= s.y, p2, p3))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
-def _middle_value(s: SupportFunction, x: float) -> float:
-    return 0.5 * s.data.m * x * x + s.b * x + s.c
-
-
-# Plain-float kernels at one point of the interval, used by the scalar search
-# path to skip the 0-d array round trip: `_phi` here; phi' at the two clamped
-# knots and `_phi` at x_hat, written out in `_derive`; and `_phi` and `_clamp`
-# at y', written out in `leftmost_zero`.  Each branch is the expression of the
-# matching np.where arm of eval_support / eval_support_derivative, term for
-# term, so both give the same bits for a scalar x.  (numpy squares a scalar
-# with pow, as Python's ** does, but an array of several elements by
-# multiplication, which differs in the last bit about once in a thousand
-# squares.)
-
 def _phi(s: SupportFunction, x: float) -> float:
+    # phi at one point of the interval in plain floats, for the scalar search
+    # path: each branch is the expression of the matching np.where arm of
+    # eval_support, term for term, so both give the same bits for a scalar x.
+    # (numpy squares a scalar with pow, as Python's ** does, but an array of
+    # several elements by multiplication, which differs in the last bit about
+    # once in a thousand squares.)
     d = s.data
-    if x <= s.y_prime:
-        return d.z_left + d.dz_left * (x - d.x_left) - 0.5 * d.m * (x - d.x_left) ** 2
     if x <= s.y:
-        return _middle_value(s, x)
+        left = d.z_left + d.dz_left * (x - d.x_left) - 0.5 * d.m * (x - d.x_left) ** 2
+        return left if x <= s.y_prime else left + d.m * (x - s.y_prime) ** 2
     return d.z_right - d.dz_right * (d.x_right - x) - 0.5 * d.m * (d.x_right - x) ** 2
 
 
-def _clamp(s: SupportFunction, x: float) -> float:
-    return min(max(x, s.data.x_left), s.data.x_right)
-
-
 def interior_stationary_point(s: SupportFunction) -> float | None:
-    """Zero of phi' in [y', y] if the slope changes sign there, else None;
-    derived when s was built."""
+    """The vertex of the middle piece if it lies strictly between the knots,
+    else None; derived when s was built."""
     return s.x_hat
 
 
@@ -317,10 +285,10 @@ def leftmost_zero(s: SupportFunction) -> float:
     in whichever piece crosses first: the left cap if phi(y') <= 0, otherwise
     the middle piece or the right cap depending on where the middle piece
     bottoms out.  That piece crosses zero at the smaller root t of one
-    quadratic, in t = x_left - x (left cap), t = x (middle piece) or
+    quadratic, in t = x_left - x (left cap), t = x - y' (middle piece) or
     t = x_right - x (right cap); the crossing is clamped into the interval.
     """
-    data, y_prime, y, b, c, x_hat, char = s
+    data, y_prime, y, vertex, q, x_hat, char = s
     x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
     if z_left < 0.0:
         raise ValueError(f"leftmost_zero requires z_left >= 0, got {z_left}")
@@ -328,20 +296,14 @@ def leftmost_zero(s: SupportFunction) -> float:
         raise NoZero("support function is strictly positive on the interval")
     if z_left == 0.0:
         return x_left
-    # _phi(s, _clamp(s, y')), written out
-    x = x_left if x_left > y_prime else y_prime
-    x = x_right if x_right < x else x
-    if x <= y_prime:
-        phi = z_left + dz_left * (x - x_left) - 0.5 * m * (x - x_left) ** 2
-    elif x <= y:
-        phi = 0.5 * m * x * x + b * x + c
-    else:
-        phi = z_right - dz_right * (x_right - x) - 0.5 * m * (x_right - x) ** 2
+    phi = _phi(s, y_prime)
     if phi <= 0.0:
         x = x_left - _smaller_root(m, dz_left, -z_left)
-    elif (_middle_value(s, x_hat) if x_hat is not None else _phi(s, _clamp(s, y))) > 0.0:
+    elif (q if x_hat is not None else _phi(s, y)) > 0.0:
         x = x_right - _smaller_root(m, dz_right, -z_right)
     else:
-        x = _smaller_root(m, b, c)
+        # the middle piece is phi(y') + m*(y' - vertex)*t + 0.5*m*t^2; its
+        # discriminant is -2*m*q
+        x = y_prime + _smaller_root(m, m * (y_prime - vertex), phi)
     x = x_left if x_left > x else x
     return x_right if x_right < x else x

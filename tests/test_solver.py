@@ -12,12 +12,12 @@ from firstroot import (
     BudgetExhausted,
     Characteristic,
     CurvatureTable,
+    DegenerateInterval,
     DegenerateSlope,
     EstimationParams,
     FirstRootFound,
     IntervalData,
     NoRootGlobalMin,
-    Outcome,
     PrecisionExhausted,
     Problem,
     SearchState,
@@ -34,7 +34,7 @@ from firstroot import (
     grid_search,
     solve,
 )
-from firstroot.errors import FirstRootError, NonFinite
+from firstroot.errors import NonFinite
 from firstroot.solver import TraceRecord, initialize, scan_characteristics, step
 from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
 
@@ -118,7 +118,7 @@ class TestScan:
         sf = st.scan[0]
         assert isinstance(sf, SupportFunction)
         assert sf.char.kind == INTERIOR
-        assert next_trial_point(st) == -sf.b / sf.data.m == 0.5
+        assert next_trial_point(st) == sf.vertex == 0.5
         assert st.R[0] == sf.char.R == pytest.approx(0.75)
 
     def test_second_scan_without_a_step_keeps_the_flag(self, monkeypatch):
@@ -497,10 +497,11 @@ class TestEndGame:
     def test_a_solve_at_such_a_sigma_never_duplicates_a_trial(self, a, method, monkeypatch):
         # f = eps - (x - a) has its root within half an ulp of a, so every
         # flagged zero rounds onto the left end and lo + sigma onto lo: each
-        # placement is the quarter clamp.  The solve still ends where the
-        # quarter clamp alone took it, in DegenerateSlope from the absolute-x
-        # knots (ROADMAP direction 2), never in a ValueError for a trial that
-        # repeats an abscissa.
+        # placement is the quarter clamp.  a1 narrows the flagged interval to
+        # an ulp or two, where the last quarter rounds onto lo, and stops in
+        # PrecisionExhausted.  a2 stops earlier, in DegenerateInterval: its
+        # curvature estimate refuses a gap below a threshold scaled by |x|
+        # (ROADMAP direction 2).  Neither repeats an abscissa.
         problem = Problem(id="edge", name="eps - (x - a)", a=a, b=a + 1.0,
                           f=lambda x: 1e-18 - (np.asarray(x, dtype=float) - a),
                           df=lambda x: -np.ones_like(np.asarray(x, dtype=float)))
@@ -517,20 +518,26 @@ class TestEndGame:
             return out
 
         monkeypatch.setattr(solver_module, "_clamp_candidate", recording)
-        try:
-            outcome = solve(problem, cfg).outcome
-        except FirstRootError:
-            pass
+        if method == "a1":
+            res = solve(problem, cfg)
+            assert isinstance(res.outcome, PrecisionExhausted)
+            assert res.outcome.trials_used == len(res.trace) == 18
+            xs = [r.x for r in res.trace]
+            assert len(set(xs)) == len(xs)
         else:
-            assert isinstance(outcome, Outcome)
-        assert placed
-        assert all(lo < out == lo + 0.25 * (hi - lo) < hi for lo, hi, out in placed)
+            with pytest.raises(DegenerateInterval, match="too small for curvature estimation"):
+                solve(problem, cfg)
+        # the placements that `_advance` accepted, strictly inside their interval
+        accepted = [(lo, hi, out) for lo, hi, out in placed if lo < out < hi]
+        assert accepted
+        assert all(out == lo + 0.25 * (hi - lo) for lo, hi, out in accepted)
 
     def test_no_float_inside_the_interval_ends_in_precision_exhausted(self):
         # At a = 1 the quarter clamp narrows the flagged interval to one ulp,
         # [1, 1 + 2**-52], still wider than sigma; lo + width/4 then rounds
         # onto lo, and the solve stops instead of repeating that abscissa.
-        # (a2 raises DegenerateSlope on this input first, as at a = +-1e6.)
+        # (a2 raises DegenerateSlope on this input first: m*w falls below the
+        # rounding of dz_right in the denominator m*w + dz_right - dz_left.)
         a = 1.0
         problem = Problem(id="edge", name="eps - (x - 1)", a=a, b=a + 1.0,
                           f=lambda x: 1e-18 - (np.asarray(x, dtype=float) - a),
@@ -637,7 +644,7 @@ class TestSolveOutcomes:
         p = get_problem("t01")
         res = solve(p, SolverConfig(method="a1", lipschitz=exact_lipschitz_oracle(p),
                                     max_trials=3))
-        assert res.outcome == BudgetExhausted(trials_used=3, best_so_far=2.1099732190316)
+        assert res.outcome == BudgetExhausted(trials_used=3, best_so_far=2.109973219031608)
         assert res.trace[1].x == 7.0 and res.trace[1].f < 0.0
 
     def test_a1_requires_bound(self):
@@ -657,16 +664,16 @@ class TestSolveOutcomes:
 
     @pytest.mark.parametrize("method", ["a1", "a2"])
     def test_a_domain_whose_squares_overflow_raises_non_finite(self, method):
-        # x**2 of the ends overflows in the first minorant's coefficients; the
-        # error names the interval and m and chains the OverflowError
+        # m*w**2 overflows in the first minorant's knots; the error names the
+        # interval and m
         far = Problem(id="far", name="far line", a=1e200, b=2e200,
                       f=lambda x: 1.5e200 - x, df=lambda x: -1.0 + 0 * x)
         cfg = SolverConfig(method=method, lipschitz=1.0 if method == "a1" else None)
         m = "1.0" if method == "a1" else "1.2e-06"
-        with pytest.raises(NonFinite, match=rf"^m={m} on \[1e\+200, 2e\+200\]: the squares "
-                                            r"of the ends overflow") as info:
+        with pytest.raises(NonFinite, match=rf"^m={m} on \[1e\+200, 2e\+200\]: knots "
+                                            r"y'=inf, y=inf are not finite; .* too wide "
+                                            r"for m\*w\*\*2$"):
             solve(far, cfg)
-        assert type(info.value.__cause__) is OverflowError
 
     def test_point_of_each_outcome(self):
         assert FirstRootFound(trials_used=5, x_sigma=1.5).point == 1.5
@@ -700,18 +707,39 @@ def t10_right():
     return p, (float(xs[i - 1]), float(xs[i]))
 
 
+class TestFarFromZero:
+    """Minorants are built in u = x - x_left, so their terms have the size of
+    the interval and its data, not of |x|: an interval narrow against |x|, or
+    a domain far from zero, gets the minorant it gets at zero."""
+
+    def test_a2_at_a_small_absolute_sigma(self):
+        # rootless t02: the search narrows to width 6e-10 near x = 0.2249
+        p = get_problem("t02")  # sigma = 1e-9 exactly
+        out = solve(p, SolverConfig(method="a2", sigma_fraction=1e-9 / (p.b - p.a))).outcome
+        assert isinstance(out, NoRootGlobalMin)
+
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    @pytest.mark.parametrize("pid", [f"t{i:02d}" for i in range(1, 21)])
+    def test_shifted_far_from_zero(self, pid, method):
+        p = get_problem(pid)
+        cfg = SolverConfig(method=method,
+                           lipschitz=exact_lipschitz_oracle(p) if method == "a1" else None)
+        ref = solve(p, cfg).outcome
+        for shift in (1e3, -1e3, 1e6, -1e6):
+            out = solve(shifted_problem(p, shift), cfg).outcome
+            assert (out.tag, out.trials_used) == (ref.tag, ref.trials_used), shift
+            assert out.point - shift == pytest.approx(ref.point,
+                                                      abs=cfg.resolve_sigma(p.a, p.b)), shift
+
+
 class TestKnownDefects:
-    """Valid inputs on which the solver is not yet invariant to where f sits
-    or how large it is, or on which a2 gives a wrong answer.  Two end in an
-    internal exception rather than an Outcome: `build_support` places its
-    knots in absolute x, and the cancellation in its coefficients grows with
-    |x|**2, so on an interval that is narrow against |x| the knots land
-    outside it and the build raises DegenerateSlope.  Two return an Outcome
-    that differs from the unscaled one: a2's curvature floor r*xi is
-    absolute, so when f is scaled down far enough the floor, not the data,
-    sets the bounds.  One is a first root that a2 reports right of four sign
-    changes of t10's f: the paper's a2 estimates its curvature bounds from
-    the trials, there the estimates fall below the curvature of f, and a
+    """Valid inputs on which the solver is not yet invariant to how large f
+    is, or on which a2 gives a wrong answer.  Two return an Outcome that
+    differs from the unscaled one: a2's curvature floor r*xi is absolute, so
+    when f is scaled down far enough the floor, not the data, sets the
+    bounds.  One is a first root that a2 reports right of four sign changes
+    of t10's f: the paper's a2 estimates its curvature bounds from the
+    trials, there the estimates fall below the curvature of f, and a
     minorant stays positive over roots (a1 with the oracle K finds the
     first root).
     Each test states what a fixed solver must return; the xfail is strict, so
@@ -737,25 +765,6 @@ class TestKnownDefects:
         out = solve(p, cfg).outcome
         assert isinstance(out, FirstRootFound) and out.trials_used == 9
         assert lo - cfg.resolve_sigma(p.a, p.b) <= out.x_sigma <= hi
-
-    @pytest.mark.xfail(raises=DegenerateSlope, strict=True)
-    def test_a2_at_a_small_absolute_sigma(self):
-        # rootless t02: the search narrows to width 6e-10 near x = 0.2249
-        p = get_problem("t02")  # sigma = 1e-9 exactly
-        out = solve(p, SolverConfig(method="a2", sigma_fraction=1e-9 / (p.b - p.a))).outcome
-        assert isinstance(out, Outcome)
-
-    @pytest.mark.xfail(raises=DegenerateSlope, strict=True)
-    @pytest.mark.parametrize("method", ["a1", "a2"])
-    def test_shifted_far_from_zero(self, method):
-        p = get_problem("t05")
-        shift = 1e6
-        cfg = SolverConfig(method=method,
-                           lipschitz=exact_lipschitz_oracle(p) if method == "a1" else None)
-        ref = solve(p, cfg).outcome
-        out = solve(shifted_problem(p, shift), cfg).outcome
-        assert type(out) is type(ref)
-        assert out.point == pytest.approx(ref.point + shift, abs=cfg.resolve_sigma(p.a, p.b))
 
     # t05*1e-30 stops at 0.2 after 3 trials with PrecisionExhausted; t05*1e-10
     # finds the root, but after 78 trials
@@ -1086,7 +1095,7 @@ def _record_kwargs():
     sf = build_support(IntervalData(**data))
     return {
         IntervalData: data,
-        SupportFunction: dict(data=sf.data, y_prime=sf.y_prime, y=sf.y, b=sf.b, c=sf.c),
+        SupportFunction: dict(data=sf.data, y_prime=sf.y_prime, y=sf.y, vertex=sf.vertex, q=sf.q),
         Characteristic: dict(h=0.5, R=0.75, kind="interior"),
         Trial: dict(x=0.5, z=1.0, dz=-2.0, birth=3),
         TraceRecord: dict(iter=3, x=0.5, f=1.0, fprime=-2.0, k=4, b_n=1.0),
