@@ -12,11 +12,11 @@ bounds of the adaptive table, so the reported times are per pass, not per call.
 A SupportFunction derives its characteristic when it is built, so
 `test_characteristic` times an accessor and `test_build_support` includes that
 derivation; `test_per_interval_path` times what a scan does per interval it
-rebuilds, from the trials to the minorant it keeps: the validated IntervalData
-and `build_support`.  `test_scan_clean_pass` times an adaptive scan in
-which no slot is empty and no bound moved, so that nothing is rebuilt: the
-per-step cost of the walk outside minorant builds, each bound drawn from
-`iter_bounds` included.  It runs on 31 trials of the rootless t02, whose
+rebuilds, from the trials to the minorant it keeps: the guard on the ends and
+the bound, the IntervalData built with `tuple.__new__`, and `build_support`.
+`test_scan_clean_pass` times an adaptive scan in which no slot is empty and no
+bound moved, so that nothing is rebuilt: the per-step cost of the walk outside
+minorant builds, each bound drawn from `iter_bounds` included.  It runs on 31 trials of the rootless t02, whose
 minorants all stay positive, so the walk covers all 30 intervals.
 `build_curvature_table` is the full build that seeds an adaptive solve;
 `test_bounds_from` times the one pass of the bound formula over every
@@ -30,6 +30,10 @@ the scan of the two empty slots (and, under a2, of the slots whose bound
 moved), the choice of interval, the candidate, one f/f' evaluation and the
 insertion.  Each round starts from a fresh state that one step has seeded
 from 31 evenly spaced trials.
+
+`test_solve` times a whole adaptive solve of t11, 59 trials from
+`initialize` to the outcome, the TraceRecord built as each trial is added
+included.
 
 `test_grid_search[t01]` and `test_grid_search_trace_read` time the 4135-step
 grid scan of t01, the first with its trace left unread, the second reading it
@@ -74,6 +78,7 @@ from firstroot import (
     get_problem,
     grid_search,
     leftmost_zero,
+    solve,
 )
 from firstroot.curvature import iter_bounds
 from firstroot.problems import FILTERS
@@ -110,13 +115,21 @@ def test_build_support(benchmark, intervals):
     benchmark(lambda: [build_support(d) for d in intervals])
 
 
-def test_per_interval_path(benchmark, trials):
+def test_per_interval_path(benchmark, trials, intervals):
     m = build_curvature_table(trials, PARAMS).m
 
     def scan_pass():
-        return [build_support(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, m[p]))
-                for p, (lo, hi) in enumerate(zip(trials, trials[1:]))]
+        out = []
+        for p, (lo, hi) in enumerate(zip(trials, trials[1:])):
+            bound = m[p]
+            if lo.x < hi.x and bound > 0.0:
+                data = tuple.__new__(IntervalData, (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound))
+            else:
+                data = IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound)
+            out.append(build_support(data))
+        return out
 
+    assert scan_pass() == [build_support(d) for d in intervals]
     benchmark(scan_pass)
 
 
@@ -194,6 +207,12 @@ def test_one_step(benchmark, method):
     args, _ = seeded()
     assert solver.step(*args) is None
     benchmark.pedantic(solver.step, setup=seeded, rounds=2000)
+
+
+def test_solve(benchmark):
+    problem = get_problem("t11")
+    config = SolverConfig(method="a2", params=PARAMS)
+    assert len(benchmark(solve, problem, config).trace) == 59
 
 
 def _grid(pid):

@@ -209,6 +209,11 @@ _R, _C, _L = 1.0, 4.0, 2.0
 # and of the bandpass circuit
 _R1, _R2, _L1, _L2, _C1, _C2 = 3108.0, 477.0, 40e-3, 350e-2, 1e-6, 0.1e-6
 
+# The passband value underflows to 0.0 from omega of about 1e20 on, and its
+# intermediates overflow to NaN from about 1.6e304: no omega above the cap is
+# evaluated (see `passband_transfer`)
+_PASSBAND_OMEGA_CAP = 1e300
+
 # Search windows bracketing the published cutoffs with a positive objective at
 # the left margin; the transfer functions decay toward both window edges.
 CHEBYSHEV_DOMAIN = (1e-3, 2.0)
@@ -248,12 +253,19 @@ def passband_transfer(omega):
     Scalars and arrays are evaluated as in `chebyshev_transfer`; an omega
     <= 0 anywhere raises DomainError.  A huge omega such as 1e200 gives 0.0:
     the squares of the np.float64 intermediates overflow to inf, with no
-    OverflowError.
+    OverflowError.  Above _PASSBAND_OMEGA_CAP the positive terms of z1
+    overflow too, and inf - inf would make the value NaN, so an omega there,
+    up to inf, gives the value at the cap, 0.0: a scalar returns it at once,
+    an array is clipped to the cap.
     """
     w = _scalar_or_array(omega)
     # np.bool_.any() would cost a quarter of a scalar call: compare directly
     if (w <= 0.0).any() if w.ndim else w <= 0.0:
         raise DomainError("passband transfer function requires omega > 0")
+    if w.ndim:
+        w = np.minimum(w, _PASSBAND_OMEGA_CAP)
+    elif w > _PASSBAND_OMEGA_CAP:
+        return 0.0
     z1 = (-np.power(w, 3) * _R1 * _L1 * _L2 + w * _R1 * _L2 + w * _R1 * _L1 * _C1 / _C2
           - _R1 / (w * _C2) + 2 * w * _L1 * _R1 + w * _L1 * _R2)
     z2 = (w * w * _L1 * _L2 + w * w * _R1 * _R2 * _L1 * _C1

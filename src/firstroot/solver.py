@@ -113,7 +113,9 @@ class Trial(NamedTuple):
     Like the other records the search builds once per interval, trial or step
     (TraceRecord, and IntervalData, SupportFunction, Characteristic and
     CurvatureTable in their modules), a named tuple: cheap to build, immutable
-    and hashable, and equal to any tuple of the same values."""
+    and hashable, and equal to any tuple of the same values.  On the search's
+    own path all of them but CurvatureTable are built with `tuple.__new__`,
+    which skips the Python-level constructor call and gives the same record."""
 
     x: float
     z: float
@@ -152,10 +154,12 @@ class SolverConfig:
         return self.sigma_fraction * (b - a)
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchState:
     """Mutable search state: the trials sorted by x, their effective count k
     and right margin b_n, and per-interval lists spliced at every insertion.
+    The class has slots, so an instance holds its fields and no other
+    attribute.
 
     Entry p of each list describes the interval between trials p and p + 1.
     `scan` holds the minorants (SupportFunction) that scans built, with None
@@ -316,7 +320,7 @@ def _evaluate(problem: Problem, x: float, birth: int) -> Trial:
     dz = float(problem.df(x))
     if not (math.isfinite(z) and math.isfinite(dz)):
         raise NonFinite(f"non-finite evaluation at x={x}: f={z}, f'={dz}")
-    return Trial(x, z, dz, birth)
+    return tuple.__new__(Trial, (x, z, dz, birth))
 
 
 def initialize(problem: Problem, config: SolverConfig) -> SearchState:
@@ -367,6 +371,12 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
     its current bound.  Minorants right of the stop are kept as they are: a
     later walk rebuilds them only once their bound moves.  The lists grow only
     by the slots a walk reaches.
+
+    An interval whose ends increase, lo.x < hi.x, and whose bound is positive
+    passes IntervalData's two checks, so its IntervalData is built with
+    `tuple.__new__`; any other one goes through the validating constructor,
+    which raises its ValueError for an unsorted state or a bound that is zero,
+    negative or NaN.
     """
     scan, R, m = state.scan, state.R, state.m
     grow = state.k - 1 - len(scan)
@@ -379,7 +389,11 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
     for p, bound in walk:
         if m[p] != bound:  # NaN, in an empty slot, equals nothing
             lo, hi = trials[p], trials[p + 1]
-            sf = scan[p] = build_support(IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound))
+            if lo.x < hi.x and bound > 0.0:
+                data = tuple.__new__(IntervalData, (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound))
+            else:
+                data = IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound)
+            sf = scan[p] = build_support(data)
             R[p] = sf.char.R
             m[p] = bound
         if R[p] <= 0.0:
@@ -557,17 +571,18 @@ def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome 
 
 def solve(problem: Problem, config: SolverConfig) -> SolveResult:
     """Run the search to termination; the trace lists every trial in birth
-    order with the effective count and right margin after its insertion,
-    built from rows of (trial, k, b_n) once the search has ended."""
+    order with the effective count and right margin after its insertion.
+    Each TraceRecord is built as its trial is added."""
     state = initialize(problem, config)
-    rows = [(t, state.k, state.b_n) for t in state.trials]
+    k, b_n = state.k, state.b_n
+    trace = [tuple.__new__(TraceRecord, (birth, x, z, dz, k, b_n))
+             for x, z, dz, birth in state.trials]
     while True:
         result = _advance(state, problem, config)
         if isinstance(result, Outcome):
-            break
-        rows.append((result, state.k, state.b_n))
-    trace = [TraceRecord(birth, x, z, dz, k, b_n) for (x, z, dz, birth), k, b_n in rows]
-    return SolveResult(outcome=result, trace=trace)
+            return SolveResult(outcome=result, trace=trace)
+        x, z, dz, birth = result
+        trace.append(tuple.__new__(TraceRecord, (birth, x, z, dz, state.k, state.b_n)))
 
 
 # ---------------------------------------------------------------------------

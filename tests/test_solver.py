@@ -140,6 +140,22 @@ class TestScan:
         assert (st.first_nonpositive, st.scan, st.R, st.m) == first
         assert built == []
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
+    def test_a_bound_that_is_not_positive_raises_interval_data_error(self, bound):
+        # the scan skips IntervalData's constructor only where its checks
+        # hold; the first slot is built, the second one raises
+        st = state_from([0, 1, 2], [1, 1, 1], [0, 0, 0])
+        with pytest.raises(ValueError, match=rf"^curvature bound m={bound} must be positive$"):
+            scan_characteristics(st, [(0, 1.0), (1, bound)])
+        assert isinstance(st.scan[0], SupportFunction) and st.scan[1] is None
+
+    @pytest.mark.parametrize("xs, left, right", [([0, 2, 1], 2.0, 1.0), ([0, 1, 1], 1.0, 1.0)])
+    def test_trials_that_do_not_increase_raise_interval_data_error(self, xs, left, right):
+        st = state_from(xs, [1, 1, 1], [0, 0, 0])
+        with pytest.raises(ValueError, match=rf"^x_left={left} must be < x_right={right}$"):
+            scan_characteristics(st, enumerate([1.0, 1.0]))
+        assert isinstance(st.scan[0], SupportFunction) and st.scan[1] is None
+
 
 class TestNextTrialPoint:
     def test_interior_point_of_single_interval(self):
@@ -815,7 +831,7 @@ class TestTraceInvariants:
     @pytest.mark.parametrize("method", ["a1", "a2"])
     @pytest.mark.parametrize("pid", all_ids())
     def test_step_reproduces_solve(self, pid, method):
-        # `solve` builds its trace at the end; driving `step` from `initialize`
+        # `solve` builds its trace as it goes; driving `step` from `initialize`
         # by hand must give the same trials, k and b_n after each insertion,
         # and the same outcome: one engine behind both
         p = get_problem(pid)
@@ -828,8 +844,11 @@ class TestTraceInvariants:
         assert outcome == res.outcome
         assert sorted(state.trials, key=lambda t: t.birth) == [t for t, _, _ in rows]
         assert res.trace == [(t.birth, t.x, t.z, t.dz, k, b_n) for t, k, b_n in rows]
-        assert all(type(r) is TraceRecord for r in res.trace)
         assert {tuple(map(type, r)) for r in res.trace} == {(int, float, float, float, int, float)}
+        # built with tuple.__new__, the records are still of their own classes
+        assert all(type(r) is TraceRecord for r in res.trace)
+        assert all(type(t) is Trial for t in state.trials)
+        assert all(type(sf.data) is IntervalData for sf in state.scan if sf is not None)
 
 
 class TestGridSearch:
@@ -1126,6 +1145,11 @@ class TestRecords:
     def test_trace_record_fields(self):
         # the keys of a JSONL trace line, in order
         assert TraceRecord._fields == ("iter", "x", "f", "fprime", "k", "b_n")
+
+    def test_search_state_holds_only_its_fields(self):
+        st = state_from([0, 1], [1, 1], [0, 0])
+        with pytest.raises(AttributeError):
+            st.extra = 1
 
 
 class TestConfigValidation:
