@@ -137,8 +137,8 @@ def test_scan_clean_pass(benchmark):
     rootless = evenly_spaced_trials("t02")
     config = SolverConfig(method="a2", params=PARAMS)
     state = SearchState(trials=rootless, sigma=1e-4, k=len(rootless), b_n=rootless[-1].x)
-    solver.scan_characteristics(state, solver._walk(state, config))
-    assert state.first_nonpositive is None and None not in state.scan
+    assert solver.scan_characteristics(state, solver._walk(state, config)) is None
+    assert None not in state.scan
     assert len(state.scan) == 30
     benchmark(lambda: solver.scan_characteristics(state, solver._walk(state, config)))
 
@@ -184,8 +184,8 @@ def test_spliced_curvature_update(benchmark):
 
     def update(state):
         solver._insert(state, p, new)
-        solver.scan_characteristics(state, solver._walk(state, config))
-        assert state.first_nonpositive is None and None not in state.scan
+        assert solver.scan_characteristics(state, solver._walk(state, config)) is None
+        assert None not in state.scan
 
     benchmark.pedantic(update, setup=seeded, rounds=2000)
 
@@ -200,8 +200,9 @@ def test_one_step(benchmark, method):
     def seeded():
         state = SearchState(trials=list(trials), sigma=config.resolve_sigma(problem.a, problem.b),
                             k=len(trials), b_n=trials[-1].x)
+        assert solver.scan_characteristics(state, solver._walk(state, config)) is None
         assert solver.step(state, problem, config) is None
-        assert len(state.scan) == 31 and state.first_nonpositive is None
+        assert len(state.scan) == 31
         return (state, problem, config), {}
 
     args, _ = seeded()

@@ -4,9 +4,10 @@ Subcommands: solve (run one method on one problem), bench (run the comparison
 matrix), sample (dump f and f' on a uniform grid), list (show the registry).
 
 Exit codes: 0 for a sigma-root (a sign change, or a zero that f may reach
-within sigma) or a certified no-root minimum, 1 for usage errors, 2 when a
-candidate interval no wider than sigma is flagged only by the curvature floor,
-3 when the trial budget ran out.
+within sigma) or a certified no-root minimum, 1 for usage errors, 2 when the
+search can resolve the root no further (an interval no wider than sigma flagged
+only by the curvature floor, or an interval wider than sigma with no float
+left inside it for a trial), 3 when the trial budget ran out.
 
 `solve` and `bench` share --sigma-frac, --r and --xi.  Every default and check
 of a setting comes from SolverConfig and EstimationParams, and the method names
@@ -118,7 +119,12 @@ def _run_solve(args) -> int:
         print(f"f_best:   {outcome.f_best:.10g}")
     elif isinstance(outcome, PrecisionExhausted):
         lo, hi = outcome.interval
-        print(f"interval: [{lo:.10g}, {hi:.10g}]  (set by the curvature floor: rescale f or lower --xi)")
+        sigma = SolverConfig(sigma_fraction=args.sigma_frac).resolve_sigma(problem.a, problem.b)
+        if hi - lo <= sigma:
+            cause = "set by the curvature floor: rescale f or lower --xi"
+        else:
+            cause = "no float left inside it for a trial: raise --sigma-frac"
+        print(f"interval: [{lo!r}, {hi!r}]  ({cause})")
     elif isinstance(outcome, BudgetExhausted):
         print(f"best:     {outcome.best_so_far:.10g}")
     print(f"trials:   {outcome.trials_used}")

@@ -21,38 +21,41 @@ the bracket [lo, e], no wider than sigma, and reports lo; otherwise the search
 goes on.  Only where no float above lo lies within sigma of it does the trial
 fall back to the quarter clamp that keeps every trial inside its interval.
 
-A step adds one trial inside the chosen interval, so the state is spliced
-rather than rebuilt: the slot of that interval in the per-slot lists (its
-minorant, the minorant's characteristic value R and the bound m it was built
-with) gives way to two empty slots for its halves, which join the run of
-pending slots, and for a2 the curvature estimate v and the width of that
+The state has one shape: k - 1 slots, one per effective interval, each
+holding a minorant, the minorant's characteristic value R and the bound m it
+was built with, and every empty slot lies in the run of pending slots.  A
+state is built with all k - 1 slots empty and pending.  A step adds one trial
+inside the chosen interval, so the state is spliced rather than rebuilt: the
+slot of that interval gives way to two empty slots for its halves, which join
+the pending run, and for a2 the curvature estimate v and the width of that
 interval give way to the halves' values; a negative trial cuts every list to
 the effective intervals.  A slot holds the minorant alone: where the next trial
 goes is worked out once per step, for the chosen interval only.
 
 A scan walks the slots left to right and stops at the first minorant that
-reaches zero, touching only slots whose minorant can have changed.  Under a1
-the bound never moves, so the walk visits the pending slots alone (and, on the
-first scan, those past the end of the lists); no step looks at the other
-slots.  Under a2 the walk draws each slot's bound from `curvature.iter_bounds`
-as it goes, so no bound right of the stop is computed, and rebuilds a minorant
-only where that bound differs from the one it was built with.  The stop
-deletes nothing: the minorants right of it stay valid and are rebuilt only
-once their bound moves.  No list ever holds more than k - 1 entries.
+reaches zero, touching only slots whose minorant can have changed, and returns
+that slot, the flag, or None.  The flag lives for one step and is not kept in
+the state.  Under a1 the bound never moves, so the walk visits the pending
+slots alone; no step looks at the other slots.  Under a2 the walk draws each
+slot's bound from `curvature.iter_bounds` as it goes, so no bound right of the
+stop is computed, and rebuilds a minorant only where that bound differs from
+the one it was built with.  The stop deletes nothing: the minorants right of it
+stay valid and are rebuilt only once their bound moves.
 
 Each decision has one home.  `SolverConfig` validates the settings, the a1
 bound included, once, when it is built.  `_walk` gives the slots a scan visits
 and their bounds: K under a1, and under a2 the values of
 `curvature.iter_bounds`, the only bound formula, which `build_curvature_table`
 also applies when it seeds v and the widths on the first step.
-`scan_characteristics` builds the minorants, `_select_interval` chooses the
-interval, `_candidate` places the trial in it, `_clamp_candidate` moves it to
-the end game's edge or keeps it inside, `_evaluate` takes f and f' there and
-`_insert` splices it in; `_advance`, the one step that `step` and `solve`
-both run, calls each once or stops: when the chosen interval is no wider than
-sigma, or when no float is left strictly inside it for the trial.  Which
-method runs, with which bound, is resolved by `bench.run_method` for the
-command line and the benchmark alike.
+`scan_characteristics` builds the minorants and returns the flag, `_advance`
+chooses the flagged interval or else the one whose minorant dips lowest,
+`_candidate` places the trial in it, `_clamp_candidate` moves it to the end
+game's edge or keeps it inside, `_evaluate` takes f and f' there and `_insert`
+splices it in; `_advance`, the one step that `step` and `solve` both run,
+calls each once or stops: when the chosen interval is no wider than sigma, or
+when no float is left strictly inside it for the trial.  Which method runs,
+with which bound, is resolved by `bench.run_method` for the command line and
+the benchmark alike.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.  It takes f on whole chunks of
@@ -163,19 +166,20 @@ class SearchState:
 
     Entry p of each list describes the interval between trials p and p + 1.
     `scan` holds the minorants (SupportFunction) that scans built, with None
-    in an empty slot: one that a step emptied and no scan has reached since;
-    `R` and `m` hold, slot by slot, the minorant's characteristic value and
-    the bound it was built with, NaN in an empty slot.  The three lists always
-    have one length, at most k - 1: a scan extends them only as far as it
-    walks, and keeps the minorants right of where it stops.  Every minorant
-    but the flagged one (`first_nonpositive`) has R > 0, because a scan stops
-    at the first non-positive one it builds and the step empties the slot it
-    chooses.  `pending` = (start, stop) holds the run of slots start ..
-    stop - 1, none when start == stop, that the next scan must visit whatever
-    their bound: every empty slot in the lists lies in it, and so does the
-    flagged one.  `v` and `gaps` hold a2's curvature estimates and interval
-    widths for all k - 1 effective intervals; they stay empty under a1 and
-    until a2's first step seeds them.
+    in an empty slot: one that no scan has reached since the state was built
+    or a step emptied it; `R` and `m` hold, slot by slot, the minorant's
+    characteristic value and the bound it was built with, NaN in an empty
+    slot.  The three lists always hold k - 1 slots: a state built with empty
+    lists gets k - 1 empty slots, all of them pending, and a step splices the
+    lists as it changes k.  `pending` = (start, stop) holds the run of slots
+    start .. stop - 1, none when start == stop, that the next scan must visit
+    whatever their bound: every empty slot lies in it, and so does the slot
+    the last scan flagged, which `scan_characteristics` returns rather than
+    the state keeping it.  Every other minorant has R > 0, because a scan
+    stops at the first non-positive one it builds and the step empties the
+    slot it chooses.  `v` and `gaps` hold a2's curvature estimates and
+    interval widths for all k - 1 effective intervals; they stay empty under
+    a1 and until a2's first step seeds them.
     """
 
     trials: list[Trial]
@@ -185,10 +189,15 @@ class SearchState:
     scan: list[SupportFunction | None] = field(default_factory=list)
     R: list[float] = field(default_factory=list)
     m: list[float] = field(default_factory=list)
-    first_nonpositive: int | None = None
     pending: tuple[int, int] = (0, 0)
     v: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.scan:  # a fresh state: k - 1 empty slots, all of them pending
+            n = self.k - 1
+            self.scan, self.R, self.m = [None] * n, [math.nan] * n, [math.nan] * n
+            self.pending = (0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -340,37 +349,35 @@ def initialize(problem: Problem, config: SolverConfig) -> SearchState:
 
 def _walk(state: SearchState, config: SolverConfig) -> Iterable[tuple[int, float]]:
     # The (slot, bound) pairs the next scan visits, left to right.  Under a1
-    # the bound never moves, so only the pending slots and those past the end
-    # of the lists can change.  Under a2 every slot is visited, its bound drawn
-    # from `iter_bounds` as the scan goes, so none right of the stop is computed.
+    # the bound never moves, so only the pending slots can change.  Under a2
+    # every slot is visited, its bound drawn from `iter_bounds` as the scan
+    # goes, so none right of the stop is computed.
     if config.method == "a1":
         m = config.lipschitz if config.lipschitz > 0.0 else _MIN_CURVATURE
-        start, stop = state.pending
-        if len(state.scan) < state.k - 1:  # the first scan: the slots past the end too
-            stop = state.k - 1
-        return zip(range(start, stop), repeat(m))
+        return zip(range(*state.pending), repeat(m))
     if not state.v:  # the first a2 step seeds v and the widths; `_insert` splices them
         table = build_curvature_table(state.trials[:state.k], config.params)
         state.v, state.gaps = list(table.v), list(table.gaps)
-        return enumerate(table.m)
     return enumerate(iter_bounds(state.v, state.gaps, config.params))
 
 
-def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) -> SearchState:
+def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) -> int | None:
     """Walk the effective intervals left to right, building minorants where
-    they may have changed, up to the first one whose characteristic is <= 0.
+    they may have changed, up to the first one whose characteristic is <= 0;
+    return that slot, the flag, or None when every R is positive.
 
+    The state holds k - 1 slots, and every empty one lies in its pending run.
     `walk` yields (p, m_p), p increasing, for every slot p whose minorant can
     differ from the one the slot holds: at least every pending slot (one
-    emptied by a step, or flagged by a scan that no step followed), every slot
-    past the end of the lists, and every slot whose bound moved.  A minorant
-    is a pure function of its interval's endpoint data and bound, so the walk
-    builds one only where the slot is empty or holds a minorant built with a
-    bound other than m_p; it stops at, and flags, the first slot whose R is
-    <= 0.  A slot the walk leaves out holds a minorant with R > 0 built with
-    its current bound.  Minorants right of the stop are kept as they are: a
-    later walk rebuilds them only once their bound moves.  The lists grow only
-    by the slots a walk reaches.
+    emptied by a step or never built, or flagged by a scan that no step
+    followed) and every slot whose bound moved.  A minorant is a pure function
+    of its interval's endpoint data and bound, so the walk builds one only
+    where the slot is empty or holds a minorant built with a bound other than
+    m_p; it stops at, and flags, the first slot whose R is <= 0, and the
+    pending run then starts there.  A slot the walk leaves out holds a
+    minorant with R > 0 built with its current bound.  Minorants right of the
+    stop are kept as they are: a later walk rebuilds them only once their
+    bound moves.
 
     An interval whose ends increase, lo.x < hi.x, and whose bound is positive
     passes IntervalData's two checks, so its IntervalData is built with
@@ -379,12 +386,6 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
     negative or NaN.
     """
     scan, R, m = state.scan, state.R, state.m
-    grow = state.k - 1 - len(scan)
-    if grow:
-        scan.extend([None] * grow)
-        R.extend([math.nan] * grow)
-        m.extend([math.nan] * grow)
-    state.first_nonpositive = None
     trials = state.trials
     for p, bound in walk:
         if m[p] != bound:  # NaN, in an empty slot, equals nothing
@@ -397,31 +398,21 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
             R[p] = sf.char.R
             m[p] = bound
         if R[p] <= 0.0:
-            state.first_nonpositive = p
-            if grow:  # the slots past the end that the walk did not reach
-                del scan[p + 1:], R[p + 1:], m[p + 1:]
             stop = state.pending[1]
             state.pending = (p, stop if stop > p else p + 1)
-            return state
+            return p
     state.pending = (0, 0)
-    return state
+    return None
 
 
-def _select_interval(state: SearchState) -> int:
-    if state.first_nonpositive is not None:
-        return state.first_nonpositive
-    R = state.R
-    return R.index(min(R))  # the leftmost of equal minima
-
-
-def _candidate(state: SearchState, p: int) -> float:
-    # The next trial in interval p, the one `_select_interval` chose: the
-    # leftmost zero of its minorant when flagged, else the interior stationary
+def _candidate(state: SearchState, p: int, flag: int | None) -> float:
+    # The next trial in interval p, the one `_advance` chose: the leftmost
+    # zero of its minorant when p is the flag, else the interior stationary
     # point if there is one, else the knot y at a right-end minimum, else y'.
     # Both accessors are called every time, since perfbench/layers.py reports
     # per-call times from their call counts.
     sf = state.scan[p]
-    if state.first_nonpositive is not None:
+    if flag is not None:
         return leftmost_zero(sf)
     x_hat = interior_stationary_point(sf)
     kind = characteristic(sf).kind
@@ -430,7 +421,7 @@ def _candidate(state: SearchState, p: int) -> float:
     return sf.y if kind == RIGHT_END else sf.y_prime
 
 
-def _clamp_candidate(state: SearchState, p: int, x: float) -> float:
+def _clamp_candidate(state: SearchState, p: int, flag: int | None, x: float) -> float:
     # The end game: when the flagged minorant's leftmost zero x lies within
     # sigma of lo, the trial goes to the largest float e with e - lo <= sigma,
     # stepped to from lo + sigma, which overshoots sigma by an ulp for most lo
@@ -444,7 +435,7 @@ def _clamp_candidate(state: SearchState, p: int, x: float) -> float:
     # `_advance` then stops with PrecisionExhausted.
     lo, hi = state.trials[p].x, state.trials[p + 1].x
     sigma = state.sigma
-    if state.first_nonpositive is not None and x - lo <= sigma:
+    if flag is not None and x - lo <= sigma:
         edge = lo + sigma
         while edge - lo > sigma:
             edge = math.nextafter(edge, -math.inf)
@@ -474,15 +465,14 @@ def _at_floor(m: float, config: SolverConfig) -> bool:
     return m <= config.params.r * config.params.xi
 
 
-def _finish(state: SearchState, config: SolverConfig) -> Outcome:
+def _finish(state: SearchState, flag: int | None, config: SolverConfig) -> Outcome:
     """Outcome once the selected interval is no wider than sigma."""
     n_used = len(state.trials)
-    p = state.first_nonpositive
-    if p is None:
+    if flag is None:
         x_best, f_best = _best_observed(state)
         return NoRootGlobalMin(trials_used=n_used, x_best=x_best, f_best=f_best)
-    lo, hi = state.trials[p], state.trials[p + 1]
-    if _at_floor(state.m[p], config) and hi.z >= 0.0:
+    lo, hi = state.trials[flag], state.trials[flag + 1]
+    if _at_floor(state.m[flag], config) and hi.z >= 0.0:
         return PrecisionExhausted(trials_used=n_used, interval=(lo.x, hi.x))
     return FirstRootFound(trials_used=n_used, x_sigma=lo.x)
 
@@ -492,24 +482,25 @@ def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outc
     it added.  Under a1, a DegenerateSlope from the scan means the bound K is
     below the curvature of f, and is raised again naming config.lipschitz."""
     try:
-        scan_characteristics(state, _walk(state, config))
+        flag = scan_characteristics(state, _walk(state, config))
     except DegenerateSlope as exc:
         if config.method != "a1":
             raise
         raise DegenerateSlope(f"config.lipschitz = {config.lipschitz} is below the "
                               f"curvature of f: {exc}") from exc
-    chosen = _select_interval(state)
+    # the flagged slot, else the leftmost of equal minima
+    chosen = flag if flag is not None else state.R.index(min(state.R))
     trials = state.trials
     lo, hi = trials[chosen].x, trials[chosen + 1].x
     if hi - lo <= state.sigma:
-        return _finish(state, config)
+        return _finish(state, flag, config)
     if len(trials) >= config.max_trials:
         if trials[state.k - 1].z < 0.0:
             best = trials[state.k - 2].x
         else:
             best = _best_observed(state)[0]
         return BudgetExhausted(trials_used=len(trials), best_so_far=best)
-    candidate = _clamp_candidate(state, chosen, _candidate(state, chosen))
+    candidate = _clamp_candidate(state, chosen, flag, _candidate(state, chosen, flag))
     if not lo < candidate < hi:  # no float strictly inside the interval is left
         return PrecisionExhausted(trials_used=len(trials), interval=(lo, hi))
     trial = _evaluate(problem, candidate, len(trials))
@@ -523,9 +514,10 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
 
     Trials 1 .. p are non-negative, since p < k - 1, so a negative trial
     becomes the first negative one and k drops to p + 2, cutting every
-    interval right of it; otherwise k grows by one.  p is the slot the last
-    scan chose, so the pending run is empty or starts at p; the emptied slots
-    extend it, and the slots right of p move up by one.
+    interval right of it; otherwise k grows by one and b_n stays, since the
+    margin trial only moves up one index.  p is the slot the last scan chose,
+    so the pending run is empty or starts at p; the emptied slots extend it,
+    and the slots right of p move up by one.
     """
     trials = state.trials
     trials.insert(p + 1, trial)
@@ -542,7 +534,6 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
             state.gaps[p:] = [trial.x - lo.x]
         return
     state.k += 1
-    state.b_n = trials[state.k - 1].x
     state.scan[p:p + 1] = [None, None]
     state.R[p:p + 1] = [math.nan, math.nan]
     state.m[p:p + 1] = [math.nan, math.nan]
@@ -559,11 +550,12 @@ def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome 
     None when a trial was added and the search continues.
 
     state.k and state.b_n must describe state.trials, and state.scan,
-    state.R, state.m, state.pending, state.v and state.gaps must be empty or
-    spliced by `step`, as `initialize` and `step` leave them.  Under a2 the curvature
-    estimates of the two halves are computed as the trial is added, so a
-    DegenerateInterval for a too narrow half is raised by the step that adds
-    the trial.
+    state.R, state.m and state.pending must hold k - 1 slots with every empty
+    one pending, as building a SearchState and every step leave them;
+    state.v and state.gaps must be empty or spliced by `step`.  The flag of
+    the step's scan is local to the step.  Under a2 the curvature estimates of
+    the two halves are computed as the trial is added, so a DegenerateInterval
+    for a too narrow half is raised by the step that adds the trial.
     """
     result = _advance(state, problem, config)
     return result if isinstance(result, Outcome) else None

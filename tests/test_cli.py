@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -66,6 +67,21 @@ class TestSolve:
         assert code == 2
         assert "precision_exhausted" in out
         assert "curvature floor" in out
+
+    def test_precision_exhausted_by_float_resolution(self, capsys):
+        # sigma = 1e-17 * (b - a) is about 6.8e-17, below the spacing of the
+        # floats near t09's root at pi: a1 with the oracle K narrows the
+        # flagged interval to two ulps, 8.9e-16, still wider than sigma, and
+        # no float is left inside it.  The cause is sigma, not the floor.
+        code, out, _ = run(capsys, "solve", "--problem", "t09", "--method", "a1",
+                           "--sigma-frac", "1e-17")
+        assert code == 2
+        assert "precision_exhausted" in out
+        assert "raise --sigma-frac" in out and "curvature floor" not in out
+        lo, hi = map(float, re.search(r"interval: \[(\S+), (\S+)\]", out).groups())
+        p = get_problem("t09")
+        assert hi - lo > 1e-17 * (p.b - p.a)
+        assert hi == math.nextafter(math.nextafter(lo, math.inf), math.inf)
 
     def test_budget_exit_code(self, capsys):
         code, out, _ = run(capsys, "solve", "--problem", "t01", "--max-trials", "3")

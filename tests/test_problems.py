@@ -330,6 +330,10 @@ class TestFindFmax:
         assert arg == 1.0
         assert (fmax, arg) == one_shot_fmax(transfer, (1.0, 4.0))
 
+    def test_maximum_on_the_last_mesh_point(self):
+        # the refinement bracket is clamped to the mesh at the right end too
+        assert find_fmax(lambda w: np.asarray(w, dtype=float), (1.0, 2.0)) == (2.0, 2.0)
+
     def test_chebyshev_peak_is_half(self):
         fmax, _ = find_fmax(chebyshev_transfer, CHEBYSHEV_DOMAIN)
         assert fmax == pytest.approx(0.5, abs=1e-10)

@@ -34,7 +34,7 @@ from firstroot import (
     grid_search,
     solve,
 )
-from firstroot.errors import NonFinite
+from firstroot.errors import FirstRootError, NonFinite
 from firstroot.solver import TraceRecord, initialize, scan_characteristics, step
 from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
 
@@ -48,10 +48,12 @@ def state_from(xs, zs, dzs, sigma=1e-4):
     return SearchState(trials=trials, sigma=sigma, k=k, b_n=b_n)
 
 
-def next_trial_point(st):
-    """Where the solver places the next trial: the candidate in the interval
-    it selects."""
-    return solver_module._candidate(st, solver_module._select_interval(st))
+def next_trial_point(st, flag):
+    """Where the solver places the next trial after a scan that returned
+    `flag`: the candidate in the interval it selects, the flagged one or else
+    the leftmost of the minimal characteristics."""
+    p = flag if flag is not None else st.R.index(min(st.R))
+    return solver_module._candidate(st, p, flag)
 
 
 def linear_problem(slope=-1.0, offset=0.5, a=0.0, b=1.0, pid="lin"):
@@ -100,33 +102,53 @@ class TestInitialize:
 class TestScan:
     def test_all_positive_scans_every_interval(self):
         st = state_from([0, 1, 2], [1, 1, 1], [0, 0, 0])
-        scan_characteristics(st, enumerate([1.0, 1.0]))
-        assert st.first_nonpositive is None
-        assert len(st.scan) == 2
+        assert scan_characteristics(st, enumerate([1.0, 1.0])) is None
+        assert None not in st.scan
+        assert st.pending == (0, 0)
 
     def test_halts_at_first_nonpositive(self):
         # a large bound makes the first minorant dip below zero; the second
         # interval must stay unscanned
         st = state_from([0, 1, 2], [1, 0.5, 2], [-0.6, -0.6, 2.9])
-        scan_characteristics(st, enumerate([30.0, 30.0]))
-        assert st.first_nonpositive == 0
-        assert len(st.scan) == 1
+        assert scan_characteristics(st, enumerate([30.0, 30.0])) == 0
+        assert st.scan[1] is None
+        assert st.pending == (0, 2)
+
+    @pytest.mark.parametrize("bounds, flag", [((8.0, 30.0, 30.0), 1), ((8.0, 8.0, 30.0), 2),
+                                              ((8.0, 8.0, 8.0), None)])
+    def test_returns_the_leftmost_nonpositive_slot(self, bounds, flag):
+        # with the bound 30 every minorant dips below zero, with 8 none does;
+        # the scan returns the leftmost slot that dips, or None
+        st = state_from([0, 1, 2, 3], [1, 1, 0.5, 2], [0, -0.6, -0.6, 2.9])
+        assert scan_characteristics(st, enumerate(bounds)) == flag
+        assert all(R > 0.0 for R in (st.R if flag is None else st.R[:flag]))
+        if flag is not None:
+            assert st.R[flag] <= 0.0
+
+    @pytest.mark.parametrize("zs, k", [([1, 1, 1, 1], 4), ([1, 1, -1, 1], 3), ([1, -1], 2)])
+    def test_a_built_state_has_k_minus_1_empty_pending_slots(self, zs, k):
+        st = state_from(range(len(zs)), zs, [0] * len(zs))
+        assert st.k == k
+        assert st.scan == [None] * (k - 1)
+        assert len(st.R) == len(st.m) == k - 1
+        assert all(math.isnan(value) for value in st.R + st.m)
+        assert st.pending == (0, k - 1)
 
     def test_symmetric_interval_classified_interior(self):
         st = state_from([0, 1], [1, 1], [0, 0])
-        scan_characteristics(st, enumerate([4.0]))
+        flag = scan_characteristics(st, enumerate([4.0]))
         sf = st.scan[0]
         assert isinstance(sf, SupportFunction)
         assert sf.char.kind == INTERIOR
-        assert next_trial_point(st) == sf.vertex == 0.5
+        assert next_trial_point(st, flag) == sf.vertex == 0.5
         assert st.R[0] == sf.char.R == pytest.approx(0.75)
 
     def test_second_scan_without_a_step_keeps_the_flag(self, monkeypatch):
         # the flagged entry of a scan that no step followed still stops the
         # next scan with the same bounds, which rebuilds nothing
         st = state_from([0, 1, 2], [1, 0.5, 2], [-0.6, -0.6, 2.9])
-        scan_characteristics(st, enumerate([30.0, 30.0]))
-        first = (st.first_nonpositive, list(st.scan), list(st.R), list(st.m))
+        flag = scan_characteristics(st, enumerate([30.0, 30.0]))
+        first = (flag, list(st.scan), list(st.R), list(st.m))
         assert first[0] == 0
         built = []
         original = solver_module.build_support
@@ -136,8 +158,8 @@ class TestScan:
             return original(data)
 
         monkeypatch.setattr(solver_module, "build_support", counting)
-        scan_characteristics(st, enumerate([30.0, 30.0]))
-        assert (st.first_nonpositive, st.scan, st.R, st.m) == first
+        flag = scan_characteristics(st, enumerate([30.0, 30.0]))
+        assert (flag, st.scan, st.R, st.m) == first
         assert built == []
 
     @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
@@ -160,44 +182,44 @@ class TestScan:
 class TestNextTrialPoint:
     def test_interior_point_of_single_interval(self):
         st = state_from([0, 1], [1, 1], [0, 0])
-        scan_characteristics(st, enumerate([4.0]))
-        assert next_trial_point(st) == pytest.approx(0.5)
+        flag = scan_characteristics(st, enumerate([4.0]))
+        assert next_trial_point(st, flag) == pytest.approx(0.5)
 
     def test_minimal_characteristic_wins(self):
         # interval 1 has an interior minimum 0.75; interval 2 carries data of
         # f(x) = 1 - 0.8*(x-1)^2, decreasing to z = 0.2, and wins the argmin
         st = state_from([0, 1, 2], [1, 1, 0.2], [0, 0, -1.6])
-        scan_characteristics(st, enumerate([4.0, 2.0]))
-        assert st.first_nonpositive is None
+        flag = scan_characteristics(st, enumerate([4.0, 2.0]))
+        assert flag is None
         sf = st.scan[1]
         assert st.R[1] == sf.char.R == pytest.approx(0.2)
         assert sf.char.kind == RIGHT_END and sf.x_hat is None
-        assert next_trial_point(st) == sf.y
+        assert next_trial_point(st, flag) == sf.y
 
     def test_left_knot_of_increasing_interval(self):
         # data of f(x) = 1 + x: phi rises over the whole interval, so it has
         # no interior stationary point and its minimum is the left end
         st = state_from([0, 1], [1, 2], [1, 1])
-        scan_characteristics(st, enumerate([1.0]))
+        flag = scan_characteristics(st, enumerate([1.0]))
         sf = st.scan[0]
         assert sf.char.kind == LEFT_END and sf.x_hat is None
-        assert next_trial_point(st) == sf.y_prime
+        assert next_trial_point(st, flag) == sf.y_prime
 
     def test_stationary_point_beats_an_end_minimum(self):
         # phi dips to a local minimum inside the interval, above z_left: the
         # characteristic is the left end, and the trial still goes to x_hat
         st = state_from([0, 1], [0.68, 1.22], [2.3, 2.1])
-        scan_characteristics(st, enumerate([8.0]))
+        flag = scan_characteristics(st, enumerate([8.0]))
         sf = st.scan[0]
         assert sf.char.kind == LEFT_END and sf.x_hat is not None
         assert sf.y_prime < sf.x_hat < sf.y
-        assert next_trial_point(st) == sf.x_hat
+        assert next_trial_point(st, flag) == sf.x_hat
 
     def test_leftmost_zero_of_flagged_interval(self):
         st = state_from([0, 3], [1, -8], [-3, -3])
-        scan_characteristics(st, enumerate([2.0]))
-        assert st.first_nonpositive == 0
-        assert next_trial_point(st) == pytest.approx((-3 + math.sqrt(13)) / 2, abs=1e-12)
+        flag = scan_characteristics(st, enumerate([2.0]))
+        assert flag == 0
+        assert next_trial_point(st, flag) == pytest.approx((-3 + math.sqrt(13)) / 2, abs=1e-12)
 
 
 # positive up to the drift that starts at x = 16, with the first root at 17.8
@@ -215,7 +237,7 @@ class TestMinorantReuse:
         steps = 0
         while step(state, p, cfg) is None:
             steps += 1
-            assert len(state.scan) <= state.k - 1
+            assert len(state.scan) == state.k - 1
         assert steps > 300
 
     def test_a1_builds_only_the_split_halves(self, monkeypatch):
@@ -244,6 +266,14 @@ class TestMinorantReuse:
             return original(data)
 
         monkeypatch.setattr(solver_module, "build_support", counting)
+        flags = []
+        scan = solver_module.scan_characteristics
+
+        def flagging(state, walk):
+            flags.append(scan(state, walk))
+            return flags[-1]
+
+        monkeypatch.setattr(solver_module, "scan_characteristics", flagging)
         complete_steps = moved_total = kept_right = 0
         # rootless t02 flags most scans, t06 none; the late root of the sum
         # of cosines leaves minorants right of a flag that later walks reach
@@ -264,7 +294,7 @@ class TestMinorantReuse:
                                 for sf in state.scan if sf is not None}
                 built.clear()
                 outcome = step(state, p, cfg)
-                last = state.first_nonpositive
+                last = flags[-1]
                 scanned = list(zip(intervals, m))[:k - 1 if last is None else last + 1]
                 rebuilt = [(*key, mp) for key, mp in scanned if kept.get(key) != mp]
                 assert built == rebuilt
@@ -305,25 +335,23 @@ class TestSplicedState:
     and every empty slot in the pending run."""
 
     @staticmethod
-    def check_scan(state, cfg) -> None:
-        """Every minorant up to and including the flagged slot (every one, with
-        no flag) was built with the oracle's bound, every minorant the lists
-        keep, right of the flag too, is built on its two trials, and the
-        pending run starts at the flag and holds every empty slot."""
+    def check_scan(state, flag, cfg) -> None:
+        """The lists hold k - 1 slots, every minorant up to and including the
+        flagged slot (every one, with no flag) was built with the oracle's
+        bound, every minorant the lists keep, right of the flag too, is built
+        on its two trials, and the pending run starts at the flag and holds
+        every empty slot."""
         if cfg.method == "a1":
             bounds = [cfg.lipschitz] * (state.k - 1)
         else:
             full = build_curvature_table(state.trials[:state.k], cfg.params)
             bounds = table_from(full.v, full.gaps, cfg.params).m
             assert full.m == bounds
-        last = state.first_nonpositive
-        reached = state.k - 1 if last is None else last + 1
-        assert len(state.scan) >= reached
+        reached = state.k - 1 if flag is None else flag + 1
+        assert len(state.scan) == len(state.R) == len(state.m) == state.k - 1
         assert all(state.m[p] == bounds[p] for p in range(reached))
-        assert len(state.scan) <= state.k - 1
-        assert len(state.R) == len(state.m) == len(state.scan)
         start, stop = state.pending
-        assert start == stop if last is None else start == last < stop
+        assert start == stop if flag is None else start == flag < stop
         for p, sf in enumerate(state.scan):
             if sf is None:
                 assert reached <= p < stop
@@ -348,9 +376,9 @@ class TestSplicedState:
             return original(lo, hi)
 
         def checked(state, walk):
-            scan(state, walk)
-            cls.check_scan(state, cfg)
-            return state
+            flag = scan(state, walk)
+            cls.check_scan(state, flag, cfg)
+            return flag
 
         monkeypatch.setattr(solver_module, "interval_curvature", recording)
         monkeypatch.setattr(solver_module, "scan_characteristics", checked)
@@ -364,6 +392,7 @@ class TestSplicedState:
                 return shrinks
             shrinks += state.k < k
             assert (state.k, state.b_n) == effective_points(state.trials)
+            assert len(state.scan) == len(state.R) == len(state.m) == state.k - 1
             assert len(measured) <= 2
             assert all(x <= state.b_n for x in measured)
             if cfg.method == "a2":
@@ -418,6 +447,31 @@ class TestSplicedState:
         assert self.drive(problem, SolverConfig(method="a2"), monkeypatch) == 2
 
 
+class TestHandBuiltState:
+    """A SearchState built by hand from trials is sized like any other: k - 1
+    empty slots, all pending.  A minorant is a pure function of its interval
+    and bound, so a state built from the first trials of a solve, in any
+    order of birth, steps on to the same trials and outcome as the solve."""
+
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    @pytest.mark.parametrize("pid", ["t01", "t05", "t10", "chebyshev"])
+    def test_a_state_built_from_a_prefix_of_a_solve_continues_it(self, pid, method):
+        p = get_problem(pid)
+        cfg = SolverConfig(method=method, lipschitz=curvature_bound(p) if method == "a1" else None)
+        res = solve(p, cfg)
+        for j in range(2, len(res.trace)):
+            trials = sorted((Trial(x=r.x, z=r.f, dz=r.fprime, birth=r.iter) for r in res.trace[:j]),
+                            key=lambda t: t.x)
+            k, b_n = effective_points(trials)
+            state = SearchState(trials=trials, sigma=cfg.resolve_sigma(p.a, p.b), k=k, b_n=b_n)
+            assert state.pending == (0, k - 1)
+            added = []
+            while (outcome := step(state, p, cfg)) is None:
+                added.append(tuple(max(state.trials, key=lambda t: t.birth)))
+            assert outcome == res.outcome, j
+            assert added == [(r.x, r.f, r.fprime, r.iter) for r in res.trace[j:]], j
+
+
 class TestLayerNames:
     # perfbench/layers.py times a solve by replacing these names on
     # firstroot.solver, and its --trace 1 metrics divide by their call counts
@@ -464,8 +518,7 @@ class TestEndGame:
     @staticmethod
     def clamp(lo, hi, sigma, x, flagged=True):
         st = state_from([lo, hi], [1.0, -1.0], [0.0, 0.0], sigma=sigma)
-        st.first_nonpositive = 0 if flagged else None
-        return solver_module._clamp_candidate(st, 0, x)
+        return solver_module._clamp_candidate(st, 0, 0 if flagged else None, x)
 
     def test_the_trial_is_the_largest_float_within_sigma(self):
         rng = np.random.default_rng(15)
@@ -526,10 +579,10 @@ class TestEndGame:
         placed = []
         original = solver_module._clamp_candidate
 
-        def recording(state, p, x):
+        def recording(state, p, flag, x):
             lo, hi = state.trials[p].x, state.trials[p + 1].x
-            out = original(state, p, x)
-            if state.first_nonpositive is not None and x - lo <= state.sigma:
+            out = original(state, p, flag, x)
+            if flag is not None and x - lo <= state.sigma:
                 placed.append((lo, hi, out))
             return out
 
@@ -757,7 +810,8 @@ class TestKnownDefects:
     of t10's f: the paper's a2 estimates its curvature bounds from the
     trials, there the estimates fall below the curvature of f, and a
     minorant stays positive over roots (a1 with the oracle K finds the
-    first root).
+    first root).  And at a small sigma, a1 with a valid bound raises
+    instead of returning an Outcome.
     Each test states what a fixed solver must return; the xfail is strict, so
     a fix turns it into a failure until the mark goes."""
 
@@ -795,6 +849,24 @@ class TestKnownDefects:
         assert type(out) is type(ref)
         assert out.trials_used == ref.trials_used
         assert out.point == pytest.approx(ref.point, abs=cfg.resolve_sigma(p.a, p.b))
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="a valid a1 bound is reported as too small once K*w reaches the "
+                              "rounding noise of f': at sigma_fraction 1e-9, 10 of the 40 "
+                              "solves, all a1 with the oracle K, raise DegenerateSlope; they "
+                              "should end in PrecisionExhausted")
+    def test_every_bed_solve_at_sigma_fraction_1e_9_ends_in_an_outcome(self):
+        raised = []
+        for pid in [f"t{i:02d}" for i in range(1, 21)]:
+            p = get_problem(pid)
+            for method in ("a1", "a2"):
+                cfg = SolverConfig(method=method, sigma_fraction=1e-9,
+                                   lipschitz=curvature_bound(p) if method == "a1" else None)
+                try:
+                    solve(p, cfg)
+                except FirstRootError as exc:
+                    raised.append((pid, method, type(exc).__name__))
+        assert raised == []
 
 
 class TestTraceInvariants:

@@ -3,8 +3,9 @@
 Each mutant changes one operator in one of the target files: a comparison
 `<`, `<=`, `>`, `>=` is negated (`<` becomes `>=`, and so on) and an
 arithmetic `+`, `-`, `*`, `/` is swapped with its counterpart (`+` with `-`,
-`*` with `/`).  The targets are the whole of `support.py`, `curvature.py` and
-`solver.py`, the grid search included.
+`*` with `/`).  The targets are the whole of `support.py`, `curvature.py`,
+`solver.py` (the grid search included), `problems.py`, `bench.py` and
+`cli.py`.
 
 The checkout's `src`, `tests`, `perfbench` and `pyproject.toml` are copied
 into a temporary directory and every mutant is written there, so an
@@ -21,7 +22,7 @@ source line and a reason.  The reasons are written by hand; a rerun keeps the
 reason of every survivor whose file, column, mutation and source line are
 unchanged and marks new ones UNEXPLAINED.
 
-Run from the root of the checkout (about 40 minutes on one core):
+Run from the root of the checkout (about 46 minutes on one core):
 
     python tools/mutants.py
 """
@@ -44,7 +45,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 # files under src/firstroot, mutated whole
-TARGETS = ("support.py", "curvature.py", "solver.py")
+TARGETS = ("support.py", "curvature.py", "solver.py", "problems.py", "bench.py", "cli.py")
 
 # operator node -> (its symbol, the mutant's symbol)
 NEGATED = {ast.Lt: ("<", ">="), ast.LtE: ("<=", ">"), ast.Gt: (">", "<="), ast.GtE: (">=", "<")}
