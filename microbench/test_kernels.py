@@ -49,9 +49,11 @@ one scalar f' (a central difference, two more f values) at the middle of the
 search window, all in np.float64 scalar arithmetic.
 
 `test_find_fmax[chebyshev]` and `test_find_fmax[passband]` time the one-off
-F_max of a filter: the block-wise scan of its 1 000 000-point mesh and the
-golden-section refinement.  `test_lipschitz_oracle` times the one-off a1
-bound K of t14, the block-wise scan of f' on a 200 000-point mesh.
+F_max of a filter: the block-wise scan of its 1 000 000-point mesh, each
+8 192-point block generated on its own and no array holding the whole mesh,
+and the golden-section refinement.  `test_lipschitz_oracle` times the
+one-off a1 bound K of t14, the block-wise scan of f' on a 200 000-point mesh,
+whose blocks of 8 193 points are generated in the same way.
 
 The benchmarks need the pytest-benchmark plugin (the `bench` extra of the
 package).

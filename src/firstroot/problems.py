@@ -4,10 +4,19 @@ component values (module constants).
 
 Every objective and derivative accepts a float or an ndarray (numpy ufunc
 style); the solver evaluates them pointwise and the grid scan vectorized
-through `on_mesh`, which also accepts a scalar result for an array.  The
-dense-grid oracles (`find_fmax`, `exact_lipschitz_oracle`) call `on_mesh` on
-one block of their mesh at a time, so their temporaries stay block-sized
-while their results equal those of one pass over the whole mesh.
+through `on_mesh`, which also accepts a scalar result for an array.  t12's
+pieces are joined by `_piecewise`, which evaluates a scalar on its own side
+only.
+
+The one-off scans, the dense-grid oracles `find_fmax` and
+`exact_lipschitz_oracle`, never hold a whole mesh.  Each block of
+_MESH_BLOCK points is generated on its own by `_mesh_slice`, which gives the
+points of `np.linspace` bit for bit, and handed to `on_mesh`; the results
+equal those of one pass over the whole mesh.  A block of 8 192 float64 is
+64 KiB, below glibc's default 128 KiB mmap threshold, so the blocks'
+temporaries reuse heap chunks.  A freed megabyte-sized mesh would instead
+raise that threshold, and the next mesh of its size would then be taken from
+the heap and stay resident for the life of the process.
 
 Scalar and array evaluation of the filter models.  A solver trial calls a
 filter objective on one point, and its f' (`numeric_derivative`) calls f
@@ -96,12 +105,34 @@ class Problem:
         return (self.a, self.b)
 
 
-def _f14(x):  # the k = 0 term of the catalog's sum is zero, in f and f'
-    return sum(k * np.cos((k + 1) * x + k) for k in range(1, 6)) + 12.0
+def _piecewise(x, x0, left, right):
+    """left(x) where x <= x0, else right(x).  An ndarray takes both sides and
+    `np.where`; a scalar evaluates only the side it falls on, so a float or
+    a 0-d array gives an np.float64 scalar, not a 0-d array."""
+    below = x <= x0
+    if isinstance(below, np.ndarray):
+        return np.where(below, left(x), right(x))
+    return left(x) if below else right(x)
+
+
+def _f12(x):
+    return _piecewise(x, np.pi, lambda x: np.sin(5 * x) + 2.0, lambda x: 5 * np.sin(x) + 2.0)
+
+
+def _df12(x):
+    return _piecewise(x, np.pi, lambda x: 5 * np.cos(5 * x), lambda x: 5 * np.cos(x))
+
+
+# t14 spelled out term by term, k = 1..5, summed in the catalog's order: the
+# k = 0 term of the catalog's sum is zero, in f and f'
+def _f14(x):
+    return (np.cos(2 * x + 1) + 2 * np.cos(3 * x + 2) + 3 * np.cos(4 * x + 3)
+            + 4 * np.cos(5 * x + 4) + 5 * np.cos(6 * x + 5) + 12.0)
 
 
 def _df14(x):
-    return -sum(k * (k + 1) * np.sin((k + 1) * x + k) for k in range(1, 6))
+    return -(2 * np.sin(2 * x + 1) + 6 * np.sin(3 * x + 2) + 12 * np.sin(4 * x + 3)
+             + 20 * np.sin(5 * x + 4) + 30 * np.sin(6 * x + 5))
 
 
 # id, expression, f, df, FRL, roots
@@ -150,10 +181,7 @@ _TESTBED = [
      lambda x: (x + 1)**3 / x**2 - 7.1,
      lambda x: 3 * (x + 1)**2 / x**2 - 2 * (x + 1)**3 / x**3,
      1.36465, 2),
-    ("t12", "sin(5*x) + 2 if x <= pi else 5*sin(x) + 2",
-     lambda x: np.where(x <= np.pi, np.sin(5 * x) + 2.0, 5 * np.sin(x) + 2.0),
-     lambda x: np.where(x <= np.pi, 5 * np.cos(5 * x), 5 * np.cos(x)),
-     3.55311, 2),
+    ("t12", "sin(5*x) + 2 if x <= pi else 5*sin(x) + 2", _f12, _df12, 3.55311, 2),
     ("t13", "exp(sin(3*x))",
      lambda x: np.exp(np.sin(3 * x)),
      lambda x: 3 * np.cos(3 * x) * np.exp(np.sin(3 * x)),
@@ -220,10 +248,38 @@ CHEBYSHEV_DOMAIN = (1e-3, 2.0)
 PASSBAND_DOMAIN = (1.0, 1e4)
 _FMAX_GRID = 1_000_000
 _ORACLE_GRID = 200_000
-# Points per block of the dense oracle scans: small enough that each block's
-# temporaries stay in cache, large enough that the per-block Python overhead
-# does not show (at 4 096 points the blocked F_max scan was no faster)
-_MESH_BLOCK = 32_768
+# Points per block of the dense oracle scans.  A block of float64 is 64 KiB,
+# under glibc's default 128 KiB mmap threshold, so each block's temporaries
+# reuse freed heap chunks rather than being mapped and unmapped on every
+# block, as those of larger blocks are; at this size the per-block Python
+# overhead still does not show.
+_MESH_BLOCK = 8_192
+
+
+def _mesh_slice(lo: float, hi: float, n: int, start: int, stop: int) -> np.ndarray:
+    """`np.linspace(lo, hi, n)[start:stop]` bit for bit, for n >= 2 and
+    0 <= start < min(stop, n), without building the rest of the mesh; a stop
+    past the end is clamped to n, as a slice is.
+
+    Each point is formed as linspace forms it: the index as a float, times the
+    step (hi - lo) / (n - 1), plus lo, and the last point of the mesh is hi
+    itself.  A step that underflows to 0 takes linspace's branch for it:
+    index / (n - 1) * (hi - lo).
+    """
+    lo, hi, stop = float(lo), float(hi), min(stop, n)
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    y = np.arange(start, stop, dtype=float)
+    if step == 0:
+        y /= div
+        y *= delta
+    else:
+        y *= step
+    y += lo
+    if stop == n:
+        y[-1] = hi
+    return y
 
 
 def _scalar_or_array(x):
@@ -242,8 +298,9 @@ def chebyshev_transfer(omega):
     on the array.
     """
     w = _scalar_or_array(omega)
-    out = (1.0 / np.sqrt(1.0 + _R**2 * _C**2 * (w * w))
-           / np.sqrt((2.0 - w * w * _L * _C)**2 + w * w * _L**2 / _R**2))
+    w2 = w * w
+    out = (1.0 / np.sqrt(1.0 + _R**2 * _C**2 * w2)
+           / np.sqrt((2.0 - w2 * _L * _C)**2 + w2 * _L**2 / _R**2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -279,28 +336,31 @@ def find_fmax(transfer: Callable, omega_range: tuple[float, float]) -> tuple[flo
     """Maximum of a transfer function over [lo, hi]: a scan of _FMAX_GRID
     points followed by golden-section refinement around the best bracket.
 
-    The scan evaluates the transfer function on one _MESH_BLOCK-point slice of
-    the mesh at a time and keeps a running argmax, so its temporaries stay
-    block-sized; the result equals that of one argmax over the whole mesh bit
-    for bit.  Returns (F_max, argmax); ties on the grid resolve to the leftmost
-    point, a NaN on the grid wins at its first index as under `np.argmax`, and
-    the grid point is kept when refinement finds nothing strictly better.
+    The scan generates one _MESH_BLOCK-point slice of the mesh at a time,
+    evaluates the transfer function on it and keeps a running argmax; the
+    bracket (the grid point and its two neighbours) is generated the same
+    way, so no array holds the whole mesh.  The result equals that of one
+    argmax over the whole mesh bit for bit.  Returns (F_max, argmax); ties on
+    the grid resolve to the leftmost point, a NaN on the grid wins at its
+    first index as under `np.argmax`, and the grid point is kept when
+    refinement finds nothing strictly better.
     """
     lo, hi = omega_range
     if not lo < hi:
         raise ValueError("omega_range must satisfy lo < hi")
-    w = np.linspace(lo, hi, _FMAX_GRID)
     i, best = 0, -math.inf
     for s in range(0, _FMAX_GRID, _MESH_BLOCK):
-        vals = on_mesh(transfer, w[s:s + _MESH_BLOCK])
+        vals = on_mesh(transfer, _mesh_slice(lo, hi, _FMAX_GRID, s, s + _MESH_BLOCK))
         j = int(vals.argmax())
         if math.isnan(vals[j]):
             i, best = s + j, vals[j]
             break
         if vals[j] > best:
             i, best = s + j, vals[j]
-    a = w[max(i - 1, 0)]
-    b = w[min(i + 1, _FMAX_GRID - 1)]
+    # the grid point and its neighbours on the mesh
+    first = max(i - 1, 0)
+    near = _mesh_slice(lo, hi, _FMAX_GRID, first, i + 2)
+    a, w_i, b = near[0], near[i - first], near[-1]
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
@@ -320,7 +380,7 @@ def find_fmax(transfer: Callable, omega_range: tuple[float, float]) -> tuple[flo
     f_ref = float(transfer(x_ref))
     if f_ref > best:
         return f_ref, x_ref
-    return float(best), float(w[i])
+    return float(best), float(w_i)
 
 
 def numeric_derivative(f: Callable, x):
@@ -393,14 +453,14 @@ def exact_lipschitz_oracle(problem: Problem) -> float:
     points, with 1% headroom.
 
     The grid is walked in blocks of _MESH_BLOCK quotients that share their
-    boundary point, so every quotient is formed once from the same two mesh
-    values and the result equals that of one pass over the whole mesh bit for
-    bit; a NaN quotient makes the bound NaN.
+    boundary point; each block's _MESH_BLOCK + 1 points are generated on their
+    own, equal to those of the whole mesh.  So every quotient is formed once
+    from the same two mesh values, and the result equals that of one pass over
+    the whole mesh bit for bit; a NaN quotient makes the bound NaN.
     """
-    x = np.linspace(problem.a, problem.b, _ORACLE_GRID)
     peaks = []
     for s in range(0, _ORACLE_GRID - 1, _MESH_BLOCK):
-        xs = x[s:s + _MESH_BLOCK + 1]
+        xs = _mesh_slice(problem.a, problem.b, _ORACLE_GRID, s, s + _MESH_BLOCK + 1)
         peaks.append((np.abs(np.diff(on_mesh(problem.df, xs))) / np.diff(xs)).max())
     return 1.01 * float(np.max(peaks))
 

@@ -10,6 +10,9 @@ and say why they moved.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import firstroot
 from firstroot import (
     DomainError,
     NonFinite,
@@ -43,6 +47,8 @@ from firstroot.problems import (
     CHEBYSHEV_DOMAIN,
     FILTERS,
     PASSBAND_DOMAIN,
+    TESTBED_DOMAIN,
+    _mesh_slice,
     on_mesh,
 )
 
@@ -471,11 +477,13 @@ class TestBlockedOracles:
         assert exact_lipschitz_oracle(p) == one_shot_lipschitz(p)
 
     @pytest.mark.parametrize("jump", [_MESH_BLOCK - 1, _MESH_BLOCK, _MESH_BLOCK + 1,
-                                      3 * _MESH_BLOCK, _ORACLE_GRID - 1])
+                                      3 * _MESH_BLOCK, 4 * _MESH_BLOCK - 1, 4 * _MESH_BLOCK,
+                                      4 * _MESH_BLOCK + 1, 12 * _MESH_BLOCK, _ORACLE_GRID - 1])
     def test_largest_quotient_at_a_block_boundary(self, jump):
         # f' steps by 1 at mesh point `jump`: its one nonzero quotient pairs
         # mesh points jump - 1 and jump, the last quotient of a block when
-        # jump is a multiple of the block size
+        # jump is a multiple of the block size; the first block's end and
+        # interior ones
         x_jump = np.linspace(0.0, 1.0, _ORACLE_GRID)[jump]
         p = Problem(id="step", name="step", a=0.0, b=1.0, f=np.abs,
                     df=lambda x: np.where(x >= x_jump, 1.0, 0.0))
@@ -510,17 +518,96 @@ class TestBlockedOracles:
         assert math.isnan(got[0]) and got[1] == first
 
 
+def hexes(xs) -> list[str]:
+    return [v.hex() for v in np.asarray(xs).tolist()]
+
+
+class TestMeshSlice:
+    """`_mesh_slice(lo, hi, n, start, stop)` is `np.linspace(lo, hi, n)[start:stop]`
+    bit for bit.  The sweeps over whole grids compare the raw bytes of each
+    block, which is what float.hex shows point by point, only cheaper."""
+
+    @pytest.mark.parametrize("lo, hi", [TESTBED_DOMAIN, CHEBYSHEV_DOMAIN, PASSBAND_DOMAIN,
+                                        (-1e6, -1e6 + 3.0)])
+    @pytest.mark.parametrize("n, overlap", [(_FMAX_GRID, 0), (_ORACLE_GRID, 1)])
+    def test_every_block_of_the_oracle_grids(self, lo, hi, n, overlap):
+        # the blocks of find_fmax (n = _FMAX_GRID) and of the K oracle, whose
+        # blocks share their boundary point
+        mesh = np.linspace(lo, hi, n)
+        starts = range(0, n - overlap, _MESH_BLOCK)
+        for s in starts:
+            stop = s + _MESH_BLOCK + overlap
+            assert _mesh_slice(lo, hi, n, s, stop).tobytes() == mesh[s:stop].tobytes(), s
+        assert s + _MESH_BLOCK + overlap >= n
+        assert hexes(_mesh_slice(lo, hi, n, s, n)) == hexes(mesh[s:])
+
+    @pytest.mark.parametrize("lo, hi", [TESTBED_DOMAIN, PASSBAND_DOMAIN, (-1e6, -1e6 + 3.0)])
+    def test_single_points(self, lo, hi):
+        mesh = np.linspace(lo, hi, _FMAX_GRID)
+        for i in (0, 1, _MESH_BLOCK - 1, _MESH_BLOCK, _FMAX_GRID // 2, _FMAX_GRID - 2,
+                  _FMAX_GRID - 1):
+            assert hexes(_mesh_slice(lo, hi, _FMAX_GRID, i, i + 1)) == hexes(mesh[i:i + 1]), i
+        # the last point is hi itself, which start + step * index can miss
+        assert _mesh_slice(lo, hi, _FMAX_GRID, _FMAX_GRID - 1, _FMAX_GRID)[0] == hi
+
+    def test_a_stop_past_the_end_is_clamped(self):
+        mesh = np.linspace(1.0, 4.0, 1000)
+        assert hexes(_mesh_slice(1.0, 4.0, 1000, 997, 1005)) == hexes(mesh[997:1005])
+
+    def test_last_point_is_hi_where_the_product_misses_it(self):
+        # (n - 1) * step + lo rounds away from hi on this mesh: the end point
+        # is set, not computed
+        (lo, hi), n = TESTBED_DOMAIN, 6
+        assert (n - 1) * ((hi - lo) / (n - 1)) + lo != hi
+        assert hexes(_mesh_slice(lo, hi, n, 0, n)) == hexes(np.linspace(lo, hi, n))
+        assert hexes(_mesh_slice(lo, hi, n, n - 1, n)) == [hi.hex()]
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 2.5e-322), (-1.5e-322, 1e-322)])
+    def test_a_step_that_underflows_to_zero(self, lo, hi):
+        # (hi - lo) / (n - 1) is 0.0: linspace scales index / (n - 1) by
+        # hi - lo instead, and so does the slice
+        n = 1001
+        assert (hi - lo) / (n - 1) == 0.0
+        mesh = np.linspace(lo, hi, n)
+        assert len(set(mesh.tolist())) > 2
+        assert hexes(_mesh_slice(lo, hi, n, 0, n)) == hexes(mesh)
+        assert hexes(_mesh_slice(lo, hi, n, 300, 700)) == hexes(mesh[300:700])
+
+
 class TestOracleMemory:
-    """Each block's temporaries are block-sized, so the mesh itself dominates
-    the traced peak; one pass over the whole mesh traced 53.4 MiB for
-    passband's F_max and 6.1 MiB for the K of t14."""
+    """No array holds a whole mesh: each block is generated and its temporaries
+    are block-sized, so the traced peak is a few blocks.  One pass over the
+    whole mesh traced 53.4 MiB for passband's F_max and 6.1 MiB for the K of
+    t14, and a whole mesh scanned in blocks still 9.6 and 2.3 MiB."""
 
     def test_passband_fmax_peak(self):
-        assert traced_peak_mib(lambda: find_fmax(passband_transfer, PASSBAND_DOMAIN)) < 16.0
+        assert traced_peak_mib(lambda: find_fmax(passband_transfer, PASSBAND_DOMAIN)) < 2.0
 
     def test_catalog_oracle_peak(self):
         p = get_problem("t14")
-        assert traced_peak_mib(lambda: exact_lipschitz_oracle(p)) < 4.0
+        assert traced_peak_mib(lambda: exact_lipschitz_oracle(p)) < 1.0
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                        reason="reads the resident set size from /proc/self/statm")
+    def test_building_the_filters_leaves_no_mesh_resident(self):
+        # In a fresh interpreter: a freed 8 MB mesh raises glibc's mmap
+        # threshold, so a second mesh of that size would come from the heap
+        # and stay resident (11.1 MB when each scan built its whole mesh)
+        code = (
+            "import os, firstroot\n"
+            "def rss():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "before = rss()\n"
+            "firstroot.get_problem('chebyshev')\n"
+            "firstroot.get_problem('passband')\n"
+            "print((rss() - before) / 1e6)\n")
+        src = str(Path(firstroot.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert float(out.stdout) < 3.0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Each mutant changes one operator in one of the target files: a comparison
 arithmetic `+`, `-`, `*`, `/` is swapped with its counterpart (`+` with `-`,
 `*` with `/`).  The targets are the whole of `support.py`, `curvature.py`,
 `solver.py` (the grid search included), `problems.py`, `bench.py` and
-`cli.py`.
+`cli.py`, or those of them named on the command line.
 
 The checkout's `src`, `tests`, `perfbench` and `pyproject.toml` are copied
 into a temporary directory and every mutant is written there, so an
@@ -20,11 +20,14 @@ A run writes the survivors to `tools/survivors.tsv`, one per line,
 tab-separated: where (file:line:column, counted from 1), the mutation, the
 source line and a reason.  The reasons are written by hand; a rerun keeps the
 reason of every survivor whose file, column, mutation and source line are
-unchanged and marks new ones UNEXPLAINED.
+unchanged and marks new ones UNEXPLAINED.  A run over some of the targets
+rewrites only their count lines and survivors and keeps those of the others.
 
-Run from the root of the checkout (about 46 minutes on one core):
+Run from the root of the checkout (about 46 minutes on one core for all six
+files), optionally naming the targets:
 
     python tools/mutants.py
+    python tools/mutants.py problems.py
 """
 
 from __future__ import annotations
@@ -167,20 +170,46 @@ def read_reasons(path: Path) -> dict[tuple, str]:
     return reasons
 
 
+def _target_of(row: str) -> str:
+    # 'support.py:12:3\t...' or its count line '# support.py: 131 mutants, ...'
+    return row.removeprefix("# ").split(":", 1)[0]
+
+
 def write_survivors(path: Path, counts: dict, survivors: list[Mutant], reasons: dict) -> None:
-    rows = ["# Mutants no test kills: file:line:col, mutation, source line, reason.",
-            "# Written by tools/mutants.py; the reasons are kept by hand.",
-            *(f"# {target}: {n} mutants, {k} killed ({t} by timeout), {n - k} survived"
-              for target, (n, k, t) in counts.items())]
+    """Write the count line and survivors of every target in counts; the
+    count lines and survivors of the other targets are kept as path has
+    them."""
+    headers, rows = {}, {}
+    if path.exists():
+        for row in path.read_text().splitlines():
+            target = _target_of(row)
+            if target not in TARGETS or target in counts:
+                continue
+            if row.startswith("#"):
+                headers[target] = row
+            else:
+                rows.setdefault(target, []).append(row)
+    for target, (n, k, t) in counts.items():
+        headers[target] = f"# {target}: {n} mutants, {k} killed ({t} by timeout), {n - k} survived"
+        rows[target] = []
     for m in survivors:
-        rows.append("\t".join((m.where, f"{m.old} -> {m.new}", m.text,
-                               reasons.get(m.key, "UNEXPLAINED"))))
-    path.write_text("\n".join(rows) + "\n")
+        rows[m.target].append("\t".join((m.where, f"{m.old} -> {m.new}", m.text,
+                                         reasons.get(m.key, "UNEXPLAINED"))))
+    out = ["# Mutants no test kills: file:line:col, mutation, source line, reason.",
+           "# Written by tools/mutants.py; the reasons are kept by hand.",
+           *(headers[t] for t in TARGETS if t in headers),
+           *(row for t in TARGETS for row in rows.get(t, ()))]
+    path.write_text("\n".join(out) + "\n")
 
 
-def main() -> int:
+def main(targets: list[str]) -> int:
+    unknown = [t for t in targets if t not in TARGETS]
+    if unknown:
+        print(f"not a target: {', '.join(unknown)}; choose from {', '.join(TARGETS)}",
+              file=sys.stderr)
+        return 2
     sources, mutants = {}, []
-    for target in TARGETS:
+    for target in [t for t in TARGETS if not targets or t in targets]:
         sources[target] = (ROOT / "src" / "firstroot" / target).read_text()
         mutants += find_mutants(target, sources[target])
     reasons = read_reasons(SURVIVORS)
@@ -225,4 +254,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
