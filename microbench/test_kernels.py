@@ -244,8 +244,8 @@ def test_filter_objective(benchmark, pid):
 
 @pytest.mark.parametrize("pid", ["chebyshev", "passband"])
 def test_find_fmax(benchmark, pid):
-    _, transfer, domain, _ = FILTERS[pid]
-    assert benchmark(find_fmax, transfer, domain)[0] > 0.0
+    _, (power, _), domain, _ = FILTERS[pid]
+    assert benchmark(find_fmax, power, domain)[0] > 0.0
 
 
 def test_lipschitz_oracle(benchmark):

@@ -23,7 +23,6 @@ from .problems import (
     exact_lipschitz_oracle,
     find_fmax,
     get_problem,
-    numeric_derivative,
     passband_transfer,
     registry,
 )

@@ -18,29 +18,15 @@ temporaries reuse heap chunks.  A freed megabyte-sized mesh would instead
 raise that threshold, and the next mesh of its size would then be taken from
 the heap and stay resident for the life of the process.
 
-Scalar and array evaluation of the filter models.  A solver trial calls a
-filter objective on one point, and its f' (`numeric_derivative`) calls f
-twice more.  On a scalar, the transfer functions and `numeric_derivative`
-compute in np.float64 scalars, not in 0-d arrays, whose every operation
-costs a ufunc dispatch; an ndarray takes the same formula on the array.
-The scalar path keeps the values that 0-d arrays gave, bit for bit, by four
-rules:
-
-- The square of omega is written `w * w`.  On a 0-d array (and on an
-  ndarray) `w**2` is numpy's square, an exact product; on an np.float64 it
-  would be libm's pow, which can differ in the last bit.
-- The cube stays `np.power(w, 3)`: numpy's power loop, on a scalar as on an
-  array, differs from libm's pow (Python's `**`) at about 5% of points.
-- The squares of intermediates (`(w * _L1)**2`, `z1**2`, ...) keep `**2`:
-  a ufunc on 0-d arrays returns np.float64 scalars, so these were libm's pow
-  on the scalar path already, and `x * x` would move some values.
-- omega becomes an np.float64, not a Python float: a float's `**` raises
-  OverflowError where np.float64 gives inf, so a huge omega still gives 0.0.
-
-`numeric_derivative` keeps its step h and samples f under `np.errstate` on
-both paths; the objective of `cutoff_objective` squares a float transfer
-value as a float.  The array path is the formula it was, so the grid scan
-and the oracles compute what they did.
+The filter models.  Each filter objective is built from P(omega) =
+|H(j omega)|^2, which is rational in omega, and from its exact derivative P'.
+Both are written once, in plain `*`, `+`, `-` and `/`, which are correctly
+rounded on a Python float, an np.float64 and an ndarray alike: the one
+formula gives the same bits on each, a scalar (converted to a float) gives a
+float and an ndarray an ndarray of its shape.  Every square or cube of a
+variable is a product (`w * w`, `z1 * z1`), never `**` or `np.power`: a
+float's `**` raises OverflowError where `*` gives inf.  The transfer functions
+|H| are the square roots of P.
 """
 
 from __future__ import annotations
@@ -51,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, UnknownProblem
+from .errors import DomainError, UnknownProblem
 
 __all__ = [
     "Problem",
@@ -59,23 +45,23 @@ __all__ = [
     "registry",
     "get_problem",
     "all_ids",
+    "chebyshev_power",
+    "chebyshev_dpower",
     "chebyshev_transfer",
+    "passband_power",
+    "passband_dpower",
     "passband_transfer",
     "find_fmax",
     "cutoff_objective",
-    "numeric_derivative",
     "on_mesh",
     "exact_lipschitz_oracle",
     "curvature_bound",
 ]
 
-_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class Problem:
-    """An objective f with analytic or numeric derivative df on a finite,
-    non-empty [a, b].
+    """An objective f with derivative df on a finite, non-empty [a, b].
 
     reference_frl is the known first root from the left (None when f has no
     root), root_count the catalog's number of roots in [a, b] counted with
@@ -218,14 +204,16 @@ _TESTBED = [
 TESTBED_DOMAIN = (0.2, 7.0)
 
 
+# id -> Problem: the 20 benchmark functions, built once; each filter problem
+# joins on its first lookup (see `get_problem`)
+_CATALOG = {pid: Problem(id=pid, name=name, a=TESTBED_DOMAIN[0], b=TESTBED_DOMAIN[1], f=f, df=df,
+                         reference_frl=frl, root_count=roots)
+            for pid, name, f, df, frl, roots in _TESTBED}
+
+
 def registry() -> list[Problem]:
     """The 20 benchmark functions on [0.2, 7]."""
-    a, b = TESTBED_DOMAIN
-    return [
-        Problem(id=pid, name=name, a=a, b=b, f=f, df=df,
-                reference_frl=frl, root_count=roots)
-        for pid, name, f, df, frl, roots in _TESTBED
-    ]
+    return [p for p in _CATALOG.values() if p.id not in FILTERS]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +224,14 @@ def registry() -> list[Problem]:
 _R, _C, _L = 1.0, 4.0, 2.0
 # and of the bandpass circuit
 _R1, _R2, _L1, _L2, _C1, _C2 = 3108.0, 477.0, 40e-3, 350e-2, 1e-6, 0.1e-6
+# The coefficients of omega^2 in the ladder's 1 / P (see `_chebyshev_ab`)
+_RC2, _LC, _LR2 = (_R * _C) ** 2, _L * _C, (_L / _R) ** 2
 
-# The passband value underflows to 0.0 from omega of about 1e20 on, and its
-# intermediates overflow to NaN from about 1.6e304: no omega above the cap is
-# evaluated (see `passband_transfer`)
-_PASSBAND_OMEGA_CAP = 1e300
+# From omega of about 1e51 on, both filters' P underflows to 0.0 and P' to
+# +-0.0; from about 1e61 on, P' is inf / inf = NaN, and from about 1e154 on
+# so is passband's P.  So an omega above the cap, up to inf, is evaluated at
+# the cap, where P and P' are 0.0.
+_OMEGA_CAP = 1e55
 
 # Search windows bracketing the published cutoffs with a positive objective at
 # the left margin; the transfer functions decay toward both window edges.
@@ -282,54 +273,90 @@ def _mesh_slice(lo: float, hi: float, n: int, start: int, stop: int) -> np.ndarr
     return y
 
 
-def _scalar_or_array(x):
-    """x as an np.float64 when it is a scalar or a 0-d array, else as a float
-    ndarray (see the module docstring for why not a Python float)."""
-    if isinstance(x, (float, int)):
-        return np.float64(x)
-    return np.asarray(x, dtype=float)[()]
+def _omega(omega):
+    """omega, capped at _OMEGA_CAP, as a Python float when it is a scalar or a
+    0-d array, else as an array (of floats, or of complex numbers for a
+    complex-step derivative)."""
+    if isinstance(omega, np.ndarray) and omega.ndim:
+        return np.minimum(omega, _OMEGA_CAP)
+    return min(float(omega), _OMEGA_CAP)
+
+
+def _sqrt(p):
+    """The correctly rounded square root of a float or of an ndarray."""
+    return np.sqrt(p) if isinstance(p, np.ndarray) else math.sqrt(p)
+
+
+def _chebyshev_ab(omega):
+    """omega as `_omega` gives it, c = 2 - LC omega^2, and the factors
+    a = 1 + (RC omega)^2 and b = c^2 + (L omega / R)^2 of the lowpass
+    ladder's 1 / P."""
+    w = _omega(omega)
+    w2 = w * w
+    c = 2.0 - _LC * w2
+    return w, c, 1.0 + _RC2 * w2, c * c + _LR2 * w2
+
+
+def chebyshev_power(omega):
+    """P = |Vout/Vin|^2 = 1 / (a b) of the lowpass ladder at angular frequency
+    omega >= 0."""
+    _, _, a, b = _chebyshev_ab(omega)
+    return 1.0 / (a * b)
+
+
+def chebyshev_dpower(omega):
+    """dP/domega of the lowpass ladder, by the product rule:
+    -(a' b + a b') / (a b)^2."""
+    w, c, a, b = _chebyshev_ab(omega)
+    ab = a * b
+    return -2.0 * w * (_RC2 * b + (_LR2 - 2.0 * _LC * c) * a) / (ab * ab)
 
 
 def chebyshev_transfer(omega):
-    """|Vout/Vin| of the lowpass ladder at angular frequency omega >= 0.
-
-    A scalar or 0-d omega gives a Python float, an ndarray an ndarray of its
-    shape; both are evaluated by the one formula below, on an np.float64 or
-    on the array.
-    """
-    w = _scalar_or_array(omega)
-    w2 = w * w
-    out = (1.0 / np.sqrt(1.0 + _R**2 * _C**2 * w2)
-           / np.sqrt((2.0 - w2 * _L * _C)**2 + w2 * _L**2 / _R**2))
-    return float(out) if out.ndim == 0 else out
+    """|Vout/Vin| of the lowpass ladder at angular frequency omega >= 0."""
+    return _sqrt(chebyshev_power(omega))
 
 
-def passband_transfer(omega):
-    """|Vout/Iin| of the bandpass circuit at angular frequency omega > 0.
-
-    Scalars and arrays are evaluated as in `chebyshev_transfer`; an omega
-    <= 0 anywhere raises DomainError.  A huge omega such as 1e200 gives 0.0:
-    the squares of the np.float64 intermediates overflow to inf, with no
-    OverflowError.  Above _PASSBAND_OMEGA_CAP the positive terms of z1
-    overflow too, and inf - inf would make the value NaN, so an omega there,
-    up to inf, gives the value at the cap, 0.0: a scalar returns it at once,
-    an array is clipped to the cap.
-    """
-    w = _scalar_or_array(omega)
-    # np.bool_.any() would cost a quarter of a scalar call: compare directly
-    if (w <= 0.0).any() if w.ndim else w <= 0.0:
+def _passband_parts(omega):
+    """omega as `_omega` gives it, and z1, z2, u, z3, s = z1^2 + z2^2 and
+    P = (omega L1 R1)^2 / (s^2 z3) of the bandpass circuit, where
+    z3 = (omega L1)^2 + u^2.  An omega <= 0 anywhere raises DomainError."""
+    w = _omega(omega)
+    if (w <= 0.0).any() if isinstance(w, np.ndarray) else w <= 0.0:
         raise DomainError("passband transfer function requires omega > 0")
-    if w.ndim:
-        w = np.minimum(w, _PASSBAND_OMEGA_CAP)
-    elif w > _PASSBAND_OMEGA_CAP:
-        return 0.0
-    z1 = (-np.power(w, 3) * _R1 * _L1 * _L2 + w * _R1 * _L2 + w * _R1 * _L1 * _C1 / _C2
+    z1 = (-w * w * w * _R1 * _L1 * _L2 + w * _R1 * _L2 + w * _R1 * _L1 * _C1 / _C2
           - _R1 / (w * _C2) + 2 * w * _L1 * _R1 + w * _L1 * _R2)
     z2 = (w * w * _L1 * _L2 + w * w * _R1 * _R2 * _L1 * _C1
           - _R1 * _R2 - _L1 / _C2)
-    z3 = (w * _L1)**2 + (w * w * _R1 * _L1 * _C1 - _R1)**2
-    out = w * _L1 * _R1 / np.sqrt((z1**2 + z2**2)**2 * z3)
-    return float(out) if out.ndim == 0 else out
+    u = w * w * _R1 * _L1 * _C1 - _R1
+    wl = w * _L1
+    z3 = wl * wl + u * u
+    s = z1 * z1 + z2 * z2
+    n = wl * _R1
+    return w, z1, z2, u, z3, s, n * n / (s * s * z3)
+
+
+def passband_power(omega):
+    """P = |Vout/Iin|^2 of the bandpass circuit at angular frequency
+    omega > 0."""
+    return _passband_parts(omega)[-1]
+
+
+def passband_dpower(omega):
+    """dP/domega of the bandpass circuit, by logarithmic differentiation:
+    P (2/omega - 4 (z1 z1' + z2 z2') / s - z3' / z3)."""
+    w, z1, z2, u, z3, s, p = _passband_parts(omega)
+    dz1 = (-3.0 * w * w * _R1 * _L1 * _L2 + _R1 * _L2 + _R1 * _L1 * _C1 / _C2
+           + _R1 / (w * w * _C2) + 2 * _L1 * _R1 + _L1 * _R2)
+    dz2 = 2.0 * w * (_L1 * _L2 + _R1 * _R2 * _L1 * _C1)
+    dz3 = 2.0 * w * (_L1 * _L1 + 2.0 * u * _R1 * _L1 * _C1)
+    return p * (2.0 / w - 4.0 * (z1 * dz1 + z2 * dz2) / s - dz3 / z3)
+
+
+def passband_transfer(omega):
+    """|Vout/Iin| of the bandpass circuit at angular frequency omega > 0; an
+    omega <= 0 anywhere raises DomainError."""
+    return _sqrt(passband_power(omega))
 
 
 def find_fmax(transfer: Callable, omega_range: tuple[float, float]) -> tuple[float, float]:
@@ -383,59 +410,18 @@ def find_fmax(transfer: Callable, omega_range: tuple[float, float]) -> tuple[flo
     return float(best), float(w_i)
 
 
-def numeric_derivative(f: Callable, x):
-    """Central-difference derivative with step h = cbrt(eps)*max(1, |x|).
-
-    Accepts a float or an ndarray: a scalar or 0-d x gives a Python float,
-    computed by the same formula in np.float64 scalars, an ndarray an ndarray.
-    f is called on np.float64 samples (or arrays) with floating-point warnings
-    silenced; raises NonFinite when f is not finite at the sample points.
-    """
-    xa = _scalar_or_array(x)
-    if not isinstance(xa, np.ndarray):
-        # max(1.0, nan) is 1.0, not nan as in np.maximum, but the samples
-        # xa +- h are nan either way
-        h = _CBRT_EPS * max(1.0, abs(xa))
-        xp = xa + h
-        xm = xa - h
-        with np.errstate(all="ignore"):
-            fp = float(f(xp))
-            fm = float(f(xm))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NonFinite(f"f not finite near x={x}")
-        return float((fp - fm) / (xp - xm))
-    h = _CBRT_EPS * np.maximum(1.0, np.abs(xa))
-    xp = xa + h
-    xm = xa - h
-    with np.errstate(all="ignore"):
-        fp = np.asarray(f(xp), dtype=float)
-        fm = np.asarray(f(xm), dtype=float)
-    if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
-        raise NonFinite(f"f not finite near x={x}")
-    return (fp - fm) / (xp - xm)
-
-
-def cutoff_objective(transfer: Callable, f_max: float, negate: bool, *,
+def cutoff_objective(power: Callable, dpower: Callable, f_max: float, negate: bool, *,
                      pid: str = "cutoff", name: str = "cutoff objective",
                      domain: tuple[float, float] = (1e-3, 1.0)) -> Problem:
-    """Wrap a transfer function into the half-power crossing problem
-    f(omega) = +-(F(omega)^2 - 0.5*F_max^2), derivative by central differences."""
+    """The half-power crossing problem of a squared transfer function P with
+    derivative dpower: f(omega) = +-(P(omega) - 0.5*F_max^2), f' = +-P'."""
     if not f_max > 0.0:
         raise ValueError("f_max must be positive")
     sign = -1.0 if negate else 1.0
     half = 0.5 * f_max * f_max
-
-    def f(omega):
-        t = transfer(omega)
-        if not isinstance(t, float):  # an array, or a scalar of another type
-            t = np.asarray(t, dtype=float)
-        out = sign * (t * t - half)
-        return out if isinstance(out, np.ndarray) else float(out)
-
-    def df(omega):
-        return numeric_derivative(f, omega)
-
-    return Problem(id=pid, name=name, a=domain[0], b=domain[1], f=f, df=df)
+    return Problem(id=pid, name=name, a=domain[0], b=domain[1],
+                   f=lambda omega: sign * (power(omega) - half),
+                   df=lambda omega: sign * dpower(omega))
 
 
 def on_mesh(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -477,33 +463,31 @@ def curvature_bound(problem: Problem) -> float:
 # Lookup
 # ---------------------------------------------------------------------------
 
-# id -> (name, transfer function, search window, negate the objective)
+# id -> (name, (P, P'), search window, negate the objective)
 FILTERS = {
-    "chebyshev": ("lowpass ladder cutoff", chebyshev_transfer, CHEBYSHEV_DOMAIN, False),
-    "passband": ("bandpass lower cutoff", passband_transfer, PASSBAND_DOMAIN, True),
+    "chebyshev": ("lowpass ladder cutoff", (chebyshev_power, chebyshev_dpower),
+                  CHEBYSHEV_DOMAIN, False),
+    "passband": ("bandpass lower cutoff", (passband_power, passband_dpower),
+                 PASSBAND_DOMAIN, True),
 }
-
-_FILTER_CACHE: dict[str, Problem] = {}
 
 
 def get_problem(pid: str) -> Problem:
     """Look up a problem by identifier (t01..t20, chebyshev, passband).
 
-    Filter problems compute their F_max on first use and are cached for the
-    process lifetime.
+    A filter problem computes its F_max, the square root of P's maximum over
+    its window, on first use and is kept in the catalog for the process
+    lifetime.
     """
-    for prob in registry():
-        if prob.id == pid:
-            return prob
-    if pid not in FILTERS:
-        raise UnknownProblem(f"no problem named {pid!r}")
-    if pid not in _FILTER_CACHE:
-        name, transfer, domain, negate = FILTERS[pid]
-        f_max, _ = find_fmax(transfer, domain)
-        _FILTER_CACHE[pid] = cutoff_objective(transfer, f_max, negate=negate,
-                                              pid=pid, name=name, domain=domain)
-    return _FILTER_CACHE[pid]
+    if pid not in _CATALOG:
+        if pid not in FILTERS:
+            raise UnknownProblem(f"no problem named {pid!r}")
+        name, (power, dpower), domain, negate = FILTERS[pid]
+        p_max, _ = find_fmax(power, domain)
+        _CATALOG[pid] = cutoff_objective(power, dpower, math.sqrt(p_max), negate=negate,
+                                         pid=pid, name=name, domain=domain)
+    return _CATALOG[pid]
 
 
 def all_ids() -> list[str]:
-    return [pid for pid, *_ in _TESTBED] + list(FILTERS)
+    return [p.id for p in registry()] + list(FILTERS)

@@ -148,6 +148,14 @@ def left_root_middle(s: SupportFunction) -> float:
     return min(max(s.y_prime + t, d.x_left), d.x_right)
 
 
+def central_difference(f, x: np.ndarray) -> np.ndarray:
+    """The central-difference derivative of f on the array x, with step
+    h = cbrt(eps) * max(1, |x|): the reference for analytic derivatives."""
+    h = float(np.finfo(float).eps) ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
+    xp, xm = x + h, x - h
+    return (f(xp) - f(xm)) / (xp - xm)
+
+
 def one_shot_lipschitz(problem) -> float:
     """The dense-grid K as one pass over the whole mesh: the reference that the
     block-wise `exact_lipschitz_oracle` must equal with `==`."""

@@ -23,7 +23,6 @@ import pytest
 import firstroot
 from firstroot import (
     DomainError,
-    NonFinite,
     NoRootGlobalMin,
     Problem,
     SolverConfig,
@@ -35,7 +34,6 @@ from firstroot import (
     exact_lipschitz_oracle,
     find_fmax,
     get_problem,
-    numeric_derivative,
     passband_transfer,
     registry,
     solve,
@@ -52,7 +50,7 @@ from firstroot.problems import (
     on_mesh,
 )
 
-from helpers import cosines_problem, one_shot_fmax, one_shot_lipschitz
+from helpers import central_difference, cosines_problem, one_shot_fmax, one_shot_lipschitz
 
 
 class TestRegistry:
@@ -103,7 +101,7 @@ class TestRegistry:
             if p.id == "t12":
                 xs = xs[np.abs(xs - np.pi) > 1e-4]
             ana = np.asarray(p.df(xs), dtype=float)
-            num = numeric_derivative(p.f, xs)
+            num = central_difference(p.f, xs)
             denom = np.maximum(1.0, np.abs(ana))
             assert np.max(np.abs(ana - num) / denom) <= 1e-6, p.id
 
@@ -146,10 +144,11 @@ class TestRegistry:
         assert p.root_count == 4
         assert sign_changes(p, 2_000_001) == 0
         assert float(np.min(p.f(np.linspace(p.a, p.b, 2_000_001)))) >= 0.0
-        for root in (math.pi, 2 * math.pi):
+        roots = np.array([math.pi, 2 * math.pi])
+        for root in roots.tolist():
             assert abs(p.f(root)) <= 1e-30
             assert abs(p.df(root)) <= 1e-14
-            assert numeric_derivative(p.df, root) == pytest.approx(2 * math.sqrt(root), rel=1e-6)
+        assert central_difference(p.df, roots) == pytest.approx(2 * np.sqrt(roots), rel=1e-6)
 
     def test_t02_has_no_root(self):
         p = get_problem("t02")
@@ -255,23 +254,47 @@ def filter_problems():
     return {pid: get_problem(pid) for pid in FILTERS}
 
 
+TRANSFERS = {"chebyshev": chebyshev_transfer, "passband": passband_transfer}
+
+
 def evaluators(problems):
-    """(id, callable) for each filter's transfer function, f and f'."""
+    """(id, callable) for each filter's P, P', transfer function, f and f'."""
     return [(f"{pid}.{name}", fn)
-            for pid, (_, transfer, _, _) in FILTERS.items()
-            for name, fn in (("transfer", transfer), ("f", problems[pid].f),
+            for pid, (_, (power, dpower), _, _) in FILTERS.items()
+            for name, fn in (("power", power), ("dpower", dpower),
+                             ("transfer", TRANSFERS[pid]), ("f", problems[pid].f),
                              ("df", problems[pid].df))]
 
 
+def complex_step(fn, x: np.ndarray) -> np.ndarray:
+    """The derivative of a real-analytic fn on the array x by the complex
+    step Im fn(x + ih) / h, h = 1e-20 x: free of cancellation, so exact to
+    rounding."""
+    h = 1e-20 * x
+    return fn(x + 1j * h).imag / h
+
+
 class TestFilterValues:
-    """Scalar calls take np.float64 arithmetic and array calls numpy's array
-    loops; both must give exactly the stored values."""
+    """Scalar calls take Python float arithmetic and array calls numpy's array
+    loops; the one formula gives the same bits on both, the stored ones."""
 
     @pytest.mark.parametrize("pid", list(FILTERS))
     def test_values_equal_the_stored_ones(self, pid):
         stored = json.loads(FILTER_VALUES.read_text())[pid]
         assert len(stored["x"]) == 200
+        assert stored["f_scalar"] == stored["f_array"]
+        assert stored["df_scalar"] == stored["df_array"]
         assert filter_values(pid, [float.fromhex(x) for x in stored["x"]]) == stored
+
+    @pytest.mark.parametrize("pid", list(FILTERS))
+    def test_derivative_is_exact(self, filter_problems, pid):
+        # f' = +-P' equals the complex-step derivative of P to rounding; a
+        # central difference of f, off by 2e-10 to 2e-9 of max|f'| here, fails
+        _, (power, _), (a, b), negate = FILTERS[pid]
+        xs = np.linspace(a, b, 2001)
+        df = filter_problems[pid].df(xs)
+        reference = (-1.0 if negate else 1.0) * complex_step(power, xs)
+        assert np.max(np.abs(df - reference)) <= 1e-13 * np.max(np.abs(df))
 
     def test_stored_points_are_the_generated_ones(self):
         doc = json.loads(FILTER_VALUES.read_text())
@@ -297,16 +320,17 @@ class TestFilterValues:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("omega", [1e100, 1e200, 1e308, math.inf])
     def test_a_huge_omega_gives_zero(self, filter_problems, omega):
-        # the squares of the np.float64 intermediates overflow to inf, where a
-        # Python float's ** would raise OverflowError; from about 1.6e304 on,
-        # passband's z1 would be inf - inf, so omega is capped below that
-        for pid, (_, transfer, _, _) in FILTERS.items():
+        # P is written with * only, which overflows to inf where a Python
+        # float's ** would raise OverflowError; P' would be inf / inf from
+        # about 1e61 on, so omega is capped at 1e55, where P and P' are 0.0
+        for pid, transfer in TRANSFERS.items():
             assert transfer(omega) == 0.0
             assert transfer(np.array([omega])).tolist() == [0.0]
             assert math.isfinite(filter_problems[pid].f(omega))
+            assert filter_problems[pid].df(omega) == 0.0
+            assert filter_problems[pid].df(np.array([omega])).tolist() == [0.0]
 
     def test_no_warning_in_the_domain(self, filter_problems):
-        # f' samples f on both sides of each point with warnings silenced
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for pid in FILTERS:
@@ -316,9 +340,6 @@ class TestFilterValues:
                         fn(xs)
                         for x in xs.tolist():
                             fn(x)
-            for x in (1e-12, np.array([1.0, 1e-12])):
-                with pytest.raises(NonFinite):
-                    numeric_derivative(np.sqrt, x)
 
 
 class TestFindFmax:
@@ -360,7 +381,8 @@ class TestCutoffObjective:
         assert p.domain == PASSBAND_DOMAIN
 
     def test_constant_transfer_has_no_zero(self):
-        prob = cutoff_objective(lambda w: 0.8 * np.ones_like(np.asarray(w, dtype=float)),
+        prob = cutoff_objective(lambda w: 0.64 * np.ones_like(np.asarray(w, dtype=float)),
+                                lambda w: np.zeros_like(np.asarray(w, dtype=float)),
                                 f_max=0.8, negate=False, pid="const", domain=(0.0, 1.0))
         res = solve(prob, SolverConfig(method="a2", sigma_fraction=1e-2))
         assert isinstance(res.outcome, NoRootGlobalMin)
@@ -368,30 +390,10 @@ class TestCutoffObjective:
 
     def test_fmax_validation(self):
         with pytest.raises(ValueError):
-            cutoff_objective(lambda w: w, f_max=0.0, negate=False)
+            cutoff_objective(lambda w: w, lambda w: 1.0, f_max=0.0, negate=False)
 
     def test_filter_problems_cached(self):
         assert get_problem("chebyshev") is get_problem("chebyshev")
-
-
-class TestNumericDerivative:
-    def test_square(self):
-        assert numeric_derivative(lambda x: np.asarray(x) ** 2, 3.0) == pytest.approx(6.0, rel=1e-6)
-
-    def test_sine_at_zero(self):
-        assert numeric_derivative(np.sin, 0.0) == pytest.approx(1.0, rel=1e-6)
-
-    def test_constant(self):
-        assert abs(numeric_derivative(lambda x: 4.2 * np.ones_like(np.asarray(x, dtype=float)), 1.3)) <= 1e-9
-
-    def test_non_finite_detected(self):
-        with pytest.raises(NonFinite):
-            numeric_derivative(np.sqrt, 1e-12)
-
-    def test_array_input(self):
-        xs = np.array([1.0, 2.0, 3.0])
-        out = numeric_derivative(lambda x: np.asarray(x) ** 2, xs)
-        assert np.allclose(out, 2 * xs, rtol=1e-6)
 
 
 class TestOnMesh:
@@ -500,8 +502,8 @@ class TestBlockedOracles:
 
     @pytest.mark.parametrize("pid", list(FILTERS))
     def test_filter_fmax_equals_one_shot(self, pid):
-        _, transfer, domain, _ = FILTERS[pid]
-        assert find_fmax(transfer, domain) == one_shot_fmax(transfer, domain)
+        _, (power, _), domain, _ = FILTERS[pid]
+        assert find_fmax(power, domain) == one_shot_fmax(power, domain)
 
     def test_the_first_nan_wins(self):
         # a finite peak in the first block, NaN at two points of late blocks:
