@@ -138,7 +138,7 @@ def test_per_interval_path(benchmark, trials, intervals):
 def test_scan_clean_pass(benchmark):
     rootless = evenly_spaced_trials("t02")
     config = SolverConfig(method="a2", params=PARAMS)
-    state = SearchState(trials=rootless, sigma=1e-4, k=len(rootless), b_n=rootless[-1].x)
+    state = SearchState(rootless, 1e-4)
     assert solver.scan_characteristics(state, solver._walk(state, config)) is None
     assert None not in state.scan
     assert len(state.scan) == 30
@@ -180,7 +180,7 @@ def test_spliced_curvature_update(benchmark):
     assert new.z >= 0.0
 
     def seeded():
-        state = SearchState(trials=list(trials), sigma=1e-4, k=len(trials), b_n=trials[-1].x)
+        state = SearchState(list(trials), 1e-4)
         solver.scan_characteristics(state, solver._walk(state, config))
         return (state,), {}
 
@@ -200,8 +200,7 @@ def test_one_step(benchmark, method):
     trials = evenly_spaced_trials("t02")
 
     def seeded():
-        state = SearchState(trials=list(trials), sigma=config.resolve_sigma(problem.a, problem.b),
-                            k=len(trials), b_n=trials[-1].x)
+        state = SearchState(list(trials), config.resolve_sigma(problem.a, problem.b))
         assert solver.scan_characteristics(state, solver._walk(state, config)) is None
         assert solver.step(state, problem, config) is None
         assert len(state.scan) == 31

@@ -21,16 +21,19 @@ the bracket [lo, e], no wider than sigma, and reports lo; otherwise the search
 goes on.  Only where no float above lo lies within sigma of it does the trial
 fall back to the quarter clamp that keeps every trial inside its interval.
 
-The state has one shape: k - 1 slots, one per effective interval, each
-holding a minorant, the minorant's characteristic value R and the bound m it
-was built with, and every empty slot lies in the run of pending slots.  A
-state is built with all k - 1 slots empty and pending.  A step adds one trial
-inside the chosen interval, so the state is spliced rather than rebuilt: the
-slot of that interval gives way to two empty slots for its halves, which join
-the pending run, and for a2 the curvature estimate v and the width of that
-interval give way to the halves' values; a negative trial cuts every list to
-the effective intervals.  A slot holds the minorant alone: where the next trial
-goes is worked out once per step, for the chosen interval only.
+A state is a function of its trials.  Built from the trials and sigma
+alone, it derives the effective count k and lays out k - 1 slots, one per
+effective interval, all of them empty and pending; the right margin b_n is
+read off the trials whenever it is asked for.  The state has one shape: each
+slot holds a minorant, which carries the bound it was built with, and the
+minorant's characteristic value R, and every empty slot lies in the run of
+pending slots.  A step adds one trial inside the chosen interval, so the state
+is spliced rather than rebuilt: the slot of that interval gives way to two
+empty slots for its halves, which join the pending run, and for a2 the
+curvature estimate v and the width of that interval give way to the halves'
+values; a negative trial cuts every list to the effective intervals.  A slot
+holds the minorant alone: where the next trial goes is worked out once per
+step, for the chosen interval only.
 
 A scan walks the slots left to right and stops at the first minorant that
 reaches zero, touching only slots whose minorant can have changed, and returns
@@ -164,40 +167,50 @@ class SearchState:
     The class has slots, so an instance holds its fields and no other
     attribute.
 
+    A state is built from `trials` and `sigma` alone; every other field is
+    derived.  k is 1 + the index of the first trial after trial 0 with a
+    negative value, or the number of trials when there is none, and the
+    read-only b_n is the abscissa of trial k - 1.  The trials must be sorted by x
+    and trial 0 must be positive, as `initialize` and every step leave them.
+
     Entry p of each list describes the interval between trials p and p + 1.
     `scan` holds the minorants (SupportFunction) that scans built, with None
     in an empty slot: one that no scan has reached since the state was built
-    or a step emptied it; `R` and `m` hold, slot by slot, the minorant's
-    characteristic value and the bound it was built with, NaN in an empty
-    slot.  The three lists always hold k - 1 slots: a state built with empty
-    lists gets k - 1 empty slots, all of them pending, and a step splices the
-    lists as it changes k.  `pending` = (start, stop) holds the run of slots
-    start .. stop - 1, none when start == stop, that the next scan must visit
-    whatever their bound: every empty slot lies in it, and so does the slot
-    the last scan flagged, which `scan_characteristics` returns rather than
-    the state keeping it.  Every other minorant has R > 0, because a scan
-    stops at the first non-positive one it builds and the step empties the
-    slot it chooses.  `v` and `gaps` hold a2's curvature estimates and
-    interval widths for all k - 1 effective intervals; they stay empty under
-    a1 and until a2's first step seeds them.
+    or a step emptied it.  A minorant carries the bound it was built with,
+    `scan[p].data.m`.  `R` holds, slot by slot, the minorant's characteristic
+    value, NaN in an empty slot: a copy of `scan[p].char.R`, kept in a flat
+    list so that `min` and `index` pick the lowest one at C speed.  The two
+    lists always hold k - 1 slots: a built state has k - 1 empty slots, all of
+    them pending, and a step splices the lists as it changes k.  `pending` =
+    (start, stop) holds the run of slots start .. stop - 1, none when start ==
+    stop, that the next scan must visit whatever their bound: every empty slot
+    lies in it, and so does the slot the last scan flagged, which
+    `scan_characteristics` returns rather than the state keeping it.  Every
+    other minorant has R > 0, because a scan stops at the first non-positive
+    one it builds and the step empties the slot it chooses.  `v` and `gaps`
+    hold a2's curvature estimates and interval widths for all k - 1 effective
+    intervals; they stay empty under a1 and until a2's first step seeds them.
     """
 
     trials: list[Trial]
     sigma: float
-    k: int = 0
-    b_n: float = 0.0
-    scan: list[SupportFunction | None] = field(default_factory=list)
-    R: list[float] = field(default_factory=list)
-    m: list[float] = field(default_factory=list)
-    pending: tuple[int, int] = (0, 0)
-    v: list[float] = field(default_factory=list)
-    gaps: list[float] = field(default_factory=list)
+    k: int = field(init=False)
+    scan: list[SupportFunction | None] = field(init=False)
+    R: list[float] = field(init=False)
+    pending: tuple[int, int] = field(init=False)
+    v: list[float] = field(init=False, default_factory=list)
+    gaps: list[float] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.scan:  # a fresh state: k - 1 empty slots, all of them pending
-            n = self.k - 1
-            self.scan, self.R, self.m = [None] * n, [math.nan] * n, [math.nan] * n
-            self.pending = (0, n)
+        trials = self.trials
+        self.k = next((i + 1 for i in range(1, len(trials)) if trials[i].z < 0.0), len(trials))
+        n = self.k - 1
+        self.scan, self.R, self.pending = [None] * n, [math.nan] * n, (0, n)
+
+    @property
+    def b_n(self) -> float:
+        """The right margin: the abscissa of the last effective trial."""
+        return self.trials[self.k - 1].x
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +346,18 @@ def _evaluate(problem: Problem, x: float, birth: int) -> Trial:
 
 
 def initialize(problem: Problem, config: SolverConfig) -> SearchState:
-    """Evaluate the two endpoint trials and set up the state.
+    """Evaluate the two endpoint trials and build the state from them.
 
     Raises BadInitialCondition when f(a) <= 0: the search presumes a strictly
     positive left margin.  With f(a) > 0 both trials are effective, whatever
-    the sign of f(b), so k = 2 and the right margin b_n is b.
+    the sign of f(b), so the state derives k = 2 and the right margin b_n = b.
     """
     a, b = problem.a, problem.b
     left = _evaluate(problem, a, 0)
     if left.z <= 0.0:
         raise BadInitialCondition(f"f({a}) = {left.z} must be > 0")
     right = _evaluate(problem, b, 1)
-    return SearchState(trials=[left, right], sigma=config.resolve_sigma(a, b), k=2, b_n=b)
+    return SearchState([left, right], config.resolve_sigma(a, b))
 
 
 def _walk(state: SearchState, config: SolverConfig) -> Iterable[tuple[int, float]]:
@@ -371,13 +384,13 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
     differ from the one the slot holds: at least every pending slot (one
     emptied by a step or never built, or flagged by a scan that no step
     followed) and every slot whose bound moved.  A minorant is a pure function
-    of its interval's endpoint data and bound, so the walk builds one only
-    where the slot is empty or holds a minorant built with a bound other than
-    m_p; it stops at, and flags, the first slot whose R is <= 0, and the
-    pending run then starts there.  A slot the walk leaves out holds a
-    minorant with R > 0 built with its current bound.  Minorants right of the
-    stop are kept as they are: a later walk rebuilds them only once their
-    bound moves.
+    of its interval's endpoint data and bound, and carries that bound, so the
+    walk builds one only where the slot is empty or holds a minorant built
+    with a bound other than m_p; it stops at, and flags, the first slot whose
+    R is <= 0, and the pending run then starts there.  A slot the walk leaves
+    out holds a minorant with R > 0 built with its current bound.  Minorants
+    right of the stop are kept as they are: a later walk rebuilds them only
+    once their bound moves.
 
     An interval whose ends increase, lo.x < hi.x, and whose bound is positive
     passes IntervalData's two checks, so its IntervalData is built with
@@ -385,10 +398,11 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
     which raises its ValueError for an unsorted state or a bound that is zero,
     negative or NaN.
     """
-    scan, R, m = state.scan, state.R, state.m
+    scan, R = state.scan, state.R
     trials = state.trials
     for p, bound in walk:
-        if m[p] != bound:  # NaN, in an empty slot, equals nothing
+        sf = scan[p]
+        if sf is None or sf.data.m != bound:
             lo, hi = trials[p], trials[p + 1]
             if lo.x < hi.x and bound > 0.0:
                 data = tuple.__new__(IntervalData, (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound))
@@ -396,7 +410,6 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
                 data = IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound)
             sf = scan[p] = build_support(data)
             R[p] = sf.char.R
-            m[p] = bound
         if R[p] <= 0.0:
             stop = state.pending[1]
             state.pending = (p, stop if stop > p else p + 1)
@@ -472,7 +485,7 @@ def _finish(state: SearchState, flag: int | None, config: SolverConfig) -> Outco
         x_best, f_best = _best_observed(state)
         return NoRootGlobalMin(trials_used=n_used, x_best=x_best, f_best=f_best)
     lo, hi = state.trials[flag], state.trials[flag + 1]
-    if _at_floor(state.m[flag], config) and hi.z >= 0.0:
+    if _at_floor(state.scan[flag].data.m, config) and hi.z >= 0.0:
         return PrecisionExhausted(trials_used=n_used, interval=(lo.x, hi.x))
     return FirstRootFound(trials_used=n_used, x_sigma=lo.x)
 
@@ -514,20 +527,18 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
 
     Trials 1 .. p are non-negative, since p < k - 1, so a negative trial
     becomes the first negative one and k drops to p + 2, cutting every
-    interval right of it; otherwise k grows by one and b_n stays, since the
-    margin trial only moves up one index.  p is the slot the last scan chose,
-    so the pending run is empty or starts at p; the emptied slots extend it,
-    and the slots right of p move up by one.
+    interval right of it and making the trial the right margin b_n; otherwise
+    k grows by one and the margin trial only moves up one index.  p is the
+    slot the last scan chose, so the pending run is empty or starts at p; the
+    emptied slots extend it, and the slots right of p move up by one.
     """
     trials = state.trials
     trials.insert(p + 1, trial)
     lo = trials[p]
     if trial.z < 0.0:
         state.k = p + 2
-        state.b_n = trial.x
         state.scan[p:] = [None]
         state.R[p:] = [math.nan]
-        state.m[p:] = [math.nan]
         state.pending = (p, p + 1)
         if state.v:
             state.v[p:] = [interval_curvature(lo, trial)]
@@ -536,7 +547,6 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
     state.k += 1
     state.scan[p:p + 1] = [None, None]
     state.R[p:p + 1] = [math.nan, math.nan]
-    state.m[p:p + 1] = [math.nan, math.nan]
     start, stop = state.pending
     state.pending = (p, stop + 1 if stop > start else p + 2)
     if state.v:
@@ -549,9 +559,8 @@ def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome 
     """One full iteration; returns an Outcome when the search terminates and
     None when a trial was added and the search continues.
 
-    state.k and state.b_n must describe state.trials, and state.scan,
-    state.R, state.m and state.pending must hold k - 1 slots with every empty
-    one pending, as building a SearchState and every step leave them;
+    state.scan, state.R and state.pending must hold k - 1 slots with every
+    empty one pending, as building a SearchState and every step leave them;
     state.v and state.gaps must be empty or spliced by `step`.  The flag of
     the step's scan is local to the step.  Under a2 the curvature estimates of
     the two halves are computed as the trial is added, so a DegenerateInterval
@@ -566,15 +575,17 @@ def solve(problem: Problem, config: SolverConfig) -> SolveResult:
     order with the effective count and right margin after its insertion.
     Each TraceRecord is built as its trial is added."""
     state = initialize(problem, config)
+    trials = state.trials
     k, b_n = state.k, state.b_n
     trace = [tuple.__new__(TraceRecord, (birth, x, z, dz, k, b_n))
-             for x, z, dz, birth in state.trials]
+             for x, z, dz, birth in trials]
     while True:
         result = _advance(state, problem, config)
         if isinstance(result, Outcome):
             return SolveResult(outcome=result, trace=trace)
         x, z, dz, birth = result
-        trace.append(tuple.__new__(TraceRecord, (birth, x, z, dz, state.k, state.b_n)))
+        k = state.k
+        trace.append(tuple.__new__(TraceRecord, (birth, x, z, dz, k, trials[k - 1].x)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def published_trials(problem_id: str, method: str) -> int:
 def effective_points(trials) -> tuple[int, float]:
     """Count k of trials up to and including the first negative value (all of
     them when none is negative), and the right margin b_n = x_k: the effective
-    set that the solver keeps in state.k and state.b_n."""
+    set that a SearchState derives from its trials as state.k and state.b_n."""
     k = len(trials)
     for i in range(1, len(trials)):
         if trials[i].z < 0.0:
@@ -217,6 +217,40 @@ def cosines_problem(f0, amps, freqs, phases, drift, length):
         return -(a * w * np.sin(w * x[..., None] + phi)).sum(axis=-1) - 2.0 * drift * u
 
     return Problem(id="cos", name="sum of cosines", a=0.0, b=length, f=f, df=df)
+
+
+def deep_problems(seed: int) -> list[Problem]:
+    """The 20 objectives of the benchmark's deep workload for `seed`, 55 to 70
+    trials per solve: f(x) = c + sum_j a_j cos(w_j x + phi_j) on [0, 50], with
+    a = (1, 0.6, 0.3), w = (1, 1.7, 2.9) and c = sum_j a_j + 0.3, so f stays
+    positive.  Objectives alternate between rootless and late-root ones, which
+    subtract s * max(0, x - 45)**2 with s = (c + sum_j a_j) / 2.5**2 and so
+    reach their first root in the last tenth of the domain.  The seed draws
+    only the phases phi_j, three per objective from
+    `np.random.default_rng(seed)`, uniform on [0, 2 pi)."""
+    amps, freqs, length = (1.0, 0.6, 0.3), (1.0, 1.7, 2.9), 50.0
+    c = sum(amps) + 0.3
+    rng = np.random.default_rng(seed)
+
+    def deep(pid, late):
+        (a1, a2, a3), (w1, w2, w3) = amps, freqs
+        p1, p2, p3 = (float(p) for p in rng.uniform(0.0, 2.0 * np.pi, 3))
+        tail = 0.1 * length
+        x0, s = (length - tail, (c + sum(amps)) / (0.5 * tail) ** 2) if late else (length, 0.0)
+
+        def f(x):
+            u = np.maximum(x - x0, 0.0)
+            return (c + a1 * np.cos(w1 * x + p1) + a2 * np.cos(w2 * x + p2)
+                    + a3 * np.cos(w3 * x + p3) - s * u * u)
+
+        def df(x):
+            u = np.maximum(x - x0, 0.0)
+            return -(a1 * w1 * np.sin(w1 * x + p1) + a2 * w2 * np.sin(w2 * x + p2)
+                     + a3 * w3 * np.sin(w3 * x + p3) + 2.0 * s * u)
+
+        return Problem(id=pid, name="deep sum of cosines", a=0.0, b=length, f=f, df=df)
+
+    return [deep(f"deep{i:02d}", late=i % 2 == 1) for i in range(20)]
 
 
 def data_scale(data) -> float:

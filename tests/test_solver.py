@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -38,14 +39,13 @@ from firstroot.errors import FirstRootError, NonFinite
 from firstroot.solver import TraceRecord, initialize, scan_characteristics, step
 from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
 
-from helpers import cosines_problem, effective_points, table_from
+from helpers import cosines_problem, deep_problems, effective_points, table_from
 
 
 def state_from(xs, zs, dzs, sigma=1e-4):
     trials = [Trial(x=float(x), z=float(z), dz=float(d), birth=i)
               for i, (x, z, d) in enumerate(zip(xs, zs, dzs))]
-    k, b_n = effective_points(trials)
-    return SearchState(trials=trials, sigma=sigma, k=k, b_n=b_n)
+    return SearchState(trials, sigma)
 
 
 def next_trial_point(st, flag):
@@ -63,8 +63,9 @@ def linear_problem(slope=-1.0, offset=0.5, a=0.0, b=1.0, pid="lin"):
 
 
 class TestEffectivePoints:
-    """The reference count k and margin b_n of `helpers.effective_points`,
-    which TestSplicedState holds the solver's state.k and state.b_n to."""
+    """The count k and margin b_n that a state derives from its trials, as
+    `helpers.effective_points` counts them, which TestDerivedState and
+    TestSplicedState hold the solver's state.k and state.b_n to."""
 
     def test_first_negative_cuts_the_set(self):
         st = state_from([0, 1, 2, 3], [3, 1, -2, 5], [0, 0, 0, 0])
@@ -130,8 +131,8 @@ class TestScan:
         st = state_from(range(len(zs)), zs, [0] * len(zs))
         assert st.k == k
         assert st.scan == [None] * (k - 1)
-        assert len(st.R) == len(st.m) == k - 1
-        assert all(math.isnan(value) for value in st.R + st.m)
+        assert len(st.R) == k - 1
+        assert all(math.isnan(value) for value in st.R)
         assert st.pending == (0, k - 1)
 
     def test_symmetric_interval_classified_interior(self):
@@ -148,7 +149,9 @@ class TestScan:
         # next scan with the same bounds, which rebuilds nothing
         st = state_from([0, 1, 2], [1, 0.5, 2], [-0.6, -0.6, 2.9])
         flag = scan_characteristics(st, enumerate([30.0, 30.0]))
-        first = (flag, list(st.scan), list(st.R), list(st.m))
+        bounds = [sf.data.m for sf in st.scan if sf is not None]
+        first = (flag, list(st.scan), list(st.R), bounds)
+        assert bounds == [30.0]
         assert first[0] == 0
         built = []
         original = solver_module.build_support
@@ -159,8 +162,19 @@ class TestScan:
 
         monkeypatch.setattr(solver_module, "build_support", counting)
         flag = scan_characteristics(st, enumerate([30.0, 30.0]))
-        assert (flag, st.scan, st.R, st.m) == first
+        assert (flag, st.scan, st.R, [sf.data.m for sf in st.scan if sf is not None]) == first
         assert built == []
+
+    def test_a_flag_outside_the_pending_run_becomes_the_run(self):
+        # a slot rebuilt because its bound moved lies outside the empty
+        # pending run; when it flags, the run is that slot alone, so a walk
+        # over the run finds the flag again
+        st = state_from([0, 1, 2], [1, 0.5, 2], [-0.6, -0.6, 2.9])
+        assert scan_characteristics(st, enumerate([8.0, 8.0])) is None
+        assert st.pending == (0, 0)
+        assert scan_characteristics(st, enumerate([8.0, 30.0])) == 1
+        assert st.pending == (1, 2)
+        assert scan_characteristics(st, zip(range(*st.pending), repeat(30.0))) == 1
 
     @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
     def test_a_bound_that_is_not_positive_raises_interval_data_error(self, bound):
@@ -348,8 +362,8 @@ class TestSplicedState:
             bounds = table_from(full.v, full.gaps, cfg.params).m
             assert full.m == bounds
         reached = state.k - 1 if flag is None else flag + 1
-        assert len(state.scan) == len(state.R) == len(state.m) == state.k - 1
-        assert all(state.m[p] == bounds[p] for p in range(reached))
+        assert len(state.scan) == len(state.R) == state.k - 1
+        assert all(state.scan[p].data.m == bounds[p] for p in range(reached))
         start, stop = state.pending
         assert start == stop if flag is None else start == flag < stop
         for p, sf in enumerate(state.scan):
@@ -361,7 +375,6 @@ class TestSplicedState:
             assert (d.x_left, d.x_right, d.z_left, d.z_right, d.dz_left, d.dz_right) \
                 == (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz)
             assert state.R[p] == sf.char.R
-            assert state.m[p] == d.m
 
     @classmethod
     def drive(cls, problem, cfg, monkeypatch) -> int:
@@ -392,7 +405,7 @@ class TestSplicedState:
                 return shrinks
             shrinks += state.k < k
             assert (state.k, state.b_n) == effective_points(state.trials)
-            assert len(state.scan) == len(state.R) == len(state.m) == state.k - 1
+            assert len(state.scan) == len(state.R) == state.k - 1
             assert len(measured) <= 2
             assert all(x <= state.b_n for x in measured)
             if cfg.method == "a2":
@@ -447,29 +460,84 @@ class TestSplicedState:
         assert self.drive(problem, SolverConfig(method="a2"), monkeypatch) == 2
 
 
+def _sorted_trials():
+    # x increasing, f(x_0) > 0 and each later f of either sign, zero included
+    n = hst.integers(2, 12)
+    return n.flatmap(lambda n: hst.tuples(
+        hst.lists(hst.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True),
+        hst.floats(1e-3, 10.0),
+        hst.lists(hst.one_of(hst.floats(-10.0, 10.0), hst.sampled_from([0.0, -0.0])),
+                  min_size=n - 1, max_size=n - 1),
+    )).map(lambda t: [Trial(x=x, z=z, dz=0.0, birth=i)
+                      for i, (x, z) in enumerate(zip(sorted(t[0]), [t[1], *t[2]]))])
+
+
+class TestDerivedState:
+    """A SearchState takes its trials and sigma and nothing else: it derives k
+    and b_n from the trials and lays out k - 1 empty slots, all pending."""
+
+    @given(trials=_sorted_trials())
+    @example(trials=[Trial(0.0, 1.0, 0.0, 0), Trial(1.0, 0.0, 0.0, 1), Trial(2.0, -1.0, 0.0, 2)])
+    @example(trials=[Trial(0.0, 1.0, 0.0, 0), Trial(1.0, -1.0, 0.0, 1), Trial(2.0, -1.0, 0.0, 2)])
+    @settings(max_examples=100, deadline=None)
+    def test_built_from_trials(self, trials):
+        st = SearchState(trials, 1e-4)
+        k, b_n = effective_points(trials)
+        assert (st.k, st.b_n) == (k, b_n)
+        assert st.scan == [None] * (k - 1)
+        assert len(st.R) == k - 1 and all(math.isnan(value) for value in st.R)
+        assert st.pending == (0, k - 1)
+        assert st.v == st.gaps == []
+
+    def test_takes_no_derived_value(self):
+        trials = [Trial(0.0, 1.0, 0.0, 0), Trial(1.0, 1.0, 0.0, 1)]
+        with pytest.raises(TypeError):
+            SearchState(trials, 1e-4, k=2)
+        st = SearchState(trials, 1e-4)
+        with pytest.raises(AttributeError):
+            st.b_n = 1.0
+
+
+# The benchmark's deep objectives for seed 3
+DEEP_SEED_3 = deep_problems(3)
+
+
 class TestHandBuiltState:
     """A SearchState built by hand from trials is sized like any other: k - 1
     empty slots, all pending.  A minorant is a pure function of its interval
     and bound, so a state built from the first trials of a solve, in any
-    order of birth, steps on to the same trials and outcome as the solve."""
+    order of birth, with sigma and nothing else, has the solve's k and b_n at
+    that cut and steps on to the rest of the solve's trace and its outcome."""
 
-    @pytest.mark.parametrize("method", ["a1", "a2"])
-    @pytest.mark.parametrize("pid", ["t01", "t05", "t10", "chebyshev"])
-    def test_a_state_built_from_a_prefix_of_a_solve_continues_it(self, pid, method):
-        p = get_problem(pid)
+    @staticmethod
+    def check_every_cut(p, method):
         cfg = SolverConfig(method=method, lipschitz=curvature_bound(p) if method == "a1" else None)
         res = solve(p, cfg)
-        for j in range(2, len(res.trace)):
+        sigma = cfg.resolve_sigma(p.a, p.b)
+        for j in range(2, len(res.trace) + 1):
             trials = sorted((Trial(x=r.x, z=r.f, dz=r.fprime, birth=r.iter) for r in res.trace[:j]),
                             key=lambda t: t.x)
-            k, b_n = effective_points(trials)
-            state = SearchState(trials=trials, sigma=cfg.resolve_sigma(p.a, p.b), k=k, b_n=b_n)
-            assert state.pending == (0, k - 1)
-            added = []
+            state = SearchState(trials, sigma)
+            last = res.trace[j - 1]
+            assert (state.k, state.b_n) == effective_points(trials) == (last.k, last.b_n), j
+            assert state.pending == (0, state.k - 1)
+            margins = []
             while (outcome := step(state, p, cfg)) is None:
-                added.append(tuple(max(state.trials, key=lambda t: t.birth)))
+                margins.append((state.k, state.b_n))
             assert outcome == res.outcome, j
-            assert added == [(r.x, r.f, r.fprime, r.iter) for r in res.trace[j:]], j
+            added = sorted(state.trials, key=lambda t: t.birth)[j:]
+            assert [(t.birth, t.x, t.z, t.dz, k, b_n) for t, (k, b_n)
+                    in zip(added, margins, strict=True)] == res.trace[j:], j
+
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    @pytest.mark.parametrize("pid", all_ids())
+    def test_a_state_built_from_a_prefix_of_a_solve_continues_it(self, pid, method):
+        self.check_every_cut(get_problem(pid), method)
+
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    @pytest.mark.parametrize("i", range(len(DEEP_SEED_3)))
+    def test_a_deep_solve_continues_from_every_cut(self, i, method):
+        self.check_every_cut(DEEP_SEED_3[i], method)
 
 
 class TestLayerNames:
@@ -1219,7 +1287,13 @@ class TestRecords:
         assert TraceRecord._fields == ("iter", "x", "f", "fprime", "k", "b_n")
 
     def test_search_state_holds_only_its_fields(self):
+        # a state is built from trials and sigma alone; the other fields are
+        # derived, and b_n is a property, not a field
         st = state_from([0, 1], [1, 1], [0, 0])
+        fields = dataclasses.fields(st)
+        assert [f.name for f in fields] == ["trials", "sigma", "k", "scan", "R", "pending",
+                                            "v", "gaps"]
+        assert [f.name for f in fields if f.init] == ["trials", "sigma"]
         with pytest.raises(AttributeError):
             st.extra = 1
 
