@@ -16,10 +16,11 @@ rebuilds, from the trials to the minorant it keeps: the guard on the ends and
 the bound, the IntervalData built with `tuple.__new__`, and `build_support`.
 `test_scan_clean_pass` times an adaptive scan in which no slot is empty and no
 bound moved, so that nothing is rebuilt: the per-step cost of the walk outside
-minorant builds, each bound drawn from `iter_bounds` included.  It runs on 31 trials of the rootless t02, whose
-minorants all stay positive, so the walk covers all 30 intervals.
+minorant builds, each bound drawn from `iter_bounds` included.  It runs on 31
+trials of the rootless t02, whose minorants all stay positive, so the walk
+covers all 30 intervals.
 `build_curvature_table` is the full build that seeds an adaptive solve;
-`test_bounds_from` times the one pass of the bound formula over every
+`test_iter_bounds` times the one pass of the bound formula over every
 interval, and `test_spliced_curvature_update` an adaptive step's whole scan
 after a split, splice included.  A traced benchmark run counts both as solver
 time.
@@ -39,14 +40,14 @@ included.
 grid scan of t01, the first with its trace left unread, the second reading it
 in full: the trace builds its records on first read, so the difference is the
 cost of that build.  `test_grid_search[passband]` times a scan that stops at
-step 57, inside its first 4096-point chunk: f on the whole chunk, and f' (a
-central difference, two f values per point) only up to the first negative f,
+step 57, inside its first 4096-point chunk: f on the whole chunk, and f' (the
+exact derivative P', in one vectorized call) only up to the first negative f,
 at 58 points.
 
 `test_filter_objective[chebyshev]` and `test_filter_objective[passband]`
 time what one trial of a filter problem costs in evaluation: one scalar f and
-one scalar f' (a central difference, two more f values) at the middle of the
-search window, all in np.float64 scalar arithmetic.
+one scalar f' (the exact derivative P') at the middle of the search window,
+both in Python float arithmetic.
 
 `test_find_fmax[chebyshev]` and `test_find_fmax[passband]` time the one-off
 F_max of a filter: the block-wise scan of its 1 000 000-point mesh, each
@@ -138,7 +139,7 @@ def test_per_interval_path(benchmark, trials, intervals):
 def test_scan_clean_pass(benchmark):
     rootless = evenly_spaced_trials("t02")
     config = SolverConfig(method="a2", params=PARAMS)
-    state = SearchState(rootless, 1e-4)
+    state = SearchState(rootless)
     assert solver.scan_characteristics(state, solver._walk(state, config)) is None
     assert None not in state.scan
     assert len(state.scan) == 30
@@ -159,7 +160,7 @@ def test_build_curvature_table(benchmark, trials):
     benchmark(build_curvature_table, trials, PARAMS)
 
 
-def test_bounds_from(benchmark, trials):
+def test_iter_bounds(benchmark, trials):
     table = build_curvature_table(trials, PARAMS)
     v, gaps = list(table.v), list(table.gaps)
     assert tuple(iter_bounds(v, gaps, PARAMS)) == table.m
@@ -180,7 +181,7 @@ def test_spliced_curvature_update(benchmark):
     assert new.z >= 0.0
 
     def seeded():
-        state = SearchState(list(trials), 1e-4)
+        state = SearchState(list(trials))
         solver.scan_characteristics(state, solver._walk(state, config))
         return (state,), {}
 
@@ -200,7 +201,7 @@ def test_one_step(benchmark, method):
     trials = evenly_spaced_trials("t02")
 
     def seeded():
-        state = SearchState(list(trials), config.resolve_sigma(problem.a, problem.b))
+        state = SearchState(list(trials))
         assert solver.scan_characteristics(state, solver._walk(state, config)) is None
         assert solver.step(state, problem, config) is None
         assert len(state.scan) == 31

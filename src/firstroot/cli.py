@@ -43,6 +43,12 @@ _EXIT_BY_TAG = {
     "budget_exhausted": 3,
 }
 
+# what to change when a solve stops with PrecisionExhausted, by its cause
+_HINT_BY_CAUSE = {
+    "curvature_floor": "set by the curvature floor: rescale f or lower --xi",
+    "no_float_inside": "no float left inside it for a trial: raise --sigma-frac",
+}
+
 
 class _UsageError(Exception):
     pass
@@ -119,12 +125,7 @@ def _run_solve(args) -> int:
         print(f"f_best:   {outcome.f_best:.10g}")
     elif isinstance(outcome, PrecisionExhausted):
         lo, hi = outcome.interval
-        sigma = SolverConfig(sigma_fraction=args.sigma_frac).resolve_sigma(problem.a, problem.b)
-        if hi - lo <= sigma:
-            cause = "set by the curvature floor: rescale f or lower --xi"
-        else:
-            cause = "no float left inside it for a trial: raise --sigma-frac"
-        print(f"interval: [{lo!r}, {hi!r}]  ({cause})")
+        print(f"interval: [{lo!r}, {hi!r}]  ({_HINT_BY_CAUSE[outcome.cause]})")
     elif isinstance(outcome, BudgetExhausted):
         print(f"best:     {outcome.best_so_far:.10g}")
     print(f"trials:   {outcome.trials_used}")

@@ -12,7 +12,8 @@ whose minorant dips lowest (all characteristics positive) or places the next
 trial at the leftmost zero of the first minorant that reaches zero.  The
 iteration stops when the selected interval is no wider than sigma; a minorant
 that still reaches zero there marks its left end as the sigma-root, unless the
-minorant rests on the curvature floor alone.
+minorant rests on the curvature floor alone.  sigma is a setting of the search,
+not a fact about its trials: each step reads it from the config.
 
 The end game takes one trial.  Once the leftmost zero falls within sigma of
 the flagged interval's left end lo, the trial goes to the largest float e with
@@ -21,10 +22,10 @@ the bracket [lo, e], no wider than sigma, and reports lo; otherwise the search
 goes on.  Only where no float above lo lies within sigma of it does the trial
 fall back to the quarter clamp that keeps every trial inside its interval.
 
-A state is a function of its trials.  Built from the trials and sigma
-alone, it derives the effective count k and lays out k - 1 slots, one per
-effective interval, all of them empty and pending; the right margin b_n is
-read off the trials whenever it is asked for.  The state has one shape: each
+A state is a function of its trials.  Built from the trials alone, it
+derives the effective count k and lays out k - 1 slots, one per effective
+interval, all of them empty and pending; the right margin b_n is read off
+the trials whenever it is asked for.  The state has one shape: each
 slot holds a minorant, which carries the bound it was built with, and the
 minorant's characteristic value R, and every empty slot lies in the run of
 pending slots.  A step adds one trial inside the chosen interval, so the state
@@ -56,9 +57,10 @@ chooses the flagged interval or else the one whose minorant dips lowest,
 game's edge or keeps it inside, `_evaluate` takes f and f' there and `_insert`
 splices it in; `_advance`, the one step that `step` and `solve` both run,
 calls each once or stops: when the chosen interval is no wider than sigma, or
-when no float is left strictly inside it for the trial.  Which method runs,
-with which bound, is resolved by `bench.run_method` for the command line and
-the benchmark alike.
+when no float is left strictly inside it for the trial.  A PrecisionExhausted
+names which of the two stops made it, so no caller re-derives it from the
+interval.  Which method runs, with which bound, is resolved by
+`bench.run_method` for the command line and the benchmark alike.
 
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.  It takes f on whole chunks of
@@ -167,11 +169,12 @@ class SearchState:
     The class has slots, so an instance holds its fields and no other
     attribute.
 
-    A state is built from `trials` and `sigma` alone; every other field is
-    derived.  k is 1 + the index of the first trial after trial 0 with a
-    negative value, or the number of trials when there is none, and the
-    read-only b_n is the abscissa of trial k - 1.  The trials must be sorted by x
-    and trial 0 must be positive, as `initialize` and every step leave them.
+    A state is built from `trials` alone; every other field is derived, and
+    no setting of the search, sigma included, is held.  k is 1 + the index of
+    the first trial after trial 0 with a negative value, or the number of
+    trials when there is none, and the read-only b_n is the abscissa of trial
+    k - 1.  The trials must be sorted by x and trial 0 must be positive, as
+    `initialize` and every step leave them.
 
     Entry p of each list describes the interval between trials p and p + 1.
     `scan` holds the minorants (SupportFunction) that scans built, with None
@@ -193,7 +196,6 @@ class SearchState:
     """
 
     trials: list[Trial]
-    sigma: float
     k: int = field(init=False)
     scan: list[SupportFunction | None] = field(init=False)
     R: list[float] = field(init=False)
@@ -273,22 +275,24 @@ class NoRootGlobalMin(Outcome):
 
 @dataclass(frozen=True)
 class PrecisionExhausted(Outcome):
-    """The search cannot resolve the first root of `interval` any further.
+    """The search cannot resolve the first root of `interval` any further;
+    `cause` names the stop that found so.
 
-    Either a minorant reaches zero inside `interval`, whose endpoints are both
-    positive and which is no wider than sigma, but that minorant rests on the
-    curvature floor (_MIN_CURVATURE for a1 with K = 0, r*xi for a2) rather
-    than on a bound taken from data.  The zero then comes from the floor, not
-    from f, so it is not reported as a root: an f whose values are small
-    against the floor needs rescaling or a lower xi.
+    "curvature_floor": a minorant reaches zero inside `interval`, whose
+    endpoints are both positive and which is no wider than sigma, but that
+    minorant rests on the curvature floor (_MIN_CURVATURE for a1 with K = 0,
+    r*xi for a2) rather than on a bound taken from data.  The zero then comes
+    from the floor, not from f, so it is not reported as a root: an f whose
+    values are small against the floor needs rescaling or a lower xi.
 
-    Or the chosen interval is still wider than sigma, but the next trial,
-    once placed, does not lie strictly inside it: with sigma below the
-    spacing of floats near the interval (an interval one ulp wide, say), no
-    float is left where a new trial could go.  A larger sigma resolves it.
+    "no_float_inside": the chosen interval is still wider than sigma, but the
+    next trial, once placed, does not lie strictly inside it: with sigma below
+    the spacing of floats near the interval (an interval one ulp wide, say),
+    no float is left where a new trial could go.  A larger sigma resolves it.
     """
 
-    interval: tuple[float, float] = (0.0, 0.0)
+    interval: tuple[float, float]
+    cause: Literal["curvature_floor", "no_float_inside"]
 
     tag = "precision_exhausted"
 
@@ -345,19 +349,21 @@ def _evaluate(problem: Problem, x: float, birth: int) -> Trial:
     return tuple.__new__(Trial, (x, z, dz, birth))
 
 
-def initialize(problem: Problem, config: SolverConfig) -> SearchState:
+def initialize(problem: Problem) -> SearchState:
     """Evaluate the two endpoint trials and build the state from them.
 
     Raises BadInitialCondition when f(a) <= 0: the search presumes a strictly
     positive left margin.  With f(a) > 0 both trials are effective, whatever
     the sign of f(b), so the state derives k = 2 and the right margin b_n = b.
+    The state holds no setting of the search: sigma, the bound and the budget
+    come from the config that each step is given.
     """
     a, b = problem.a, problem.b
     left = _evaluate(problem, a, 0)
     if left.z <= 0.0:
         raise BadInitialCondition(f"f({a}) = {left.z} must be > 0")
     right = _evaluate(problem, b, 1)
-    return SearchState([left, right], config.resolve_sigma(a, b))
+    return SearchState([left, right])
 
 
 def _walk(state: SearchState, config: SolverConfig) -> Iterable[tuple[int, float]]:
@@ -434,20 +440,21 @@ def _candidate(state: SearchState, p: int, flag: int | None) -> float:
     return sf.y if kind == RIGHT_END else sf.y_prime
 
 
-def _clamp_candidate(state: SearchState, p: int, flag: int | None, x: float) -> float:
-    # The end game: when the flagged minorant's leftmost zero x lies within
-    # sigma of lo, the trial goes to the largest float e with e - lo <= sigma,
-    # stepped to from lo + sigma, which overshoots sigma by an ulp for most lo
-    # (and falls short of it for some lo < 0).  A negative f(e) leaves the
-    # bracket [lo, e], and the next step stops on it.  e < hi, since the
-    # interval is wider than sigma.  Where sigma is below half an ulp of lo,
-    # e is lo itself and the clamp below applies: it keeps the trial inside
-    # the interval, since a candidate landing on (or rounding past) an
-    # endpoint would duplicate an existing abscissa and stall the subdivision.
-    # A quarter of an interval a few ulps wide can still round onto an end;
-    # `_advance` then stops with PrecisionExhausted.
+def _clamp_candidate(state: SearchState, p: int, flag: int | None, x: float,
+                     sigma: float) -> float:
+    # The end game, at the sigma that `_advance` resolved from the config:
+    # when the flagged minorant's leftmost zero x lies within sigma of lo,
+    # the trial goes to the largest float e with e - lo <= sigma, stepped to
+    # from lo + sigma, which overshoots sigma by an ulp for most lo (and
+    # falls short of it for some lo < 0).  A negative f(e) leaves the bracket
+    # [lo, e], and the next step stops on it.  e < hi, since the interval is
+    # wider than sigma.  Where sigma is below half an ulp of lo, e is lo
+    # itself and the clamp below applies: it keeps the trial inside the
+    # interval, since a candidate landing on (or rounding past) an endpoint
+    # would duplicate an existing abscissa and stall the subdivision.  A
+    # quarter of an interval a few ulps wide can still round onto an end;
+    # `_advance` then stops with PrecisionExhausted("no_float_inside").
     lo, hi = state.trials[p].x, state.trials[p + 1].x
-    sigma = state.sigma
     if flag is not None and x - lo <= sigma:
         edge = lo + sigma
         while edge - lo > sigma:
@@ -486,14 +493,18 @@ def _finish(state: SearchState, flag: int | None, config: SolverConfig) -> Outco
         return NoRootGlobalMin(trials_used=n_used, x_best=x_best, f_best=f_best)
     lo, hi = state.trials[flag], state.trials[flag + 1]
     if _at_floor(state.scan[flag].data.m, config) and hi.z >= 0.0:
-        return PrecisionExhausted(trials_used=n_used, interval=(lo.x, hi.x))
+        return PrecisionExhausted(trials_used=n_used, interval=(lo.x, hi.x),
+                                  cause="curvature_floor")
     return FirstRootFound(trials_used=n_used, x_sigma=lo.x)
 
 
 def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | Trial:
-    """One iteration: the Outcome when the search terminates, else the trial
-    it added.  Under a1, a DegenerateSlope from the scan means the bound K is
-    below the curvature of f, and is raised again naming config.lipschitz."""
+    """One iteration at the config's sigma: the Outcome when the search
+    terminates, else the trial it added.  Each PrecisionExhausted gets its
+    cause here: "curvature_floor" from `_finish`, "no_float_inside" when the
+    placed trial is not strictly inside the chosen interval.  Under a1, a
+    DegenerateSlope from the scan means the bound K is below the curvature of
+    f, and is raised again naming config.lipschitz."""
     try:
         flag = scan_characteristics(state, _walk(state, config))
     except DegenerateSlope as exc:
@@ -505,17 +516,16 @@ def _advance(state: SearchState, problem: Problem, config: SolverConfig) -> Outc
     chosen = flag if flag is not None else state.R.index(min(state.R))
     trials = state.trials
     lo, hi = trials[chosen].x, trials[chosen + 1].x
-    if hi - lo <= state.sigma:
+    sigma = config.resolve_sigma(problem.a, problem.b)
+    if hi - lo <= sigma:
         return _finish(state, flag, config)
     if len(trials) >= config.max_trials:
-        if trials[state.k - 1].z < 0.0:
-            best = trials[state.k - 2].x
-        else:
-            best = _best_observed(state)[0]
+        best = trials[state.k - 2].x if trials[state.k - 1].z < 0.0 else _best_observed(state)[0]
         return BudgetExhausted(trials_used=len(trials), best_so_far=best)
-    candidate = _clamp_candidate(state, chosen, flag, _candidate(state, chosen, flag))
-    if not lo < candidate < hi:  # no float strictly inside the interval is left
-        return PrecisionExhausted(trials_used=len(trials), interval=(lo, hi))
+    candidate = _clamp_candidate(state, chosen, flag, _candidate(state, chosen, flag), sigma)
+    if not lo < candidate < hi:
+        return PrecisionExhausted(trials_used=len(trials), interval=(lo, hi),
+                                  cause="no_float_inside")
     trial = _evaluate(problem, candidate, len(trials))
     _insert(state, chosen, trial)
     return trial
@@ -557,7 +567,9 @@ def _insert(state: SearchState, p: int, trial: Trial) -> None:
 
 def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome | None:
     """One full iteration; returns an Outcome when the search terminates and
-    None when a trial was added and the search continues.
+    None when a trial was added and the search continues.  Every setting,
+    sigma included, is read from `config`, so one state stepped under two
+    configs stops at each config's sigma.
 
     state.scan, state.R and state.pending must hold k - 1 slots with every
     empty one pending, as building a SearchState and every step leave them;
@@ -574,7 +586,7 @@ def solve(problem: Problem, config: SolverConfig) -> SolveResult:
     """Run the search to termination; the trace lists every trial in birth
     order with the effective count and right margin after its insertion.
     Each TraceRecord is built as its trial is added."""
-    state = initialize(problem, config)
+    state = initialize(problem)
     trials = state.trials
     k, b_n = state.k, state.b_n
     trace = [tuple.__new__(TraceRecord, (birth, x, z, dz, k, b_n))

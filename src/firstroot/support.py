@@ -24,6 +24,15 @@ m*(x - y')^2, which equals the vertex form: where the slope is steep against
 m the vertex lies far outside the interval, and 0.5*m*(x - vertex)^2 and q
 would cancel.
 
+Every square in the construction and the evaluation of phi is a product,
+u * u, never `**`: a product is correctly rounded on a Python float, a 0-d
+array and an array alike, where numpy squares a 0-d array with pow and an
+array by multiplication, and the two can differ in the last bit.  So
+`eval_support` gives a float x the bits it gives the same x inside an array,
+and `_phi`, the search's float path, gives those bits too.  (The root
+formula of `leftmost_zero` keeps its `B ** 2`, the form its own reference
+formulas take.)
+
 A SupportFunction derives its interior stationary point and its
 characteristic once, when it is constructed; `interior_stationary_point`,
 `characteristic` and `leftmost_zero` read them from it.  The records
@@ -155,8 +164,7 @@ def build_support(data: IntervalData) -> SupportFunction:
         )
     ratio = (z_left - z_right + dz_right * w + 0.5 * m * w * w) / denom
     half_span = w / 4.0 + (dz_right - dz_left) / (4.0 * m)
-    u = half_span + ratio
-    u_prime = -half_span + ratio
+    u, u_prime = half_span + ratio, -half_span + ratio
     # a knot outside [0, w] fails this test, and so does a NaN knot (its
     # comparisons are false)
     if not (0.0 <= u_prime and u <= w):
@@ -173,10 +181,10 @@ def build_support(data: IntervalData) -> SupportFunction:
                 f"m={m} too small on [{x_left}, {x_right}]: knots y'={knots[0]}, "
                 f"y={knots[1]} leave the interval; raise the curvature bound"
             )
-        u_prime = min(max(u_prime, 0.0), w)
-        u = min(max(u, 0.0), w)
+        u, u_prime = min(max(u, 0.0), w), min(max(u_prime, 0.0), w)
     v = 2.0 * u_prime - dz_left / m
-    q = z_left + dz_left * u_prime - 0.5 * m * u_prime ** 2 - 0.5 * m * (u_prime - v) ** 2
+    g = u_prime - v
+    q = z_left + dz_left * u_prime - 0.5 * m * (u_prime * u_prime) - 0.5 * m * (g * g)
     return _derive(SupportFunction, data, x_left + u_prime, x_left + u, x_left + v, q)
 
 
@@ -185,13 +193,12 @@ def _derive(cls: type, data: IntervalData, y_prime: float, y: float, vertex: flo
     # x_hat and char in one pass: phi is smallest at the left end, the vertex
     # (where phi = q) when it lies between the knots, or the right end; the
     # leftmost wins a tie.
-    x_left, z_left, z_right = data.x_left, data.z_left, data.z_right
     x_hat = vertex if y_prime < vertex < y else None
-    h, R, kind = x_left, z_left, LEFT_END
+    h, R, kind = data.x_left, data.z_left, LEFT_END
     if x_hat is not None and q < R:
         h, R, kind = x_hat, q, INTERIOR
-    if z_right < R:
-        h, R, kind = data.x_right, z_right, RIGHT_END
+    if data.z_right < R:
+        h, R, kind = data.x_right, data.z_right, RIGHT_END
     return tuple.__new__(cls, (data, y_prime, y, vertex, q, x_hat,
                                tuple.__new__(Characteristic, (h, R, kind))))
 
@@ -212,9 +219,10 @@ def eval_support(s: SupportFunction, x):
     _check_inside(s, x)
     d = s.data
     xa = np.asarray(x, dtype=float)
-    p1 = d.z_left + d.dz_left * (xa - d.x_left) - 0.5 * d.m * (xa - d.x_left) ** 2
-    p2 = p1 + d.m * (xa - s.y_prime) ** 2
-    p3 = d.z_right - d.dz_right * (d.x_right - xa) - 0.5 * d.m * (d.x_right - xa) ** 2
+    u, t = xa - d.x_left, d.x_right - xa
+    p1 = d.z_left + d.dz_left * u - 0.5 * d.m * (u * u)
+    p2 = p1 + d.m * ((xa - s.y_prime) * (xa - s.y_prime))
+    p3 = d.z_right - d.dz_right * t - 0.5 * d.m * (t * t)
     out = np.where(xa <= s.y_prime, p1, np.where(xa <= s.y, p2, p3))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
@@ -234,15 +242,13 @@ def eval_support_derivative(s: SupportFunction, x):
 def _phi(s: SupportFunction, x: float) -> float:
     # phi at one point of the interval in plain floats, for the scalar search
     # path: each branch is the expression of the matching np.where arm of
-    # eval_support, term for term, so both give the same bits for a scalar x.
-    # (numpy squares a scalar with pow, as Python's ** does, but an array of
-    # several elements by multiplication, which differs in the last bit about
-    # once in a thousand squares.)
+    # eval_support, term for term, so both give the same bits.
     d = s.data
+    u, t = x - d.x_left, d.x_right - x
     if x <= s.y:
-        left = d.z_left + d.dz_left * (x - d.x_left) - 0.5 * d.m * (x - d.x_left) ** 2
-        return left if x <= s.y_prime else left + d.m * (x - s.y_prime) ** 2
-    return d.z_right - d.dz_right * (d.x_right - x) - 0.5 * d.m * (d.x_right - x) ** 2
+        left = d.z_left + d.dz_left * u - 0.5 * d.m * (u * u)
+        return left if x <= s.y_prime else left + d.m * ((x - s.y_prime) * (x - s.y_prime))
+    return d.z_right - d.dz_right * t - 0.5 * d.m * (t * t)
 
 
 def interior_stationary_point(s: SupportFunction) -> float | None:

@@ -314,7 +314,7 @@ def test_curvature_bounds_hold_during_every_solve():
     checked = 0
     for problem in registry():
         cfg = SolverConfig(method="a2", params=params)
-        state = initialize(problem, cfg)
+        state = initialize(problem)
         while True:
             k, _ = effective_points(state.trials)
             table = build_curvature_table(state.trials[:k], params)

@@ -42,10 +42,10 @@ from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
 from helpers import cosines_problem, deep_problems, effective_points, table_from
 
 
-def state_from(xs, zs, dzs, sigma=1e-4):
+def state_from(xs, zs, dzs):
     trials = [Trial(x=float(x), z=float(z), dz=float(d), birth=i)
               for i, (x, z, d) in enumerate(zip(xs, zs, dzs))]
-    return SearchState(trials, sigma)
+    return SearchState(trials)
 
 
 def next_trial_point(st, flag):
@@ -82,7 +82,7 @@ class TestEffectivePoints:
 
 class TestInitialize:
     def test_endpoints_evaluated(self):
-        st = initialize(get_problem("t01"), SolverConfig())
+        st = initialize(get_problem("t01"))
         assert [t.x for t in st.trials] == [0.2, 7.0]
         assert st.k == 2
         assert st.trials[0].z > 0
@@ -92,10 +92,10 @@ class TestInitialize:
                       f=lambda x: np.asarray(x, dtype=float) - 1.0,
                       df=lambda x: np.ones_like(np.asarray(x, dtype=float)))
         with pytest.raises(BadInitialCondition):
-            initialize(bad, SolverConfig())
+            initialize(bad)
 
     def test_negative_right_margin_is_fine(self):
-        st = initialize(linear_problem(), SolverConfig())
+        st = initialize(linear_problem())
         assert st.k == 2
         assert st.b_n == 1.0
 
@@ -247,7 +247,7 @@ class TestMinorantReuse:
         # rootless t06 takes hundreds of steps
         p = get_problem("t06")
         cfg = SolverConfig(method="a2", max_trials=2000, params=EstimationParams(r=1e4))
-        state = initialize(p, cfg)
+        state = initialize(p)
         steps = 0
         while step(state, p, cfg) is None:
             steps += 1
@@ -293,7 +293,7 @@ class TestMinorantReuse:
         # of cosines leaves minorants right of a flag that later walks reach
         for p in (get_problem("t02"), get_problem("t06"), LATE_ROOT):
             cfg = SolverConfig(method="a2")
-            state = initialize(p, cfg)
+            state = initialize(p)
             kept = {}  # (x_left, x_right) -> m of every minorant the lists hold
             outcome = None
             while outcome is None:
@@ -395,7 +395,7 @@ class TestSplicedState:
 
         monkeypatch.setattr(solver_module, "interval_curvature", recording)
         monkeypatch.setattr(solver_module, "scan_characteristics", checked)
-        state = initialize(problem, cfg)
+        state = initialize(problem)
         shrinks = 0
         while True:
             k = state.k
@@ -473,15 +473,16 @@ def _sorted_trials():
 
 
 class TestDerivedState:
-    """A SearchState takes its trials and sigma and nothing else: it derives k
-    and b_n from the trials and lays out k - 1 empty slots, all pending."""
+    """A SearchState takes its trials and nothing else, no sigma either: it
+    derives k and b_n from the trials and lays out k - 1 empty slots, all
+    pending."""
 
     @given(trials=_sorted_trials())
     @example(trials=[Trial(0.0, 1.0, 0.0, 0), Trial(1.0, 0.0, 0.0, 1), Trial(2.0, -1.0, 0.0, 2)])
     @example(trials=[Trial(0.0, 1.0, 0.0, 0), Trial(1.0, -1.0, 0.0, 1), Trial(2.0, -1.0, 0.0, 2)])
     @settings(max_examples=100, deadline=None)
     def test_built_from_trials(self, trials):
-        st = SearchState(trials, 1e-4)
+        st = SearchState(trials)
         k, b_n = effective_points(trials)
         assert (st.k, st.b_n) == (k, b_n)
         assert st.scan == [None] * (k - 1)
@@ -489,11 +490,19 @@ class TestDerivedState:
         assert st.pending == (0, k - 1)
         assert st.v == st.gaps == []
 
+    def test_takes_no_sigma(self):
+        # sigma is a setting of the search, read from the config at each step
+        trials = [Trial(0.0, 1.0, 0.0, 0), Trial(1.0, 1.0, 0.0, 1)]
+        with pytest.raises(TypeError):
+            SearchState(trials, 1e-4)
+        with pytest.raises(TypeError):
+            SearchState(trials, sigma=1e-4)
+
     def test_takes_no_derived_value(self):
         trials = [Trial(0.0, 1.0, 0.0, 0), Trial(1.0, 1.0, 0.0, 1)]
         with pytest.raises(TypeError):
-            SearchState(trials, 1e-4, k=2)
-        st = SearchState(trials, 1e-4)
+            SearchState(trials, k=2)
+        st = SearchState(trials)
         with pytest.raises(AttributeError):
             st.b_n = 1.0
 
@@ -506,18 +515,17 @@ class TestHandBuiltState:
     """A SearchState built by hand from trials is sized like any other: k - 1
     empty slots, all pending.  A minorant is a pure function of its interval
     and bound, so a state built from the first trials of a solve, in any
-    order of birth, with sigma and nothing else, has the solve's k and b_n at
-    that cut and steps on to the rest of the solve's trace and its outcome."""
+    order of birth, from those trials and nothing else, has the solve's k and
+    b_n at that cut and steps on to the rest of the solve's trace and its outcome."""
 
     @staticmethod
     def check_every_cut(p, method):
         cfg = SolverConfig(method=method, lipschitz=curvature_bound(p) if method == "a1" else None)
         res = solve(p, cfg)
-        sigma = cfg.resolve_sigma(p.a, p.b)
         for j in range(2, len(res.trace) + 1):
             trials = sorted((Trial(x=r.x, z=r.f, dz=r.fprime, birth=r.iter) for r in res.trace[:j]),
                             key=lambda t: t.x)
-            state = SearchState(trials, sigma)
+            state = SearchState(trials)
             last = res.trace[j - 1]
             assert (state.k, state.b_n) == effective_points(trials) == (last.k, last.b_n), j
             assert state.pending == (0, state.k - 1)
@@ -562,19 +570,34 @@ class TestLayerNames:
         assert all(count > 0 for count in calls.values()), calls
 
 
+# f = 1 on [0, 1], so sigma = sigma_fraction exactly
+ONE = Problem(id="one", name="f = 1", a=0.0, b=1.0,
+              f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+              df=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+
+
 class TestStopCheck:
     def test_threshold(self):
         # a step stops, without spending a trial, when the selected interval
         # is no wider than sigma, and otherwise adds a trial inside it
-        one = Problem(id="one", name="f = 1", a=0.0, b=1.0,
-                      f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                      df=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-        cfg = SolverConfig(method="a1", lipschitz=1.0)
+        cfg = SolverConfig(method="a1", lipschitz=1.0, sigma_fraction=6.8e-4)
+        assert cfg.resolve_sigma(ONE.a, ONE.b) == 6.8e-4
         for width, stops in ((6.7e-4, True), (2 * 6.8e-4, False), (6.8e-4, True)):
-            st = state_from([0.0, width], [1, 1], [0, 0], sigma=6.8e-4)
-            outcome = step(st, one, cfg)
+            st = state_from([0.0, width], [1, 1], [0, 0])
+            outcome = step(st, ONE, cfg)
             assert (outcome is not None) == stops, width
             assert len(st.trials) == (2 if stops else 3), width
+
+    def test_one_state_stops_at_each_configs_sigma(self):
+        # the state holds no sigma: one hand-built state, its interval 5e-3
+        # wide, stops under a config whose sigma is that wide, and the same
+        # state stepped under a config whose sigma is narrower takes a trial
+        st = state_from([0.0, 5e-3], [1, 1], [0, 0])
+        wide, narrow = (SolverConfig(method="a1", lipschitz=1.0, sigma_fraction=fraction)
+                        for fraction in (5e-3, 4.9e-3))
+        assert step(st, ONE, wide) == NoRootGlobalMin(trials_used=2, x_best=0.0, f_best=1.0)
+        assert step(st, ONE, narrow) is None
+        assert [t.x for t in st.trials] == [0.0, 2.5e-3, 5e-3]
 
 
 class TestEndGame:
@@ -585,8 +608,8 @@ class TestEndGame:
 
     @staticmethod
     def clamp(lo, hi, sigma, x, flagged=True):
-        st = state_from([lo, hi], [1.0, -1.0], [0.0, 0.0], sigma=sigma)
-        return solver_module._clamp_candidate(st, 0, 0 if flagged else None, x)
+        st = state_from([lo, hi], [1.0, -1.0], [0.0, 0.0])
+        return solver_module._clamp_candidate(st, 0, 0 if flagged else None, x, sigma)
 
     def test_the_trial_is_the_largest_float_within_sigma(self):
         rng = np.random.default_rng(15)
@@ -647,10 +670,10 @@ class TestEndGame:
         placed = []
         original = solver_module._clamp_candidate
 
-        def recording(state, p, flag, x):
+        def recording(state, p, flag, x, sigma):
             lo, hi = state.trials[p].x, state.trials[p + 1].x
-            out = original(state, p, flag, x)
-            if flag is not None and x - lo <= state.sigma:
+            out = original(state, p, flag, x, sigma)
+            if flag is not None and x - lo <= sigma:
                 placed.append((lo, hi, out))
             return out
 
@@ -658,6 +681,7 @@ class TestEndGame:
         if method == "a1":
             res = solve(problem, cfg)
             assert isinstance(res.outcome, PrecisionExhausted)
+            assert res.outcome.cause == "no_float_inside"
             assert res.outcome.trials_used == len(res.trace) == 18
             xs = [r.x for r in res.trace]
             assert len(set(xs)) == len(xs)
@@ -682,6 +706,7 @@ class TestEndGame:
         res = solve(problem, SolverConfig(method="a1", lipschitz=1.0, sigma_fraction=1e-17))
         out = res.outcome
         assert isinstance(out, PrecisionExhausted)
+        assert out.cause == "no_float_inside"
         assert out.interval == (a, math.nextafter(a, math.inf))
         assert out.trials_used == len(res.trace)
         xs = [r.x for r in res.trace]
@@ -754,6 +779,7 @@ class TestSolveOutcomes:
                        df=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
         out = solve(tiny, SolverConfig(method="a2")).outcome
         assert isinstance(out, PrecisionExhausted)
+        assert out.cause == "curvature_floor"
         lo, hi = out.interval
         assert 0.0 <= lo < hi <= lo + 1e-4
 
@@ -815,7 +841,8 @@ class TestSolveOutcomes:
     def test_point_of_each_outcome(self):
         assert FirstRootFound(trials_used=5, x_sigma=1.5).point == 1.5
         assert NoRootGlobalMin(trials_used=5, x_best=2.5, f_best=0.1).point == 2.5
-        assert PrecisionExhausted(trials_used=5, interval=(3.5, 3.6)).point == 3.5
+        assert PrecisionExhausted(trials_used=5, interval=(3.5, 3.6),
+                                  cause="curvature_floor").point == 3.5
         assert BudgetExhausted(trials_used=5, best_so_far=4.5).point == 4.5
 
 
@@ -977,7 +1004,7 @@ class TestTraceInvariants:
         p = get_problem(pid)
         cfg = SolverConfig(method=method, lipschitz=curvature_bound(p) if method == "a1" else None)
         res = solve(p, cfg)
-        state = initialize(p, cfg)
+        state = initialize(p)
         rows = [(t, state.k, state.b_n) for t in state.trials]
         while (outcome := step(state, p, cfg)) is None:
             rows.append((max(state.trials, key=lambda t: t.birth), state.k, state.b_n))
@@ -1287,13 +1314,12 @@ class TestRecords:
         assert TraceRecord._fields == ("iter", "x", "f", "fprime", "k", "b_n")
 
     def test_search_state_holds_only_its_fields(self):
-        # a state is built from trials and sigma alone; the other fields are
+        # a state is built from its trials alone; the other fields are
         # derived, and b_n is a property, not a field
         st = state_from([0, 1], [1, 1], [0, 0])
         fields = dataclasses.fields(st)
-        assert [f.name for f in fields] == ["trials", "sigma", "k", "scan", "R", "pending",
-                                            "v", "gaps"]
-        assert [f.name for f in fields if f.init] == ["trials", "sigma"]
+        assert [f.name for f in fields] == ["trials", "k", "scan", "R", "pending", "v", "gaps"]
+        assert [f.name for f in fields if f.init] == ["trials"]
         with pytest.raises(AttributeError):
             st.extra = 1
 

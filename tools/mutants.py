@@ -12,8 +12,10 @@ into a temporary directory and every mutant is written there, so an
 interrupted run never leaves a mutant in the checkout.  Mutants run one after
 another, never in parallel.  Each one first meets a fast stage (the golden
 traces, the support, solver and curvature tests) and, if it survives that,
-the whole tier-1 suite with the known filter-cutoff failures deselected.  A
-stage that fails, or runs past TIMEOUT seconds, kills the mutant: some
+the whole tier-1 suite with the known filter-cutoff failures deselected.
+Every stage runs with `--hypothesis-seed=0`, so the property tests draw the
+same examples on every run and a rerun gives the same survivors.  A stage
+that fails, or runs past TIMEOUT seconds, kills the mutant: some
 mutants of the end-game clamp loop on `nextafter` for ever.
 
 A run writes the survivors to `tools/survivors.tsv`, one per line,
@@ -141,7 +143,8 @@ def _run(cmd: list[str], cwd: Path, timeout: float) -> str:
             proc.wait()
 
 
-_PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+_PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0"]
 STAGES = (_PYTEST + FAST,
           _PYTEST + ["--continue-on-collection-errors"]
           + [arg for node in KNOWN_FAILURES for arg in ("--deselect", node)])
