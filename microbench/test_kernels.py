@@ -9,11 +9,11 @@ This directory is outside the test paths of the tier-1 suite, which therefore
 does not collect it.  Each kernel benchmark times one pass over the 30
 intervals (for leftmost_zero, over those whose minorant reaches zero), with the
 bounds of the adaptive table, so the reported times are per pass, not per call.
-A SupportFunction derives its characteristic when it is built, so
+`build_support` derives a minorant's characteristic as it builds it, so
 `test_characteristic` times an accessor and `test_build_support` includes that
 derivation; `test_per_interval_path` times what a scan does per interval it
-rebuilds, from the trials to the minorant it keeps: the guard on the ends and
-the bound, the IntervalData built with `tuple.__new__`, and `build_support`.
+rebuilds, from the trials to the minorant it keeps: the IntervalData built
+with `tuple.__new__`, and `build_support`, which checks it.
 `test_scan_clean_pass` times an adaptive scan in which no slot is empty and no
 bound moved, so that nothing is rebuilt: the per-step cost of the walk outside
 minorant builds, each bound drawn from `iter_bounds` included.  It runs on 31
@@ -124,11 +124,7 @@ def test_per_interval_path(benchmark, trials, intervals):
     def scan_pass():
         out = []
         for p, (lo, hi) in enumerate(zip(trials, trials[1:])):
-            bound = m[p]
-            if lo.x < hi.x and bound > 0.0:
-                data = tuple.__new__(IntervalData, (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound))
-            else:
-                data = IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound)
+            data = tuple.__new__(IntervalData, (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, m[p]))
             out.append(build_support(data))
         return out
 

@@ -136,7 +136,8 @@ class SolverConfig:
     """Method selection and accuracy/budget settings.
 
     sigma is sigma_fraction * (b - a).  a1 requires a curvature bound
-    `lipschitz`; a2 uses the adaptive estimation parameters.
+    `lipschitz`; a2 uses the adaptive estimation parameters and refuses a
+    `lipschitz`, which it would ignore.
     """
 
     method: Literal["a1", "a2"] = "a2"
@@ -157,6 +158,8 @@ class SolverConfig:
                 raise ValueError("a1 requires a lipschitz bound (config.lipschitz)")
             if not 0.0 <= self.lipschitz < math.inf:
                 raise ValueError(f"lipschitz bound must be finite and >= 0, got {self.lipschitz}")
+        elif self.lipschitz is not None:
+            raise ValueError("a2 estimates its own bounds; config.lipschitz applies to a1 only")
 
     def resolve_sigma(self, a: float, b: float) -> float:
         return self.sigma_fraction * (b - a)
@@ -398,11 +401,9 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
     right of the stop are kept as they are: a later walk rebuilds them only
     once their bound moves.
 
-    An interval whose ends increase, lo.x < hi.x, and whose bound is positive
-    passes IntervalData's two checks, so its IntervalData is built with
-    `tuple.__new__`; any other one goes through the validating constructor,
-    which raises its ValueError for an unsorted state or a bound that is zero,
-    negative or NaN.
+    Every IntervalData is built with `tuple.__new__` and checked by
+    `build_support`, which raises ValueError for an unsorted state or a bound
+    that is zero, negative or NaN.
     """
     scan, R = state.scan, state.R
     trials = state.trials
@@ -410,10 +411,7 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
         sf = scan[p]
         if sf is None or sf.data.m != bound:
             lo, hi = trials[p], trials[p + 1]
-            if lo.x < hi.x and bound > 0.0:
-                data = tuple.__new__(IntervalData, (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound))
-            else:
-                data = IntervalData(lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound)
+            data = tuple.__new__(IntervalData, (lo.x, hi.x, lo.z, hi.z, lo.dz, hi.dz, bound))
             sf = scan[p] = build_support(data)
             R[p] = sf.char.R
         if R[p] <= 0.0:

@@ -33,12 +33,15 @@ and `_phi`, the search's float path, gives those bits too.  (The root
 formula of `leftmost_zero` keeps its `B ** 2`, the form its own reference
 formulas take.)
 
-A SupportFunction derives its interior stationary point and its
-characteristic once, when it is constructed; `interior_stationary_point`,
-`characteristic` and `leftmost_zero` read them from it.  The records
-IntervalData, SupportFunction and Characteristic are named tuples, cheap to
-build on the search's per-interval path: immutable, hashable, iterable, and
-equal to any tuple of the same values.
+The records IntervalData, SupportFunction and Characteristic are plain
+named tuples, cheap to build on the search's per-interval path: immutable,
+hashable, iterable, and equal to any tuple of the same values.  They check
+nothing.  `build_support` is the one checked builder of a minorant: it
+refuses interval data whose ends do not increase or whose bound is not
+positive, computes the knots, the vertex and q, and derives the interior
+stationary point and the characteristic once, in `_derive`;
+`interior_stationary_point`, `characteristic` and `leftmost_zero` read them
+from the record.
 """
 
 from __future__ import annotations
@@ -75,7 +78,10 @@ RIGHT_END = "right_end"
 _DISC_SLACK = 1e-12
 
 
-class _IntervalFields(NamedTuple):
+class IntervalData(NamedTuple):
+    """Endpoint samples of f over one interval plus a curvature bound m;
+    `build_support` requires x_left < x_right and m > 0."""
+
     x_left: float
     x_right: float
     z_left: float
@@ -83,21 +89,6 @@ class _IntervalFields(NamedTuple):
     dz_left: float
     dz_right: float
     m: float
-
-
-class IntervalData(_IntervalFields):
-    """Endpoint samples of f over one interval plus a curvature bound m;
-    construction raises ValueError unless x_left < x_right and m > 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, x_left: float, x_right: float, z_left: float, z_right: float,
-                dz_left: float, dz_right: float, m: float) -> "IntervalData":
-        if not x_left < x_right:
-            raise ValueError(f"x_left={x_left} must be < x_right={x_right}")
-        if not m > 0.0:
-            raise ValueError(f"curvature bound m={m} must be positive")
-        return tuple.__new__(cls, (x_left, x_right, z_left, z_right, dz_left, dz_right, m))
 
 
 class Characteristic(NamedTuple):
@@ -112,7 +103,13 @@ class Characteristic(NamedTuple):
     kind: str
 
 
-class _SupportFields(NamedTuple):
+class SupportFunction(NamedTuple):
+    """A built minorant: interval data, knots x_left <= y' <= y <= x_right,
+    the middle piece 0.5*m*(x - vertex)^2 + q, and what `build_support`
+    derives from them: x_hat, the vertex when it lies strictly between the
+    knots (else None), and char, the minimum of phi over the interval.
+    `interior_stationary_point` and `characteristic` return these two."""
+
     data: IntervalData
     y_prime: float
     y: float
@@ -122,39 +119,22 @@ class _SupportFields(NamedTuple):
     char: Characteristic
 
 
-class SupportFunction(_SupportFields):
-    """A built minorant: interval data, knots y' <= y and the middle piece
-    0.5*m*(x - vertex)^2 + q.
-
-    The constructor takes those five, raises ValueError unless
-    x_left <= y' <= y <= x_right, and derives the rest once, through the same
-    pass as `build_support`: x_hat, the vertex when it lies strictly between
-    the knots (else None), and char, the minimum of phi over the interval.
-    `interior_stationary_point` and `characteristic` return these two.  The
-    named-tuple methods `_make` and `_replace` skip the constructor and so the
-    check and the derivation: build a new SupportFunction instead.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, data: IntervalData, y_prime: float, y: float, vertex: float,
-                q: float) -> "SupportFunction":
-        if not data.x_left <= y_prime <= y <= data.x_right:
-            raise ValueError(f"knots y'={y_prime}, y={y} must satisfy "
-                             f"{data.x_left} <= y' <= y <= {data.x_right}")
-        return _derive(cls, data, y_prime, y, vertex, q)
-
-
 def build_support(data: IntervalData) -> SupportFunction:
     """Construct the three-piece minorant for one interval.
 
-    Raises DegenerateSlope when m*(x_right - x_left) + dz_right - dz_left <= 0,
-    which signals that m is below the derivative variation on the interval,
-    or when a knot leaves the interval by more than 1e-9*max(1, width); knots
-    within that tolerance are clamped onto the ends.  Raises NonFinite when a
-    knot is not finite, as when m, or m times the squared width, overflows.
+    Raises ValueError unless x_left < x_right and m > 0 (a NaN fails both
+    tests), before any arithmetic.  Raises DegenerateSlope when
+    m*(x_right - x_left) + dz_right - dz_left <= 0, which signals that m is
+    below the derivative variation on the interval, or when a knot leaves the
+    interval by more than 1e-9*max(1, width); knots within that tolerance are
+    clamped onto the ends.  Raises NonFinite when a knot is not finite, as
+    when m, or m times the squared width, overflows.
     """
     x_left, x_right, z_left, z_right, dz_left, dz_right, m = data
+    if not x_left < x_right:
+        raise ValueError(f"x_left={x_left} must be < x_right={x_right}")
+    if not m > 0.0:
+        raise ValueError(f"curvature bound m={m} must be positive")
     w = x_right - x_left
     denom = m * w + dz_right - dz_left
     if denom <= 0.0:
@@ -185,22 +165,22 @@ def build_support(data: IntervalData) -> SupportFunction:
     v = 2.0 * u_prime - dz_left / m
     g = u_prime - v
     q = z_left + dz_left * u_prime - 0.5 * m * (u_prime * u_prime) - 0.5 * m * (g * g)
-    return _derive(SupportFunction, data, x_left + u_prime, x_left + u, x_left + v, q)
+    return _derive(data, x_left + u_prime, x_left + u, x_left + v, q)
 
 
-def _derive(cls: type, data: IntervalData, y_prime: float, y: float, vertex: float,
+def _derive(data: IntervalData, y_prime: float, y: float, vertex: float,
             q: float) -> SupportFunction:
-    # x_hat and char in one pass: phi is smallest at the left end, the vertex
-    # (where phi = q) when it lies between the knots, or the right end; the
-    # leftmost wins a tie.
+    # the one place x_hat and char are derived, in one pass: phi is smallest
+    # at the left end, the vertex (where phi = q) when it lies between the
+    # knots, or the right end; the leftmost wins a tie.
     x_hat = vertex if y_prime < vertex < y else None
     h, R, kind = data.x_left, data.z_left, LEFT_END
     if x_hat is not None and q < R:
         h, R, kind = x_hat, q, INTERIOR
     if data.z_right < R:
         h, R, kind = data.x_right, data.z_right, RIGHT_END
-    return tuple.__new__(cls, (data, y_prime, y, vertex, q, x_hat,
-                               tuple.__new__(Characteristic, (h, R, kind))))
+    return tuple.__new__(SupportFunction, (data, y_prime, y, vertex, q, x_hat,
+                                           tuple.__new__(Characteristic, (h, R, kind))))
 
 
 def _check_inside(s: SupportFunction, x) -> None:

@@ -21,6 +21,7 @@ from firstroot import (
     registry,
 )
 from firstroot.problems import _FMAX_GRID, _ORACLE_GRID, on_mesh
+from firstroot.support import _derive
 
 
 # The paper's trials per solve on t01-t20, in problem order, by method.  The a1
@@ -285,6 +286,15 @@ def piece_slopes(sf, x):
     s2 = d.m * (x - sf.vertex)
     s3 = d.dz_right + d.m * (d.x_right - x)
     return s1, s2, s3
+
+
+def hand_built_support(data: IntervalData, y_prime: float, y: float, vertex: float,
+                       q: float) -> SupportFunction:
+    """A minorant with the given knots and middle piece, x_hat and char
+    derived by `support._derive` as `build_support` derives them: for knots,
+    signs of zero and ties that no build of these data places."""
+    assert data.x_left <= y_prime <= y <= data.x_right, (data, y_prime, y)
+    return _derive(data, y_prime, y, vertex, q)
 
 
 def random_interval_data(rng: np.random.Generator) -> IntervalData:

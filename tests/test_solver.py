@@ -39,7 +39,8 @@ from firstroot.errors import FirstRootError, NonFinite
 from firstroot.solver import TraceRecord, initialize, scan_characteristics, step
 from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
 
-from helpers import cosines_problem, deep_problems, effective_points, table_from
+from helpers import (cosines_problem, deep_problems, effective_points, hand_built_support,
+                     table_from)
 
 
 def state_from(xs, zs, dzs):
@@ -1281,7 +1282,7 @@ def _record_kwargs():
     sf = build_support(IntervalData(**data))
     return {
         IntervalData: data,
-        SupportFunction: dict(data=sf.data, y_prime=sf.y_prime, y=sf.y, vertex=sf.vertex, q=sf.q),
+        SupportFunction: sf._asdict(),
         Characteristic: dict(h=0.5, R=0.75, kind="interior"),
         Trial: dict(x=0.5, z=1.0, dz=-2.0, birth=3),
         TraceRecord: dict(iter=3, x=0.5, f=1.0, fprime=-2.0, k=4, b_n=1.0),
@@ -1304,10 +1305,12 @@ class TestRecords:
         twin = cls(**_record_kwargs()[cls])
         assert twin == rec and hash(twin) == hash(rec)
 
-    def test_support_function_derives_on_construction(self):
+    def test_build_support_derives_the_characteristic(self):
+        # the records check nothing; build_support derives x_hat and char, and
+        # a minorant built by hand from its knots and middle piece equals it
         sf = build_support(IntervalData(**_record_kwargs()[IntervalData]))
-        assert SupportFunction(**_record_kwargs()[SupportFunction]) == sf
         assert (sf.x_hat, sf.char) == (0.5, Characteristic(h=0.5, R=0.75, kind="interior"))
+        assert hand_built_support(sf.data, sf.y_prime, sf.y, sf.vertex, sf.q) == sf
 
     def test_trace_record_fields(self):
         # the keys of a JSONL trace line, in order
@@ -1341,3 +1344,9 @@ class TestConfigValidation:
     def test_bad_lipschitz(self, lipschitz):
         with pytest.raises(ValueError, match="lipschitz"):
             SolverConfig(method="a1", lipschitz=lipschitz)
+
+    @pytest.mark.parametrize("lipschitz", [0.0, 3.0])
+    def test_a2_refuses_a_bound_it_would_ignore(self, lipschitz):
+        with pytest.raises(ValueError, match=r"^a2 estimates its own bounds; "
+                                             r"config\.lipschitz applies to a1 only$"):
+            SolverConfig(method="a2", lipschitz=lipschitz)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,6 @@ from firstroot import (
     NoZero,
     NumericalDiscriminant,
     OutOfInterval,
-    SupportFunction,
     build_support,
     characteristic,
     eval_support,
@@ -31,6 +31,7 @@ from helpers import (
     check_endpoint_interpolation,
     data_scale,
     eq22_supports,
+    hand_built_support,
     left_root_middle,
     piece_slopes,
     piece_values,
@@ -88,8 +89,8 @@ def numpy_leftmost_zero(sf):
 
 
 def assert_kernels_match_numpy(sf):
-    """The float kernels, and the stationary point and characteristic a
-    SupportFunction derives, equal the numpy path with ==.  The numpy side gets a
+    """The float kernels, and the stationary point and characteristic that
+    `build_support` derives, equal the numpy path with ==.  The numpy side gets a
     scalar x, as the search evaluates it; every square on both sides is a
     product, so an x inside an array gets the same bits
     (TestEval::test_a_float_and_an_array_give_the_same_bits)."""
@@ -131,10 +132,19 @@ class TestBuild:
         assert p1 == pytest.approx(0.875, abs=1e-12)
         assert p2 == pytest.approx(0.875, abs=1e-12)
 
-    def test_degenerate_slope_raises(self):
-        with pytest.raises(DegenerateSlope):
-            build_support(IntervalData(x_left=0.0, x_right=1.0, z_left=1.0, z_right=1.0,
-                                       dz_left=1.0, dz_right=-2.0, m=0.5))
+    @pytest.mark.parametrize("data", [
+        IntervalData(0.0, 1.0, 1.0, 1.0, 1.0, -2.0, 0.5),
+        # data whose knots would both lie left of the interval: denominators
+        # -0.6 and -0.4
+        IntervalData(0.5, 2.0, 1.0, -2.15, 0.5, -3.1, 2.0),
+        IntervalData(0.5, 2.0, 1.0, -2.35, 0.5, -2.9, 2.0),
+        # both right of it: the denominator is 0
+        IntervalData(0.5, 2.0, 1.0, 1.5 * 3.1 - 1.25, 3.1, 3.1 - 3.0, 2.0),
+        IntervalData(0.5, 2.0, 1.0, 1.5 * 2.9 - 1.25, 2.9, 2.9 - 3.0, 2.0),
+    ])
+    def test_degenerate_slope_raises(self, data):
+        with pytest.raises(DegenerateSlope, match=r"denominator \S+ <= 0"):
+            build_support(data)
 
     def test_right_knot_alone_leaving_the_interval_raises(self):
         # m*w + dz_right - dz_left = 3 > 0 passes the slope test, but f' rises
@@ -169,13 +179,18 @@ class TestBuild:
             build_support(IntervalData(x_left=0.2, x_right=7.0, z_left=5.0, z_right=-42.0,
                                        dz_left=0.2, dz_right=-17.1, m=m))
 
-    def test_bad_interval_data_rejected(self):
-        with pytest.raises(ValueError):
-            IntervalData(x_left=1.0, x_right=0.0, z_left=0, z_right=0,
-                         dz_left=0, dz_right=0, m=1.0)
-        with pytest.raises(ValueError):
-            IntervalData(x_left=0.0, x_right=1.0, z_left=0, z_right=0,
-                         dz_left=0, dz_right=0, m=0.0)
+    @pytest.mark.parametrize("x_left, x_right, m, message", [
+        (1.0, 0.0, 1.0, "x_left=1.0 must be < x_right=0.0"),
+        (1.0, 1.0, 1.0, "x_left=1.0 must be < x_right=1.0"),
+        (0.0, 1.0, 0.0, "curvature bound m=0.0 must be positive"),
+        (0.0, 1.0, -1.0, "curvature bound m=-1.0 must be positive"),
+        (0.0, 1.0, math.nan, "curvature bound m=nan must be positive"),
+    ])
+    def test_bad_interval_data_rejected(self, x_left, x_right, m, message):
+        data = IntervalData(x_left=x_left, x_right=x_right, z_left=0.0, z_right=0.0,
+                            dz_left=0.0, dz_right=0.0, m=m)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_support(data)
 
 
 class TestEval:
@@ -271,18 +286,18 @@ class TestCharacteristic:
 
     def test_tie_breaks_leftmost(self):
         # hand-assembled: equal endpoint values with a one-signed middle slope,
-        # or a middle minimum equal to z_left, cannot arise from the
-        # constructor, but the argmin rule must still resolve each tie to the
-        # leftmost candidate deterministically
+        # or a middle minimum equal to z_left, cannot arise from
+        # build_support, but the argmin rule must still resolve each tie to
+        # the leftmost candidate deterministically
         data = IntervalData(x_left=0.0, x_right=1.0, z_left=1.0, z_right=1.0,
                             dz_left=0.5, dz_right=0.5, m=0.1)
-        sf = SupportFunction(data=data, y_prime=0.2, y=0.8, vertex=0.9, q=0.0)
+        sf = hand_built_support(data, y_prime=0.2, y=0.8, vertex=0.9, q=0.0)
         assert interior_stationary_point(sf) is None
         assert characteristic(sf) == (0.0, 1.0, LEFT_END)
-        sf = SupportFunction(data=data, y_prime=0.2, y=0.8, vertex=0.5, q=1.0)
+        sf = hand_built_support(data, y_prime=0.2, y=0.8, vertex=0.5, q=1.0)
         assert interior_stationary_point(sf) == 0.5
         assert characteristic(sf) == (0.0, 1.0, LEFT_END)
-        sf = SupportFunction(data._replace(z_left=2.0), 0.2, 0.8, 0.5, 1.0)
+        sf = hand_built_support(data._replace(z_left=2.0), 0.2, 0.8, 0.5, 1.0)
         assert characteristic(sf) == (0.5, 1.0, INTERIOR)
 
     def test_bound_on_random_data(self):
@@ -396,35 +411,10 @@ class TestKnotsAtTheEnds:
                 assert interior_stationary_point(sf) == numpy_stationary_point(sf)
                 assert characteristic(sf) == numpy_characteristic(sf), (M, vertex, m)
 
-    @pytest.mark.parametrize("dz_right, z_right", [(-3.1, -2.15), (-2.9, -2.35)])
-    def test_both_knots_left_of_the_interval(self, dz_right, z_right):
-        # knots that no build places: the constructor refuses them, as
-        # IntervalData refuses its own fields out of order
-        data = IntervalData(x_left=0.5, x_right=2.0, z_left=1.0, z_right=z_right,
-                            dz_left=0.5, dz_right=dz_right, m=2.0)
-        with pytest.raises(ValueError, match=r"knots y'=0\.2, y=0\.4 must satisfy"):
-            SupportFunction(data, 0.2, 0.4, 0.3, 0.7)
-        with pytest.raises(ValueError):
-            SupportFunction(data, math.nextafter(0.5, 0.0), 1.0, 0.3, 0.7)
-
-    @pytest.mark.parametrize("dz_left", [3.1, 2.9])
-    def test_both_knots_right_of_the_interval(self, dz_left):
-        data = IntervalData(x_left=0.5, x_right=2.0, z_left=1.0, z_right=1.5 * dz_left - 1.25,
-                            dz_left=dz_left, dz_right=dz_left - 3.0, m=2.0)
-        with pytest.raises(ValueError, match=r"knots y'=2\.2, y=2\.4 must satisfy"):
-            SupportFunction(data, 2.2, 2.4, 0.3, 0.7)
-        with pytest.raises(ValueError):
-            SupportFunction(data, 1.0, math.nextafter(2.0, math.inf), 0.3, 0.7)
-        with pytest.raises(ValueError):  # y' > y
-            SupportFunction(data, 1.5, 1.0, 0.3, 0.7)
-        # the ends themselves are valid knots
-        sf = SupportFunction(data, 0.5, 2.0, 0.3, 0.7)
-        assert (sf.y_prime, sf.y) == (0.5, 2.0)
-
     def test_negative_zero_knot_on_a_zero_left_end(self):
         sf = build_support(quadratic_interval(*self.CASES["unit"][:5], 4.0))
         assert (sf.data.x_left, sf.y_prime, sf.y) == (0.0, 0.0, 1.0)
-        signed = SupportFunction(sf.data, -0.0, sf.y, sf.vertex, sf.q)
+        signed = hand_built_support(sf.data, -0.0, sf.y, sf.vertex, sf.q)
         assert math.copysign(1.0, signed.y_prime) == -1.0
         assert interior_stationary_point(signed) == numpy_stationary_point(signed) == 0.25
         assert characteristic(signed) == numpy_characteristic(signed) == characteristic(sf)

@@ -14,9 +14,12 @@ another, never in parallel.  Each one first meets a fast stage (the golden
 traces, the support, solver and curvature tests) and, if it survives that,
 the whole tier-1 suite with the known filter-cutoff failures deselected.
 Every stage runs with `--hypothesis-seed=0`, so the property tests draw the
-same examples on every run and a rerun gives the same survivors.  A stage
-that fails, or runs past TIMEOUT seconds, kills the mutant: some
-mutants of the end-game clamp loop on `nextafter` for ever.
+same examples on every run and a rerun gives the same survivors.  The
+unmutated copy runs every stage first, and each stage's time there, times
+TIMEOUT_FACTOR, is that stage's limit.  A stage that fails, or runs past its
+limit, kills the mutant: some mutants of the end-game clamp loop on
+`nextafter` for ever.  The run ends by listing the mutants killed by timeout
+and the time their stages took.
 
 A run writes the survivors to `tools/survivors.tsv`, one per line,
 tab-separated: where (file:line:column, counted from 1), the mutation, the
@@ -25,8 +28,8 @@ reason of every survivor whose file, column, mutation and source line are
 unchanged and marks new ones UNEXPLAINED.  A run over some of the targets
 rewrites only their count lines and survivors and keeps those of the others.
 
-Run from the root of the checkout (about 46 minutes on one core for all six
-files), optionally naming the targets:
+Run from the root of the checkout (about 19 minutes on one core for
+support.py and solver.py), optionally naming the targets:
 
     python tools/mutants.py
     python tools/mutants.py problems.py
@@ -62,8 +65,10 @@ KNOWN_FAILURES = ["tests/test_acceptance.py::test_chebyshev_cutoff_location",
                   "tests/test_acceptance.py::test_passband_cutoff_location"]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 SURVIVORS = ROOT / "tools" / "survivors.tsv"
-# seconds per stage; the fast stage takes about 5 s, the whole suite about 20
-TIMEOUT = 120.0
+# a stage's limit, as a multiple of its time on the unmutated copy: mutants
+# that loop for ever spend the whole limit, and a mutant that passes runs
+# about as long as the unmutated copy
+TIMEOUT_FACTOR = 3.0
 
 
 class Mutant(NamedTuple):
@@ -127,9 +132,10 @@ def find_mutants(target: str, source: str) -> list[Mutant]:
     return sorted(out, key=lambda m: (m.line, m.col))
 
 
-def _run(cmd: list[str], cwd: Path, timeout: float) -> str:
-    """'pass', 'fail' or 'timeout'.  A run still going when this returns or
-    raises (a timeout, an interrupt) is killed with its process group."""
+def _run(cmd: list[str], cwd: Path, timeout: float | None) -> str:
+    """'pass', 'fail' or 'timeout'; a timeout of None waits for ever.  A run
+    still going when this returns or raises (a timeout, an interrupt) is
+    killed with its process group."""
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
@@ -150,14 +156,26 @@ STAGES = (_PYTEST + FAST,
           + [arg for node in KNOWN_FAILURES for arg in ("--deselect", node)])
 
 
-def _verdict(work: Path) -> str:
-    """'pass' when every stage passes, else the first stage's 'fail' or
-    'timeout'."""
-    for cmd in STAGES:
-        result = _run(cmd, work, TIMEOUT)
+def _verdict(work: Path, limits: list[float]) -> str:
+    """'pass' when every stage passes within its limit, else the first
+    stage's 'fail' or 'timeout'."""
+    for cmd, limit in zip(STAGES, limits):
+        result = _run(cmd, work, limit)
         if result != "pass":
             return result
     return "pass"
+
+
+def _limits(work: Path) -> list[float] | None:
+    """Each stage's limit, TIMEOUT_FACTOR times its time on the unmutated
+    copy in work, or None when a stage fails there."""
+    limits = []
+    for cmd in STAGES:
+        began = time.monotonic()
+        if _run(cmd, work, None) != "pass":
+            return None
+        limits.append(TIMEOUT_FACTOR * (time.monotonic() - began))
+    return limits
 
 
 def read_reasons(path: Path) -> dict[tuple, str]:
@@ -219,7 +237,7 @@ def main(targets: list[str]) -> int:
     # on SIGTERM too, unwind: kill the running stage, remove the copy
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     counts = {target: [0, 0, 0] for target in sources}
-    survivors = []
+    survivors, timeouts = [], []
     began = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
@@ -230,14 +248,17 @@ def main(targets: list[str]) -> int:
                                 ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
             else:
                 shutil.copy2(src, work / name)
-        if _verdict(work) != "pass":
+        limits = _limits(work)
+        if limits is None:
             print("the unmutated checkout fails its tests; no mutant run", file=sys.stderr)
             return 1
+        print("stage limits: " + ", ".join(f"{t:.0f}s" for t in limits), flush=True)
         for i, m in enumerate(mutants, 1):
             path = work / "src" / "firstroot" / m.target
             source = sources[m.target]
             path.write_text(source[:m.start] + m.new + source[m.start + len(m.old):])
-            result = _verdict(work)
+            started = time.monotonic()
+            result = _verdict(work, limits)
             path.write_text(source)
             counts[m.target][0] += 1
             if result == "pass":
@@ -245,9 +266,15 @@ def main(targets: list[str]) -> int:
             else:
                 counts[m.target][1] += 1
                 counts[m.target][2] += result == "timeout"
+                if result == "timeout":
+                    timeouts.append((m, time.monotonic() - started))
             print(f"[{i}/{len(mutants)} {time.monotonic() - began:.0f}s] {m.where} "
                   f"{m.old} -> {m.new}: {'SURVIVED' if result == 'pass' else result}",
                   flush=True)
+    for m, seconds in timeouts:
+        print(f"timeout: {m.where}\t{m.old} -> {m.new}\t{m.text}\t{seconds:.0f}s")
+    print(f"{len(timeouts)} timeouts took {sum(s for _, s in timeouts):.0f} of the run's "
+          f"{time.monotonic() - began:.0f}s")
     for m in survivors:
         print(f"survived: {m.where}\t{m.old} -> {m.new}\t{m.text}")
     print(f"{len(survivors)} of {len(mutants)} mutants survived")
