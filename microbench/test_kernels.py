@@ -39,10 +39,13 @@ included.
 `test_grid_search[t01]` and `test_grid_search_trace_read` time the 4135-step
 grid scan of t01, the first with its trace left unread, the second reading it
 in full: the trace builds its records on first read, so the difference is the
-cost of that build.  `test_grid_search[passband]` times a scan that stops at
-step 57, inside its first 4096-point chunk: f on the whole chunk, and f' (the
-exact derivative P', in one vectorized call) only up to the first negative f,
-at 58 points.
+cost of that build.  Each chunk's mesh is built in place, and only a chunk
+whose last point passes b is clamped to it.  `test_grid_search[passband]`
+times a scan that stops at step 57, inside its first 4096-point chunk: f on
+the whole chunk, and f' (the exact derivative P', in one vectorized call) only
+up to the first negative f, at 58 points.  `test_grid_search[t12]` times the
+4931-step scan of t12, whose second chunk crosses the joint of its two pieces
+at pi: `_piecewise` evaluates each piece on its own points only.
 
 `test_filter_objective[chebyshev]` and `test_filter_objective[passband]`
 time what one trial of a filter problem costs in evaluation: one scalar f and
@@ -219,7 +222,7 @@ def _grid(pid):
     return problem, 1e-4 * (problem.b - problem.a)
 
 
-@pytest.mark.parametrize("pid, steps", [("t01", 4135), ("passband", 57)])
+@pytest.mark.parametrize("pid, steps", [("t01", 4135), ("passband", 57), ("t12", 4931)])
 def test_grid_search(benchmark, pid, steps):
     problem, sigma = _grid(pid)
     assert benchmark(grid_search, problem, sigma).outcome.trials_used == steps

@@ -5,8 +5,9 @@ component values (module constants).
 Every objective and derivative accepts a float or an ndarray (numpy ufunc
 style); the solver evaluates them pointwise and the grid scan vectorized
 through `on_mesh`, which also accepts a scalar result for an array.  t12's
-pieces are joined by `_piecewise`, which evaluates a scalar on its own side
-only.
+pieces are joined by `_piecewise`, which evaluates each piece only on its own
+points: an array's points at or below pi go to the left piece and the rest to
+the right one, and a scalar to the side it falls on.
 
 The one-off scans, the dense-grid oracles `find_fmax` and
 `exact_lipschitz_oracle`, never hold a whole mesh.  Each block of
@@ -92,12 +93,17 @@ class Problem:
 
 
 def _piecewise(x, x0, left, right):
-    """left(x) where x <= x0, else right(x).  An ndarray takes both sides and
-    `np.where`; a scalar evaluates only the side it falls on, so a float or
-    a 0-d array gives an np.float64 scalar, not a 0-d array."""
+    """left(x) where x <= x0, else right(x).  Each side is evaluated only on
+    its own points: an ndarray gives left the points at or below x0 and
+    right the rest, and a scalar evaluates only the side it falls on, so a
+    float or a 0-d array gives an np.float64 scalar, not a 0-d array."""
     below = x <= x0
     if isinstance(below, np.ndarray):
-        return np.where(below, left(x), right(x))
+        out = np.empty(below.shape)
+        out[below] = left(x[below])
+        above = ~below
+        out[above] = right(x[above])
+        return out
     return left(x) if below else right(x)
 
 

@@ -65,13 +65,17 @@ interval.  Which method runs, with which bound, is resolved by
 A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
 the geometric methods are benchmarked against.  It takes f on whole chunks of
 the mesh but f' only up to the first negative f of a chunk, since the scan
-stops there at the latest.  It keeps the trace as the chunks of x, f and f'
-it evaluated, and joins them into records the first time the trace is read.
+stops there at the latest.  Each chunk's mesh is built in place and clamped to
+b only when its last point passes b, which only the last chunk can do, and
+the first negative f and the first tangent hit are each found by one `argmax`.
+It keeps the trace as the chunks of x, f and f' it evaluated, and joins them
+into records the first time the trace is read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -115,6 +119,19 @@ __all__ = [
 _MIN_CURVATURE = 1e-6
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """Refuse a trial count that is not an integer (a bool included, though
+    Python counts it as one) or is below `least`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 class Trial(NamedTuple):
     """One evaluation of f and f': abscissa, values, and birth iteration.
 
@@ -137,7 +154,8 @@ class SolverConfig:
 
     sigma is sigma_fraction * (b - a).  a1 requires a curvature bound
     `lipschitz`; a2 uses the adaptive estimation parameters and refuses a
-    `lipschitz`, which it would ignore.
+    `lipschitz`, which it would ignore.  max_trials must be an integer (not a
+    bool) of at least 2.
     """
 
     method: Literal["a1", "a2"] = "a2"
@@ -151,8 +169,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not self.sigma_fraction > 0.0:
             raise ValueError("sigma_fraction must be positive")
-        if self.max_trials < 2:
-            raise ValueError("max_trials must be at least 2")
+        _check_count(self.max_trials, "max_trials", 2)
         if self.method == "a1":
             if self.lipschitz is None:
                 raise ValueError("a1 requires a lipschitz bound (config.lipschitz)")
@@ -676,17 +693,26 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     covered the whole interval, else as BudgetExhausted, since f was never
     looked at beyond the last mesh point.  `cap` defaults to, and is clamped
     to, the number of steps that covers the interval, which is at least one:
-    a sigma wider than the interval takes a single step, to b.
+    a sigma wider than the interval takes a single step, to b.  A cap that is
+    not an integer, a bool included, raises TypeError before any evaluation.
 
     f is evaluated in vectorized chunks of _GRID_CHUNK mesh points (`on_mesh`,
     so an f or f' that returns a scalar is broadcast), every point of the
-    chunk at once.  f' is evaluated, in one call per chunk, only at the points
-    up to and including the chunk's first negative f (all of them when there
-    is none), since the stop lies there or before it: the tangent test needs
-    f' at every point before the stop and the trace records it at the stop,
-    so an f' that is undefined or raises past the first negative f does no
-    harm.  Like `solve`, the scan raises NonFinite when f or f' is not finite
-    at a mesh point up to and including the one it stops at.
+    chunk at once.  A chunk's mesh is built in place: the step numbers as
+    floats, times sigma, plus a, the same products and sums as
+    a + j*sigma.  The points never decrease, so a chunk whose last point does
+    not pass b has no point past it and is left as it is; only the last
+    chunk can pass b, and it is clamped to b.  f' is evaluated, in one call
+    per chunk, only at the points up to and including the chunk's first
+    negative f (all of them when there is none), since the stop lies there or
+    before it: the tangent test needs f' at every point before the stop and
+    the trace records it at the stop, so an f' that is undefined or raises
+    past the first negative f does no harm.  The first negative f and the
+    first tangent hit are each found by `argmax` on the test's boolean array,
+    which gives the first True, or 0 when there is none, and one read of that
+    element, which tells the two apart.  Like `solve`, the scan raises
+    NonFinite when f or f' is not finite at a mesh point up to and including
+    the one it stops at.
 
     The trace keeps the chunks of x, f and f' up to the stop and builds its
     records, one per step with k = iter and b_n = x, the first time it is
@@ -695,8 +721,8 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be at least 1")
+    if cap is not None:
+        _check_count(cap, "cap", 1)
     a, b = problem.a, problem.b
     full = _grid_cap(a, b, sigma)
     cap = full if cap is None else min(cap, full)
@@ -705,24 +731,34 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     j = 1
     while j <= cap:
         hi = min(j + _GRID_CHUNK - 1, cap)
-        # the last step of the mesh may reach past b; its point is b itself
-        xs = np.minimum(a + np.arange(j, hi + 1, dtype=float) * sigma, b)
+        # a + j*sigma, built in place; the points never decrease, so only the
+        # last chunk's last step can reach past b, and its point is b itself
+        xs = np.arange(j, hi + 1, dtype=float)
+        xs *= sigma
+        xs += a
+        if xs[-1] > b:
+            np.minimum(xs, b, out=xs)
         fs = on_mesh(problem.f, xs)
         # the stop is the first tangent hit or the first negative f, whichever
         # comes first, so f' is taken up to the first negative f and no further
-        below = np.flatnonzero(fs < 0.0)
-        n = int(below[0]) + 1 if len(below) else len(xs)
+        below = fs < 0.0
+        n = int(below.argmax()) + 1
+        negative = bool(below[n - 1])
+        if not negative:
+            n = len(xs)
         dfs = on_mesh(problem.df, xs[:n])
-        hits = np.flatnonzero(fs[:n] <= -0.5 * sigma * dfs)
-        if len(hits):
-            n = int(hits[0]) + 1
+        hits = fs[:n] <= -0.5 * sigma * dfs
+        hit = int(hits.argmax())
+        tangent = bool(hits[hit])
+        if tangent:
+            n = hit + 1
         xs, fs, dfs = xs[:n], fs[:n], dfs[:n]
         if not (np.isfinite(fs).all() and np.isfinite(dfs).all()):
             bad = int(np.flatnonzero(~(np.isfinite(fs) & np.isfinite(dfs)))[0])
             raise NonFinite(f"non-finite evaluation at x={float(xs[bad])}: "
                             f"f={float(fs[bad])}, f'={float(dfs[bad])}")
         chunks.append((xs, fs, dfs))
-        if len(hits) or len(below):
+        if tangent or negative:
             j_stop = j + n - 1
             if fs[n - 1] >= 0.0:
                 x_sigma = float(xs[n - 1])

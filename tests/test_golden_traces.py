@@ -1,10 +1,12 @@
-"""Golden traces: a1 and a2 on the 22-problem matrix must reproduce, bit for
-bit, the outcomes and traces stored in tests/data/golden_traces.json.
+"""Golden traces: a1, a2 and the grid scan on the 22-problem matrix must
+reproduce, bit for bit, the outcomes and traces stored in
+tests/data/golden_traces.json.
 
 Each entry holds the outcome tag, trials_used, the reported point as
 float.hex and the SHA-256 of the trace as the CLI writes it (one JSON object
 per line).  The settings are those of `firstroot.bench.run_matrix`: sigma =
-1e-4 * (b - a), r = 1.2, xi = 1e-6 and, for a1, `curvature_bound(problem)`.
+1e-4 * (b - a), r = 1.2, xi = 1e-6 and, for a1, `curvature_bound(problem)`;
+the grid runs uncapped, so it covers [a, b] when it finds no root.
 
 A change that is meant to move a trace must regenerate the file, with
 `PYTHONPATH=src python tests/test_golden_traces.py`, and say which entries moved and why.
@@ -20,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from firstroot import (EstimationParams, SolverConfig, all_ids, curvature_bound, get_problem,
-                       solve)
+from firstroot import all_ids, get_problem
+from firstroot.bench import run_method
 
 GOLDEN = Path(__file__).with_name("data") / "golden_traces.json"
 SETTINGS = {"sigma_fraction": 1e-4, "r": 1.2, "xi": 1e-6,
@@ -29,13 +31,8 @@ SETTINGS = {"sigma_fraction": 1e-4, "r": 1.2, "xi": 1e-6,
 
 
 def golden_entry(problem_id: str, method: str) -> dict:
-    problem = get_problem(problem_id)
-    config = SolverConfig(
-        method=method,
-        lipschitz=curvature_bound(problem) if method == "a1" else None,
-        params=EstimationParams(r=SETTINGS["r"], xi=SETTINGS["xi"]),
-        sigma_fraction=SETTINGS["sigma_fraction"])
-    result = solve(problem, config)
+    result, _ = run_method(get_problem(problem_id), method, SETTINGS["sigma_fraction"],
+                           SETTINGS["r"], SETTINGS["xi"])
     lines = "".join(json.dumps(record._asdict()) + "\n" for record in result.trace)
     return {"tag": result.outcome.tag,
             "trials_used": result.outcome.trials_used,
@@ -48,7 +45,7 @@ def _golden() -> dict:
 
 
 def _matrix() -> list[str]:
-    return [f"{pid}/{method}" for pid in all_ids() for method in ("a1", "a2")]
+    return [f"{pid}/{method}" for pid in all_ids() for method in ("a1", "a2", "grid")]
 
 
 def test_golden_file_covers_the_matrix():

@@ -47,6 +47,7 @@ from firstroot.problems import (
     PASSBAND_DOMAIN,
     TESTBED_DOMAIN,
     _mesh_slice,
+    _piecewise,
     on_mesh,
 )
 
@@ -413,6 +414,57 @@ class TestOnMesh:
         assert y is out and y.flags.writeable
         ints = on_mesh(lambda v: np.arange(len(v)), x)
         assert ints.dtype == float and ints.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+class TestPiecewise:
+    """`_piecewise` with t12's pieces, each wrapped to record the points it is
+    given."""
+
+    @staticmethod
+    def pieces():
+        seen = {"left": [], "right": []}
+
+        def left(x):
+            seen["left"].append(np.array(x, copy=True))
+            return np.sin(5 * x) + 2.0
+
+        def right(x):
+            seen["right"].append(np.array(x, copy=True))
+            return 5 * np.sin(x) + 2.0
+
+        return left, right, seen
+
+    def test_each_piece_sees_only_its_own_points(self):
+        left, right, seen = self.pieces()
+        x = np.array([3.0, 3.2, np.pi, 3.1, 4.0])
+        _piecewise(x, np.pi, left, right)
+        assert [v.tolist() for v in seen["left"]] == [[3.0, np.pi, 3.1]]
+        assert [v.tolist() for v in seen["right"]] == [[3.2, 4.0]]
+
+    @pytest.mark.parametrize("x", [np.sort(np.append(np.linspace(2.5, 3.8, 1001), np.pi)),
+                                   np.linspace(0.2, 3.0, 257), np.linspace(3.2, 7.0, 257),
+                                   np.empty(0)],
+                             ids=["across-pi", "below", "above", "empty"])
+    def test_values_equal_both_pieces_everywhere(self, x):
+        left, right, seen = self.pieces()
+        got = _piecewise(x, np.pi, left, right)
+        n = int((x <= np.pi).sum())
+        assert [len(v) for v in seen["left"]] == [n]
+        assert [len(v) for v in seen["right"]] == [len(x) - n]
+        want = np.where(x <= np.pi, left(x), right(x))
+        assert got.shape == x.shape and got.dtype == float
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    @pytest.mark.parametrize("x, side", [(3.0, "left"), (math.pi, "left"), (4.0, "right"),
+                                         (np.array(3.0), "left"), (np.array(4.0), "right")],
+                             ids=["float-below", "float-at-x0", "float-above", "0-d-below",
+                                  "0-d-above"])
+    def test_a_scalar_evaluates_its_own_side_only(self, x, side):
+        left, right, seen = self.pieces()
+        got = _piecewise(x, np.pi, left, right)
+        assert type(got) is np.float64
+        assert [len(seen["left"]), len(seen["right"])] == ([1, 0] if side == "left" else [0, 1])
+        assert got == (left if side == "left" else right)(float(x))
 
 
 class TestLipschitzOracle:

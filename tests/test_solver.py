@@ -1116,6 +1116,21 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(get_problem("t01"), sigma=0.1, cap=0)
 
+    @pytest.mark.parametrize("cap", [2.5, True])
+    def test_cap_that_is_no_integer_is_refused_before_any_evaluation(self, cap):
+        # 2.5 used to give a trace whose len raised TypeError, and True to
+        # report trials_used=True
+        calls = []
+        p = linear_problem()
+        counted = dataclasses.replace(p, f=lambda x: calls.append(x) or p.f(x))
+        with pytest.raises(TypeError, match=rf"^cap must be an integer, got {cap!r}$"):
+            grid_search(counted, 6.8e-4, cap=cap)
+        assert calls == []
+
+    def test_cap_may_be_a_numpy_integer(self):
+        p = get_problem("t02")
+        assert grid_search(p, 6.8e-4, cap=np.int64(50)) == grid_search(p, 6.8e-4, cap=50)
+
     @pytest.mark.parametrize("sigma", [math.inf, 1e10 * 6.8])
     def test_sigma_wider_than_the_interval_takes_one_step_to_b(self, sigma):
         # f(7) < 0 on t01: the single step lands on b and the sigma-root is a,
@@ -1339,6 +1354,12 @@ class TestConfigValidation:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             SolverConfig(max_trials=1)
+
+    @pytest.mark.parametrize("max_trials", [2.5, True])
+    def test_budget_that_is_no_integer_is_refused(self, max_trials):
+        # 2.5 used to be accepted, and the solve stopped after 3 trials
+        with pytest.raises(TypeError, match=rf"^max_trials must be an integer, got {max_trials!r}$"):
+            SolverConfig(method="a2", max_trials=max_trials)
 
     @pytest.mark.parametrize("lipschitz", [None, -1.0, math.nan, math.inf])
     def test_bad_lipschitz(self, lipschitz):
