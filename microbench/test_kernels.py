@@ -71,23 +71,19 @@ import pytest
 import firstroot.solver as solver
 from firstroot import (
     EstimationParams,
-    IntervalData,
     SearchState,
     SolverConfig,
     Trial,
-    build_curvature_table,
-    build_support,
-    characteristic,
     curvature_bound,
     exact_lipschitz_oracle,
     find_fmax,
     get_problem,
     grid_search,
-    leftmost_zero,
     solve,
 )
-from firstroot.curvature import iter_bounds
+from firstroot.curvature import build_curvature_table, iter_bounds
 from firstroot.problems import FILTERS
+from firstroot.support import IntervalData, build_support, characteristic, leftmost_zero
 
 PARAMS = EstimationParams()
 

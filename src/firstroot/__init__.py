@@ -1,7 +1,7 @@
 """firstroot: guaranteed localization of the first root from the left of a
 function whose derivative is Lipschitz continuous."""
 
-from .curvature import CurvatureTable, EstimationParams, build_curvature_table, interval_curvature
+from .curvature import EstimationParams
 from .errors import (
     BadInitialCondition,
     DegenerateInterval,
@@ -11,7 +11,6 @@ from .errors import (
     NonFinite,
     NoZero,
     NumericalDiscriminant,
-    OutOfInterval,
     UnknownProblem,
 )
 from .problems import (
@@ -38,17 +37,6 @@ from .solver import (
     Trial,
     grid_search,
     solve,
-)
-from .support import (
-    Characteristic,
-    IntervalData,
-    SupportFunction,
-    build_support,
-    characteristic,
-    eval_support,
-    eval_support_derivative,
-    interior_stationary_point,
-    leftmost_zero,
 )
 
 __version__ = "0.1.0"

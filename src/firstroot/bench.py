@@ -1,10 +1,8 @@
 """Benchmark harness: run (problem x method) matrices and emit report tables.
 
 `run_method` is the one place that turns a method name and its settings into
-a call of `grid_search` or `solve`: it resolves sigma, builds the SolverConfig
-and, for a1 without a given bound, takes K from `problems.curvature_bound`.
-The matrix runs every cell through it, and so does the `solve` command of the
-command line.
+a call of `grid_search` or `solve`: the matrix runs every cell through it, and
+so does the `solve` command of the command line.
 
 SolverConfig and EstimationParams are the one home of the default and the
 check of sigma_fraction, r, xi, the trial budget and the default method, and

@@ -9,17 +9,6 @@ window), a width-scaled share of the global estimate, and a small floor:
 
 with r > 1 a reliability multiplier and xi > 0 covering the case of f'
 locally constant (v = 0 there).
-
-`iter_bounds` is the only place that applies this formula: it turns the
-estimates v and the interval widths into the bounds m, left to right, in a
-single loop of float comparisons, yielding each bound as it goes.
-`build_curvature_table` computes v and the widths from scratch and collects
-every bound of `iter_bounds`.  The adaptive search calls
-`build_curvature_table` once, to seed v and the widths, and from then on
-keeps them up to date as it adds trials; at every step its scan draws the
-bounds from `iter_bounds` one slot at a time and stops drawing where the scan
-stops.  The tests hold `iter_bounds` to the formula written column by column
-(`tests/helpers.py`).
 """
 
 from __future__ import annotations
@@ -82,7 +71,8 @@ def iter_bounds(v: Sequence[float], gaps: Sequence[float],
                 params: EstimationParams) -> Iterator[float]:
     """The bounds m from the estimates v and the widths `gaps` of the
     intervals, entry p of each describing the interval between trials p and
-    p+1, yielded left to right in one pass over the intervals.
+    p+1, yielded left to right in one pass over the intervals: the one place
+    that applies the formula m_i.
 
     lambda_p is the largest v over intervals p-1 .. p+1, found by comparing
     v_p with its two neighbours; gamma_p is the global estimate m_global =

@@ -1,5 +1,5 @@
 """Exception types raised by the firstroot package.  Each class names what
-raises it: `solve` or `grid_search`, or only a public helper on caller input."""
+raises it: `solve` or `grid_search`, or only a helper on caller input."""
 
 
 class FirstRootError(Exception):
@@ -7,17 +7,11 @@ class FirstRootError(Exception):
 
 
 class DegenerateSlope(FirstRootError):
-    """The curvature bound m is too small for the interval's derivative change.
-
-    The shared denominator m*(x_right - x_left) + dz_right - dz_left of the
-    knot formulas is <= 0; the caller must raise m or abort.
-    Raised by `build_support`, and so by `solve` under a1 with a K below f's curvature.
-    """
-
-
-class OutOfInterval(FirstRootError):
-    """Evaluation point lies outside the interval of a support function;
-    raised only by `eval_support` and `eval_support_derivative`, on caller input."""
+    """The curvature bound m is too small for the interval's derivative change:
+    the shared denominator m*(x_right - x_left) + dz_right - dz_left of the
+    knot formulas is <= 0, or a knot leaves the interval.  Raised by
+    `build_support`, and so by `solve`: under a1 with a K below f's curvature,
+    and under a1 or a2 where rounding loses m*w against dz."""
 
 
 class NoZero(FirstRootError):
@@ -49,7 +43,7 @@ class NonFinite(FirstRootError):
 
 class DomainError(FirstRootError):
     """Argument outside the domain of a transfer function; raised only by the
-    passband transfer functions, on caller input (omega <= 0)."""
+    passband's P, P' and |H|, on caller input (omega <= 0)."""
 
 
 class UnknownProblem(FirstRootError):

@@ -4,20 +4,9 @@ component values (module constants).
 
 Every objective and derivative accepts a float or an ndarray (numpy ufunc
 style); the solver evaluates them pointwise and the grid scan vectorized
-through `on_mesh`, which also accepts a scalar result for an array.  t12's
-pieces are joined by `_piecewise`, which evaluates each piece only on its own
-points: an array's points at or below pi go to the left piece and the rest to
-the right one, and a scalar to the side it falls on.
-
-The one-off scans, the dense-grid oracles `find_fmax` and
-`exact_lipschitz_oracle`, never hold a whole mesh.  Each block of
-_MESH_BLOCK points is generated on its own by `_mesh_slice`, which gives the
-points of `np.linspace` bit for bit, and handed to `on_mesh`; the results
-equal those of one pass over the whole mesh.  A block of 8 192 float64 is
-64 KiB, below glibc's default 128 KiB mmap threshold, so the blocks'
-temporaries reuse heap chunks.  A freed megabyte-sized mesh would instead
-raise that threshold, and the next mesh of its size would then be taken from
-the heap and stay resident for the life of the process.
+through `on_mesh`, which also accepts a scalar result for an array.  The
+one-off scans, the dense-grid oracles `find_fmax` and
+`exact_lipschitz_oracle`, never hold a whole mesh (see _MESH_BLOCK).
 
 The filter models.  Each filter objective is built from P(omega) =
 |H(j omega)|^2, which is rational in omega, and from its exact derivative P'.
@@ -249,7 +238,8 @@ _ORACLE_GRID = 200_000
 # under glibc's default 128 KiB mmap threshold, so each block's temporaries
 # reuse freed heap chunks rather than being mapped and unmapped on every
 # block, as those of larger blocks are; at this size the per-block Python
-# overhead still does not show.
+# overhead still does not show.  A freed whole mesh would instead raise that
+# threshold and leave the next mesh of its size resident for the process.
 _MESH_BLOCK = 8_192
 
 

@@ -5,6 +5,8 @@ Two variants share one iteration engine:
   a1  uses a single global curvature bound K for every interval;
   a2  re-estimates a local bound per interval from the trials seen so far.
 
+`grid_search`, a sigma-step mesh scan, is the baseline they are compared with.
+
 Each iteration orders the trials, restricts attention to the effective set
 (everything up to the first negative function value), takes the quadratic
 minorant on each interval left to right, and either subdivides the interval
@@ -21,55 +23,6 @@ e - lo <= sigma rather than to the zero.  If f(e) < 0, the next step stops on
 the bracket [lo, e], no wider than sigma, and reports lo; otherwise the search
 goes on.  Only where no float above lo lies within sigma of it does the trial
 fall back to the quarter clamp that keeps every trial inside its interval.
-
-A state is a function of its trials.  Built from the trials alone, it
-derives the effective count k and lays out k - 1 slots, one per effective
-interval, all of them empty and pending; the right margin b_n is read off
-the trials whenever it is asked for.  The state has one shape: each
-slot holds a minorant, which carries the bound it was built with, and the
-minorant's characteristic value R, and every empty slot lies in the run of
-pending slots.  A step adds one trial inside the chosen interval, so the state
-is spliced rather than rebuilt: the slot of that interval gives way to two
-empty slots for its halves, which join the pending run, and for a2 the
-curvature estimate v and the width of that interval give way to the halves'
-values; a negative trial cuts every list to the effective intervals.  A slot
-holds the minorant alone: where the next trial goes is worked out once per
-step, for the chosen interval only.
-
-A scan walks the slots left to right and stops at the first minorant that
-reaches zero, touching only slots whose minorant can have changed, and returns
-that slot, the flag, or None.  The flag lives for one step and is not kept in
-the state.  Under a1 the bound never moves, so the walk visits the pending
-slots alone; no step looks at the other slots.  Under a2 the walk draws each
-slot's bound from `curvature.iter_bounds` as it goes, so no bound right of the
-stop is computed, and rebuilds a minorant only where that bound differs from
-the one it was built with.  The stop deletes nothing: the minorants right of it
-stay valid and are rebuilt only once their bound moves.
-
-Each decision has one home.  `SolverConfig` validates the settings, the a1
-bound included, once, when it is built.  `_walk` gives the slots a scan visits
-and their bounds: K under a1, and under a2 the values of
-`curvature.iter_bounds`, the only bound formula, which `build_curvature_table`
-also applies when it seeds v and the widths on the first step.
-`scan_characteristics` builds the minorants and returns the flag, `_advance`
-chooses the flagged interval or else the one whose minorant dips lowest,
-`_candidate` places the trial in it, `_clamp_candidate` moves it to the end
-game's edge or keeps it inside, `_evaluate` takes f and f' there and `_insert`
-splices it in; `_advance`, the one step that `step` and `solve` both run,
-calls each once or stops: when the chosen interval is no wider than sigma, or
-when no float is left strictly inside it for the trial.  A PrecisionExhausted
-names which of the two stops made it, so no caller re-derives it from the
-interval.  Which method runs, with which bound, is resolved by
-`bench.run_method` for the command line and the benchmark alike.
-
-A sequential sigma-step mesh scan (`grid_search`) is included as the baseline
-the geometric methods are benchmarked against.  It takes f on whole chunks of
-the mesh but f' only up to the first negative f of a chunk, since the scan
-stops there at the latest.  Each chunk's mesh is built in place and clamped to
-b only when its last point passes b, which only the last chunk can do, and
-the first negative f and the first tangent hit are each found by one `argmax`.
-It keeps the trace as the chunks of x, f and f' it evaluated, and joins them
-into records the first time the trace is read.
 """
 
 from __future__ import annotations
@@ -133,14 +86,7 @@ def _check_count(value, name: str, least: int) -> None:
 
 
 class Trial(NamedTuple):
-    """One evaluation of f and f': abscissa, values, and birth iteration.
-
-    Like the other records the search builds once per interval, trial or step
-    (TraceRecord, and IntervalData, SupportFunction, Characteristic and
-    CurvatureTable in their modules), a named tuple: cheap to build, immutable
-    and hashable, and equal to any tuple of the same values.  On the search's
-    own path all of them but CurvatureTable are built with `tuple.__new__`,
-    which skips the Python-level constructor call and gives the same record."""
+    """One evaluation of f and f': abscissa, values, and birth iteration."""
 
     x: float
     z: float
@@ -186,8 +132,6 @@ class SolverConfig:
 class SearchState:
     """Mutable search state: the trials sorted by x, their effective count k
     and right margin b_n, and per-interval lists spliced at every insertion.
-    The class has slots, so an instance holds its fields and no other
-    attribute.
 
     A state is built from `trials` alone; every other field is derived, and
     no setting of the search, sigma included, is held.  k is 1 + the index of
@@ -259,14 +203,11 @@ class FirstRootFound(Outcome):
 
     Either f changes sign on that interval, and then the first root lies in
     it, or f is positive at both its ends and the minorant built from the data
-    reaches zero inside it.  The first case is how the end game usually ends:
-    when the flagged minorant's zero lies within sigma of x_sigma, the search
-    places its last trial at the largest float no more than sigma right of
-    x_sigma, and a negative value there closes the bracket.  The second case
-    covers a root where f touches zero without changing sign (t17 at pi),
-    which no smaller sigma would turn into a sign change.  It does not prove that f vanishes: a rootless f whose
-    minimum inside the interval is below what the minorant can resolve
-    (roughly m*sigma**2/8) is reported the same way.
+    reaches zero inside it, as where f touches zero without changing sign
+    (t17 at pi), which no smaller sigma would turn into a sign change.  It
+    does not prove that f vanishes: a rootless f whose minimum inside the
+    interval is below what the minorant can resolve (roughly m*sigma**2/8) is
+    reported the same way.
     """
 
     x_sigma: float = 0.0
@@ -366,6 +307,7 @@ def _evaluate(problem: Problem, x: float, birth: int) -> Trial:
     dz = float(problem.df(x))
     if not (math.isfinite(z) and math.isfinite(dz)):
         raise NonFinite(f"non-finite evaluation at x={x}: f={z}, f'={dz}")
+    # tuple.__new__ builds the record without the constructor's Python call
     return tuple.__new__(Trial, (x, z, dz, birth))
 
 
@@ -375,8 +317,6 @@ def initialize(problem: Problem) -> SearchState:
     Raises BadInitialCondition when f(a) <= 0: the search presumes a strictly
     positive left margin.  With f(a) > 0 both trials are effective, whatever
     the sign of f(b), so the state derives k = 2 and the right margin b_n = b.
-    The state holds no setting of the search: sigma, the bound and the budget
-    come from the config that each step is given.
     """
     a, b = problem.a, problem.b
     left = _evaluate(problem, a, 0)
@@ -405,18 +345,14 @@ def scan_characteristics(state: SearchState, walk: Iterable[tuple[int, float]]) 
     they may have changed, up to the first one whose characteristic is <= 0;
     return that slot, the flag, or None when every R is positive.
 
-    The state holds k - 1 slots, and every empty one lies in its pending run.
     `walk` yields (p, m_p), p increasing, for every slot p whose minorant can
-    differ from the one the slot holds: at least every pending slot (one
-    emptied by a step or never built, or flagged by a scan that no step
-    followed) and every slot whose bound moved.  A minorant is a pure function
-    of its interval's endpoint data and bound, and carries that bound, so the
-    walk builds one only where the slot is empty or holds a minorant built
-    with a bound other than m_p; it stops at, and flags, the first slot whose
-    R is <= 0, and the pending run then starts there.  A slot the walk leaves
-    out holds a minorant with R > 0 built with its current bound.  Minorants
-    right of the stop are kept as they are: a later walk rebuilds them only
-    once their bound moves.
+    differ from the one the slot holds: at least every pending slot and every
+    slot whose bound moved.  A minorant is a pure function of its interval's
+    endpoint data and bound, so the walk builds one only where the slot is
+    empty or holds a minorant built with a bound other than m_p; it stops at,
+    and flags, the first slot whose R is <= 0, and the pending run then
+    starts there.  Minorants right of the stop are kept as they are: a later
+    walk rebuilds them only once their bound moves.
 
     Every IntervalData is built with `tuple.__new__` and checked by
     `build_support`, which raises ValueError for an unsorted state or a bound
@@ -584,14 +520,10 @@ def step(state: SearchState, problem: Problem, config: SolverConfig) -> Outcome 
     """One full iteration; returns an Outcome when the search terminates and
     None when a trial was added and the search continues.  Every setting,
     sigma included, is read from `config`, so one state stepped under two
-    configs stops at each config's sigma.
-
-    state.scan, state.R and state.pending must hold k - 1 slots with every
-    empty one pending, as building a SearchState and every step leave them;
-    state.v and state.gaps must be empty or spliced by `step`.  The flag of
-    the step's scan is local to the step.  Under a2 the curvature estimates of
-    the two halves are computed as the trial is added, so a DegenerateInterval
-    for a too narrow half is raised by the step that adds the trial.
+    configs stops at each config's sigma.  Under a2 the curvature estimates
+    of the two halves are computed as the trial is added, so a
+    DegenerateInterval for a too narrow half is raised by the step that adds
+    the trial.
     """
     result = _advance(state, problem, config)
     return result if isinstance(result, Outcome) else None
@@ -619,6 +551,7 @@ def solve(problem: Problem, config: SolverConfig) -> SolveResult:
 # Grid baseline
 # ---------------------------------------------------------------------------
 
+# mesh points per vectorized call of f and f' in the grid scan
 _GRID_CHUNK = 4096
 
 
@@ -696,28 +629,10 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
     a sigma wider than the interval takes a single step, to b.  A cap that is
     not an integer, a bool included, raises TypeError before any evaluation.
 
-    f is evaluated in vectorized chunks of _GRID_CHUNK mesh points (`on_mesh`,
-    so an f or f' that returns a scalar is broadcast), every point of the
-    chunk at once.  A chunk's mesh is built in place: the step numbers as
-    floats, times sigma, plus a, the same products and sums as
-    a + j*sigma.  The points never decrease, so a chunk whose last point does
-    not pass b has no point past it and is left as it is; only the last
-    chunk can pass b, and it is clamped to b.  f' is evaluated, in one call
-    per chunk, only at the points up to and including the chunk's first
-    negative f (all of them when there is none), since the stop lies there or
-    before it: the tangent test needs f' at every point before the stop and
-    the trace records it at the stop, so an f' that is undefined or raises
-    past the first negative f does no harm.  The first negative f and the
-    first tangent hit are each found by `argmax` on the test's boolean array,
-    which gives the first True, or 0 when there is none, and one read of that
-    element, which tells the two apart.  Like `solve`, the scan raises
-    NonFinite when f or f' is not finite at a mesh point up to and including
-    the one it stops at.
-
-    The trace keeps the chunks of x, f and f' up to the stop and builds its
-    records, one per step with k = iter and b_n = x, the first time it is
-    read: a caller that reads only the outcome or the length never pays for
-    them.
+    f' is taken only at mesh points up to and including the first negative f
+    of their chunk, so an f' that is undefined or raises past it does no harm.
+    Like `solve`, the scan raises NonFinite when f or f' is not finite at a
+    mesh point up to and including the one it stops at.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
@@ -740,7 +655,9 @@ def grid_search(problem: Problem, sigma: float, cap: int | None = None) -> Solve
             np.minimum(xs, b, out=xs)
         fs = on_mesh(problem.f, xs)
         # the stop is the first tangent hit or the first negative f, whichever
-        # comes first, so f' is taken up to the first negative f and no further
+        # comes first, so f' is taken up to the first negative f and no further;
+        # argmax gives the first True, or 0 when there is none, and one read of
+        # that element tells the two apart
         below = fs < 0.0
         n = int(below.argmax()) + 1
         negative = bool(below[n - 1])

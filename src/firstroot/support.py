@@ -23,25 +23,6 @@ For the same reason the middle piece is evaluated as the left cap plus
 m*(x - y')^2, which equals the vertex form: where the slope is steep against
 m the vertex lies far outside the interval, and 0.5*m*(x - vertex)^2 and q
 would cancel.
-
-Every square in the construction and the evaluation of phi is a product,
-u * u, never `**`: a product is correctly rounded on a Python float, a 0-d
-array and an array alike, where numpy squares a 0-d array with pow and an
-array by multiplication, and the two can differ in the last bit.  So
-`eval_support` gives a float x the bits it gives the same x inside an array,
-and `_phi`, the search's float path, gives those bits too.  (The root
-formula of `leftmost_zero` keeps its `B ** 2`, the form its own reference
-formulas take.)
-
-The records IntervalData, SupportFunction and Characteristic are plain
-named tuples, cheap to build on the search's per-interval path: immutable,
-hashable, iterable, and equal to any tuple of the same values.  They check
-nothing.  `build_support` is the one checked builder of a minorant: it
-refuses interval data whose ends do not increase or whose bound is not
-positive, computes the knots, the vertex and q, and derives the interior
-stationary point and the characteristic once, in `_derive`;
-`interior_stationary_point`, `characteristic` and `leftmost_zero` read them
-from the record.
 """
 
 from __future__ import annotations
@@ -49,9 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import DegenerateSlope, NonFinite, NoZero, NumericalDiscriminant, OutOfInterval
+from .errors import DegenerateSlope, NonFinite, NoZero, NumericalDiscriminant
 
 __all__ = [
     "IntervalData",
@@ -61,8 +40,6 @@ __all__ = [
     "INTERIOR",
     "RIGHT_END",
     "build_support",
-    "eval_support",
-    "eval_support_derivative",
     "interior_stationary_point",
     "characteristic",
     "leftmost_zero",
@@ -183,46 +160,11 @@ def _derive(data: IntervalData, y_prime: float, y: float, vertex: float,
                                            tuple.__new__(Characteristic, (h, R, kind))))
 
 
-def _check_inside(s: SupportFunction, x) -> None:
-    d = s.data
-    slack = 1e-12 * max(1.0, abs(d.x_left), abs(d.x_right))
-    lo, hi = d.x_left - slack, d.x_right + slack
-    if np.any(np.asarray(x) < lo) or np.any(np.asarray(x) > hi):
-        raise OutOfInterval(f"x={x} outside [{d.x_left}, {d.x_right}]")
-
-
-def eval_support(s: SupportFunction, x):
-    """Evaluate phi at x (scalar or ndarray inside the interval).
-
-    Piece selection is half-open: [x_left, y'], (y', y], (y, x_right].
-    """
-    _check_inside(s, x)
-    d = s.data
-    xa = np.asarray(x, dtype=float)
-    u, t = xa - d.x_left, d.x_right - xa
-    p1 = d.z_left + d.dz_left * u - 0.5 * d.m * (u * u)
-    p2 = p1 + d.m * ((xa - s.y_prime) * (xa - s.y_prime))
-    p3 = d.z_right - d.dz_right * t - 0.5 * d.m * (t * t)
-    out = np.where(xa <= s.y_prime, p1, np.where(xa <= s.y, p2, p3))
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
-
-
-def eval_support_derivative(s: SupportFunction, x):
-    """Evaluate phi' at x (piecewise linear, continuous across the knots)."""
-    _check_inside(s, x)
-    d = s.data
-    xa = np.asarray(x, dtype=float)
-    p1 = d.dz_left - d.m * (xa - d.x_left)
-    p2 = d.m * (xa - s.vertex)
-    p3 = d.dz_right + d.m * (d.x_right - xa)
-    out = np.where(xa <= s.y_prime, p1, np.where(xa <= s.y, p2, p3))
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
-
-
 def _phi(s: SupportFunction, x: float) -> float:
-    # phi at one point of the interval in plain floats, for the scalar search
-    # path: each branch is the expression of the matching np.where arm of
-    # eval_support, term for term, so both give the same bits.
+    # phi at one point of the interval in plain floats.  Each branch is the
+    # piece formula of the tests' reference `piece_values`, term for term, and
+    # every square is a product, which rounds alike on a float and an array
+    # (numpy squares a 0-d array with pow), so the two give the same bits.
     d = s.data
     u, t = x - d.x_left, d.x_right - x
     if x <= s.y:
@@ -247,7 +189,7 @@ def _smaller_root(m: float, B: float, C: float) -> float:
     # Smaller root t of 0.5*m*t^2 + B*t + C = 0, written to avoid
     # cancellation for either sign of B.  A discriminant that rounds slightly
     # below zero counts as zero; where it and B both vanish, the double root
-    # is t = 0.
+    # is t = 0.  B ** 2 is the form of the tests' reference root formulas.
     disc = B ** 2 - 2.0 * m * C
     if disc < 0.0:
         scale = max(1.0, B ** 2, 2.0 * m * abs(C))

@@ -9,19 +9,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from firstroot import (
-    EstimationParams,
-    IntervalData,
-    NumericalDiscriminant,
-    Problem,
-    SupportFunction,
-    Trial,
-    build_curvature_table,
-    build_support,
-    registry,
-)
+from firstroot import EstimationParams, NumericalDiscriminant, Problem, Trial
+from firstroot.curvature import build_curvature_table
 from firstroot.problems import _FMAX_GRID, _ORACLE_GRID, on_mesh
-from firstroot.support import _derive
+from firstroot.support import IntervalData, SupportFunction, _derive, build_support
 
 
 # The paper's trials per solve on t01-t20, in problem order, by method.  The a1
@@ -271,12 +262,17 @@ def x_rounding(data) -> float:
 
 
 def piece_values(sf, x):
-    """Evaluate all three quadratic pieces at x, independently of the piece
-    selection logic (oracle side of the C1-gluing check)."""
+    """Evaluate all three quadratic pieces at x, a float or an array,
+    independently of the piece selection logic (oracle side of the C1-gluing
+    check).  Every square is a product, which rounds alike on a float and an
+    array, where numpy squares a 0-d array with pow: so the pieces give a
+    float the bits they give it inside an array, and `support._phi`, which
+    writes the same terms, gives those bits too."""
     d = sf.data
-    p1 = d.z_left + d.dz_left * (x - d.x_left) - 0.5 * d.m * (x - d.x_left) ** 2
-    p2 = p1 + d.m * (x - sf.y_prime) ** 2
-    p3 = d.z_right - d.dz_right * (d.x_right - x) - 0.5 * d.m * (d.x_right - x) ** 2
+    u, t = x - d.x_left, d.x_right - x
+    p1 = d.z_left + d.dz_left * u - 0.5 * d.m * (u * u)
+    p2 = p1 + d.m * ((x - sf.y_prime) * (x - sf.y_prime))
+    p3 = d.z_right - d.dz_right * t - 0.5 * d.m * (t * t)
     return p1, p2, p3
 
 
@@ -286,6 +282,30 @@ def piece_slopes(sf, x):
     s2 = d.m * (x - sf.vertex)
     s3 = d.dz_right + d.m * (d.x_right - x)
     return s1, s2, s3
+
+
+def _select(sf, x, pieces):
+    # the piece that holds x, half-open: [x_left, y'], (y', y], (y, x_right];
+    # x must lie in the interval up to 1e-12*max(1, |x_left|, |x_right|)
+    d = sf.data
+    slack = 1e-12 * max(1.0, abs(d.x_left), abs(d.x_right))
+    xa = np.asarray(x, dtype=float)
+    assert not (np.any(xa < d.x_left - slack) or np.any(xa > d.x_right + slack)), \
+        f"x={x} outside [{d.x_left}, {d.x_right}]"
+    p1, p2, p3 = pieces(sf, xa)
+    out = np.where(xa <= sf.y_prime, p1, np.where(xa <= sf.y, p2, p3))
+    return float(out) if np.isscalar(x) or out.ndim == 0 else out
+
+
+def eval_support(sf, x):
+    """phi at x, a float or an array inside the interval: the tests' one
+    reference for the minorant's values."""
+    return _select(sf, x, piece_values)
+
+
+def eval_support_derivative(sf, x):
+    """phi' at x (piecewise linear, continuous across the knots)."""
+    return _select(sf, x, piece_slopes)
 
 
 def hand_built_support(data: IntervalData, y_prime: float, y: float, vertex: float,

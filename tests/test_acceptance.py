@@ -17,18 +17,15 @@ from firstroot import (
     FirstRootFound,
     NoRootGlobalMin,
     SolverConfig,
-    build_curvature_table,
-    build_support,
-    characteristic,
-    eval_support,
     exact_lipschitz_oracle,
     get_problem,
     grid_search,
-    leftmost_zero,
     registry,
     solve,
 )
+from firstroot.curvature import build_curvature_table
 from firstroot.solver import initialize, step
+from firstroot.support import IntervalData, build_support, characteristic, leftmost_zero
 
 from helpers import (
     PUBLISHED_TRIALS,
@@ -37,6 +34,7 @@ from helpers import (
     data_scale,
     effective_points,
     eq22_supports,
+    eval_support,
     published_trials,
     random_interval_data,
     table_from,
@@ -285,7 +283,6 @@ def test_support_lower_bound_on_testbed():
             grid = np.linspace(lo, hi, 2001)
             d = np.asarray(problem.df(grid), dtype=float)
             m = 1.01 * max(float(np.max(np.abs(np.diff(d)) / np.diff(grid))), 1e-9)
-            from firstroot import IntervalData
             sf = build_support(IntervalData(
                 x_left=float(lo), x_right=float(hi),
                 z_left=float(problem.f(lo)), z_right=float(problem.f(hi)),

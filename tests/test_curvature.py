@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from firstroot import (
-    DegenerateInterval,
-    EstimationParams,
-    Trial,
-    build_curvature_table,
-    interval_curvature,
-    registry,
-)
-from firstroot.curvature import iter_bounds
+from firstroot import DegenerateInterval, EstimationParams, Trial, registry
+from firstroot.curvature import build_curvature_table, interval_curvature, iter_bounds
 
 from helpers import table_from
 

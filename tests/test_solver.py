@@ -11,33 +11,29 @@ import firstroot.solver as solver_module
 from firstroot import (
     BadInitialCondition,
     BudgetExhausted,
-    Characteristic,
-    CurvatureTable,
     DegenerateInterval,
     DegenerateSlope,
     EstimationParams,
     FirstRootFound,
-    IntervalData,
     NoRootGlobalMin,
     PrecisionExhausted,
     Problem,
     SearchState,
     SolveResult,
     SolverConfig,
-    SupportFunction,
     Trial,
     all_ids,
-    build_curvature_table,
-    build_support,
     curvature_bound,
     exact_lipschitz_oracle,
     get_problem,
     grid_search,
     solve,
 )
+from firstroot.curvature import CurvatureTable, build_curvature_table
 from firstroot.errors import FirstRootError, NonFinite
 from firstroot.solver import TraceRecord, initialize, scan_characteristics, step
-from firstroot.support import INTERIOR, LEFT_END, RIGHT_END
+from firstroot.support import (INTERIOR, LEFT_END, RIGHT_END, Characteristic, IntervalData,
+                               SupportFunction, build_support)
 
 from helpers import (cosines_problem, deep_problems, effective_points, hand_built_support,
                      table_from)

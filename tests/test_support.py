@@ -8,29 +8,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from firstroot import (
+from firstroot import DegenerateSlope, NonFinite, NoZero, NumericalDiscriminant, registry
+from firstroot.support import (
+    INTERIOR,
+    LEFT_END,
+    RIGHT_END,
     Characteristic,
-    DegenerateSlope,
     IntervalData,
-    NonFinite,
-    NoZero,
-    NumericalDiscriminant,
-    OutOfInterval,
+    _phi,
+    _smaller_root,
     build_support,
     characteristic,
-    eval_support,
-    eval_support_derivative,
     interior_stationary_point,
     leftmost_zero,
-    registry,
 )
-from firstroot.support import INTERIOR, LEFT_END, RIGHT_END, _phi, _smaller_root
 
 from helpers import (
     check_c1_gluing,
     check_endpoint_interpolation,
     data_scale,
     eq22_supports,
+    eval_support,
+    eval_support_derivative,
     hand_built_support,
     left_root_middle,
     piece_slopes,
@@ -204,16 +203,16 @@ class TestEval:
 
     def test_out_of_interval(self):
         sf = symmetric_case()
-        with pytest.raises(OutOfInterval):
+        with pytest.raises(AssertionError, match="outside"):
             eval_support(sf, -0.1)
-        with pytest.raises(OutOfInterval):
+        with pytest.raises(AssertionError, match="outside"):
             eval_support_derivative(sf, 1.1)
 
     def test_out_of_interval_slack_scales_with_the_ends(self):
         # the slack is 1e-12*max(1, |x_left|, |x_right|): 1e-6 at x = 1e6
         sf = build_support(IntervalData(1e6, 1e6 + 1.0, 1.0, 1.0, 0.0, 0.0, 4.0))
         assert eval_support(sf, 1e6 + 1.0 + 5e-7) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(OutOfInterval):
+        with pytest.raises(AssertionError, match="outside"):
             eval_support(sf, 1e6 + 1.0 + 2e-6)
 
     def test_derivative_values(self):
